@@ -194,7 +194,11 @@ def run_bench(cfg: MCConfig, threads: int | None = None) -> MCReport:
     """
     cfg.validate()
     if threads is None:
-        threads = int(os.environ.get("AFKIT_THREADS", "1"))
+        text = os.environ.get("AFKIT_THREADS", "1")
+        try:
+            threads = int(text)
+        except ValueError:
+            raise ValueError(f"AFKIT_THREADS must be an integer, got {text!r}") from None
     naf = naf_for_process(cfg.process, cfg.n)
     blocks = [
         (s, min(s + ACCUMULATION_BLOCK, cfg.trials))

@@ -40,7 +40,7 @@ from .sigcore import (
     generate,
 )
 from .spread import indicator, lag_band, total_spread
-from .thresholding import ThresholdConfig, make_partition, threshold_with_details
+from .thresholding import ThresholdConfig, threshold_with_details
 
 __all__ = ["main"]
 
@@ -123,14 +123,12 @@ def _cmd_threshold(args) -> int:
             f"method {args.method} is not defined for {args.process} grids"
         )
     cfg = ThresholdConfig(args.c, args.regions, args.rim, args.method)
-    cfg.validate()
-    part = make_partition(grid.n, args.regions)
-    est, meta = threshold_with_details(grid, cfg, part)
+    est, meta = threshold_with_details(grid, cfg)
+    sidecar = json.dumps(meta, indent=2, allow_nan=False)  # strict JSON, before any output
     gridio.write_grid(args.output, est, process=args.process)
     if args.meta:
         with open(args.meta, "w") as fh:
-            json.dump(meta, fh, indent=2)
-            fh.write("\n")
+            fh.write(sidecar + "\n")
     return 0
 
 
@@ -380,8 +378,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--threads",
         type=int,
-        default=int(os.environ.get("AFKIT_THREADS", "1")),
-        help="worker processes; never changes numeric output",
+        default=None,
+        help="worker processes (default: AFKIT_THREADS, else 1); never changes numeric output",
     )
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--mse-grids", default=None, help="directory for per-cell MSE CSVs")

@@ -42,6 +42,12 @@ class FileFormatError(Exception):
     """Input file does not match the declared format."""
 
 
+def _check_finite(data: np.ndarray, what: str) -> None:
+    # A NaN or inf would poison every median-based variance estimate.
+    if not np.isfinite(data).all():
+        raise FileFormatError(f"{what} holds non-finite values")
+
+
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
@@ -80,6 +86,7 @@ def load_signal(path):
         data = np.loadtxt(fh, delimiter=",", ndmin=2)
     if data.shape != (n, 3):
         raise FileFormatError(f"expected {n} rows of t,re,im")
+    _check_finite(data, "signal CSV")
     order = np.argsort(data[:, 0])
     data = data[order]
     return data[:, 1] + 1j * data[:, 2], fields.get("process")
@@ -112,10 +119,13 @@ def load_grid(path):
     rows, cols = 2 * n - 1, 2 * n
     if data.shape != (rows * cols, 4):
         raise FileFormatError("grid CSV has the wrong number of rows")
+    _check_finite(data, "grid CSV")
     m = np.rint(data[:, 0]).astype(int) + (n - 1)
     k = np.rint(data[:, 1] * 2 * n).astype(int) + n
     if m.min() < 0 or m.max() >= rows or k.min() < 0 or k.max() >= cols:
         raise FileFormatError("grid CSV indices out of range")
+    if (np.bincount(m * cols + k, minlength=rows * cols) != 1).any():
+        raise FileFormatError("grid CSV does not cover every (tau, nu) cell exactly once")
     values = np.zeros((rows, cols), dtype=complex)
     values[m, k] = data[:, 2] + 1j * data[:, 3]
     return AmbiguityGrid(values, n, kind), fields.get("process")
@@ -158,5 +168,9 @@ def load_grid_binary(path) -> AmbiguityGrid:
         if kind_code >= len(GRID_KINDS):
             raise FileFormatError("unknown grid kind code")
         raw = fh.read()
+    expected = 16 * (2 * n - 1) * 2 * n
+    if len(raw) != expected:
+        raise FileFormatError(f"grid binary holds {len(raw)} data bytes, expected {expected}")
     values = np.frombuffer(raw, dtype="<c16").reshape(2 * n - 1, 2 * n).copy()
+    _check_finite(values, "grid binary")
     return AmbiguityGrid(values, n, GRID_KINDS[kind_code])

@@ -122,12 +122,14 @@ class ChirpInNoise:
             raise ValueError("chirp start frequency must lie in (0, 1/2)")
         if not np.isfinite(self.beta):
             raise ValueError("chirp rate must be finite")
-        # Aliasing silently invalidates every downstream moment formula,
-        # so an out-of-band sweep is a hard error.
-        if self.alpha + self.beta * (n - 1) >= 0.5:
+        # Aliasing, or a sweep below 0 (no longer an analytic record),
+        # silently invalidates every downstream moment formula, so an
+        # out-of-band sweep is a hard error.
+        end = self.alpha + self.beta * (n - 1)
+        if not 0.0 < end < 0.5:
             raise ValueError(
-                "chirp sweeps past Nyquist over the record: "
-                f"alpha + beta*(n-1) = {self.alpha + self.beta * (n - 1):g} >= 1/2"
+                "chirp sweeps out of (0, 1/2) over the record: "
+                f"alpha + beta*(n-1) = {end:g}"
             )
         if self.noise_psd < 0:
             raise ValueError("noise PSD level must be >= 0")

@@ -14,14 +14,16 @@ variable is ln 2).
             noise bias removed cell-wise, then region-local thresholding
             of the corrected grid.
 
+All three are threshold_with_details with the method fixed: teaf is the
+one-region partition, lbteaf the local rule after bias correction.
 Surviving cells keep their input value exactly (hard thresholding).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, replace
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -40,6 +42,7 @@ __all__ = [
     "rim_region",
     "teaf",
     "threshold_level",
+    "threshold_with_details",
 ]
 
 LN2 = math.log(2.0)
@@ -71,7 +74,7 @@ class ThresholdConfig:
             raise ValueError(f"unknown threshold method {self.method!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class RegionPartition:
     """Assignment of every grid cell to one of region_count annuli."""
 
@@ -80,6 +83,31 @@ class RegionPartition:
 
     def cells_in(self, k: int) -> int:
         return int(np.count_nonzero(self.region_index == k))
+
+    @cached_property
+    def merged_regions(self) -> tuple:
+        """(label, boolean cell mask) per region, ascending, after folding
+        regions with < MIN_REGION_CELLS cells outward into their neighbour
+        (inward for the outermost).  Built once per partition."""
+        k, idx = self.region_count, self.region_index
+        if idx.size and (idx.min() < 0 or idx.max() >= k):
+            raise ValueError(f"partition labels must lie in [0, {k})")
+        counts = np.bincount(idx.ravel(), minlength=k)
+        target = np.arange(k)
+        remaining = [r for r in range(k) if counts[r]]
+        while len(remaining) > 1:
+            small = [pos for pos, r in enumerate(remaining) if counts[r] < MIN_REGION_CELLS]
+            if not small:
+                break
+            r = remaining.pop(small[0])
+            dest = remaining[min(small[0], len(remaining) - 1)]
+            counts[dest] += counts[r]
+            target[target == r] = dest
+        labels = target[idx]
+        regions = tuple((r, labels == r) for r in remaining)
+        for _, mask in regions:
+            mask.flags.writeable = False
+        return regions
 
 
 def threshold_level(n_x: int, c: float = 1.0) -> float:
@@ -98,36 +126,29 @@ def _maxnorm_ratio(n: int, eps: float = 0.0) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
-def _partition_index(n: int, k: int) -> np.ndarray:
-    ratio = _maxnorm_ratio(n, eps=_BOUNDARY_EPS)
-    idx = np.minimum(k - 1, np.floor(k * ratio).astype(int))
-    idx.flags.writeable = False
-    return idx
-
-
 def make_partition(n: int, k: int = 8) -> RegionPartition:
     """Centre square plus nested square annuli of equal max-norm width.
 
     Cell (nu, tau) falls in region floor(K * max(|nu|/(1/2), |tau|/(N-1)))
-    capped at K-1; boundary cells stay in the inner region.
+    capped at K-1; boundary cells stay in the inner region.  Cached per
+    (N, K), so the merged region masks are built once.
     """
     if k < 1:
         raise ValueError("need at least one region")
-    return RegionPartition(k, _partition_index(n, k))
+    ratio = _maxnorm_ratio(n, eps=_BOUNDARY_EPS)
+    idx = np.minimum(k - 1, np.floor(k * ratio).astype(int))
+    idx.flags.writeable = False
+    return RegionPartition(k, idx)
 
 
 @lru_cache(maxsize=8)
-def _rim_mask(n: int, rim_fraction: float) -> np.ndarray:
+def rim_region(n: int, rim_fraction: float) -> np.ndarray:
+    """Boolean mask of the outer rim band of the ambiguity plane."""
     if not 0.0 < rim_fraction < 0.5:
         raise ValueError("rim fraction must lie in (0, 1/2)")
     mask = _maxnorm_ratio(n) >= 1.0 - rim_fraction
     mask.flags.writeable = False
     return mask
-
-
-def rim_region(n: int, rim_fraction: float) -> np.ndarray:
-    """Boolean mask of the outer rim band of the ambiguity plane."""
-    return _rim_mask(n, float(rim_fraction))
 
 
 def estimate_sigma4(std_grid: AmbiguityGrid, mask: np.ndarray) -> float:
@@ -142,73 +163,6 @@ def estimate_sigma4(std_grid: AmbiguityGrid, mask: np.ndarray) -> float:
     if cells.size == 0:
         raise ValueError("cannot estimate a variance from an empty region")
     return float(np.median(cells) / LN2)
-
-
-def _merged_regions(part: RegionPartition) -> np.ndarray:
-    """Region labels after folding regions with < MIN_REGION_CELLS cells
-    outward into their neighbour (inward for the outermost)."""
-    labels = part.region_index.copy()
-    k = part.region_count
-    remaining = [r for r in range(k) if np.any(labels == r)]
-    changed = True
-    while changed and len(remaining) > 1:
-        changed = False
-        for pos, r in enumerate(remaining):
-            count = int(np.count_nonzero(labels == r))
-            if count < MIN_REGION_CELLS:
-                target = remaining[pos + 1] if pos + 1 < len(remaining) else remaining[pos - 1]
-                labels[labels == r] = target
-                remaining.pop(pos)
-                changed = True
-                break
-    return labels
-
-
-def _sigma4_by_region(std_abs2: np.ndarray, labels: np.ndarray) -> dict:
-    out = {}
-    for r in np.unique(labels):
-        out[int(r)] = float(np.median(std_abs2[labels == r]) / LN2)
-    return out
-
-
-def _hard_threshold(values: np.ndarray, n: int, sigma4_cells: np.ndarray, c: float) -> np.ndarray:
-    lam2 = threshold_level(2 * n, c)
-    keep = np.abs(values) ** 2 > lam2 * sigma4_cells * standardization_base(n)
-    return np.where(keep, values, 0.0)
-
-
-def teaf(grid: AmbiguityGrid, cfg: ThresholdConfig = ThresholdConfig()) -> AmbiguityGrid:
-    """Thresholded empirical AF with one global variance estimate."""
-    if grid.kind != "raw":
-        raise ValueError("teaf expects a raw grid")
-    cfg.validate()
-    std = standardize(grid)
-    sigma4 = estimate_sigma4(std, np.ones(grid.shape, dtype=bool))
-    out = _hard_threshold(grid.values, grid.n, np.full(grid.shape, sigma4), cfg.c_exponent)
-    return AmbiguityGrid(out, grid.n, "thresholded")
-
-
-def lteaf(
-    grid: AmbiguityGrid,
-    part: RegionPartition | None = None,
-    cfg: ThresholdConfig = ThresholdConfig(),
-) -> AmbiguityGrid:
-    """Thresholded empirical AF with region-local variance estimates."""
-    if grid.kind != "raw":
-        raise ValueError("lteaf expects a raw grid")
-    cfg.validate()
-    if part is None:
-        part = make_partition(grid.n, cfg.region_count)
-    if part.region_index.shape != grid.shape:
-        raise ValueError("partition does not match the grid dimensions")
-    std_abs2 = np.abs(standardize(grid).values) ** 2
-    labels = _merged_regions(part)
-    sigma4 = _sigma4_by_region(std_abs2, labels)
-    sigma4_cells = np.empty(grid.shape)
-    for r, value in sigma4.items():
-        sigma4_cells[labels == r] = value
-    out = _hard_threshold(grid.values, grid.n, sigma4_cells, cfg.c_exponent)
-    return AmbiguityGrid(out, grid.n, "thresholded")
 
 
 @lru_cache(maxsize=8)
@@ -241,6 +195,63 @@ def bias_correct(grid: AmbiguityGrid, sigma2_w: float) -> AmbiguityGrid:
     return AmbiguityGrid(out, grid.n, "bias_corrected")
 
 
+def threshold_with_details(
+    grid: AmbiguityGrid,
+    cfg: ThresholdConfig,
+    part: RegionPartition | None = None,
+) -> tuple[AmbiguityGrid, dict]:
+    """Run the configured estimator once and return (grid, metadata).
+
+    teaf uses one region covering the plane and ignores part; lteaf and
+    lbteaf use the merged regions of part (default: make_partition(N,
+    region_count)).  Metadata records the method, C, region count, rim
+    fraction, the squared threshold level, the rim noise level sigma2_w
+    (lbteaf only) and, per merged region, the sigma4 estimate used, the
+    cell count and the survivor count, ready for a JSON sidecar.
+    """
+    cfg.validate()
+    if grid.kind != "raw":
+        raise ValueError(f"{cfg.method} expects a raw grid")
+    n = grid.n
+    if cfg.method == "teaf":
+        part = make_partition(n, 1)
+    elif part is None:
+        part = make_partition(n, cfg.region_count)
+    elif part.region_index.shape != grid.shape:
+        raise ValueError("partition does not match the grid dimensions")
+    lam2 = threshold_level(2 * n, cfg.c_exponent)
+    meta = {"method": cfg.method, **vars(cfg), "lambda2": lam2, "n": n}
+    if cfg.method == "lbteaf":
+        rim = rim_region(n, cfg.rim_fraction)
+        meta["sigma2_w"] = math.sqrt(estimate_sigma4(standardize(grid), rim))
+        grid = bias_correct(grid, meta["sigma2_w"])
+    std_abs2 = np.abs(standardize(grid).values) ** 2
+    sigma4, cells, survivors = {}, {}, {}
+    sigma4_cells = np.empty(grid.shape)
+    for r, mask in part.merged_regions:
+        sigma4_cells[mask] = sigma4[str(r)] = float(np.median(std_abs2[mask]) / LN2)
+        cells[str(r)] = int(np.count_nonzero(mask))
+    keep = np.abs(grid.values) ** 2 > lam2 * sigma4_cells * standardization_base(n)
+    for r, mask in part.merged_regions:
+        survivors[str(r)] = int(np.count_nonzero(keep & mask))
+    meta.update(sigma4=sigma4, cells=cells, survivors=survivors)
+    return AmbiguityGrid(np.where(keep, grid.values, 0.0), n, "thresholded"), meta
+
+
+def teaf(grid: AmbiguityGrid, cfg: ThresholdConfig = ThresholdConfig()) -> AmbiguityGrid:
+    """Thresholded empirical AF with one global variance estimate."""
+    return threshold_with_details(grid, replace(cfg, method="teaf"))[0]
+
+
+def lteaf(
+    grid: AmbiguityGrid,
+    part: RegionPartition | None = None,
+    cfg: ThresholdConfig = ThresholdConfig(),
+) -> AmbiguityGrid:
+    """Thresholded empirical AF with region-local variance estimates."""
+    return threshold_with_details(grid, replace(cfg, method="lteaf"), part)[0]
+
+
 def lbteaf(
     grid: AmbiguityGrid,
     part: RegionPartition | None = None,
@@ -253,65 +264,4 @@ def lbteaf(
     subtracted, and the corrected grid is thresholded with per-region
     variances recomputed from itself.
     """
-    if grid.kind != "raw":
-        raise ValueError("lbteaf expects a raw grid")
-    cfg.validate()
-    if part is None:
-        part = make_partition(grid.n, cfg.region_count)
-    if part.region_index.shape != grid.shape:
-        raise ValueError("partition does not match the grid dimensions")
-    rim = rim_region(grid.n, cfg.rim_fraction)
-    sigma2_w = math.sqrt(estimate_sigma4(standardize(grid), rim))
-    corrected = bias_correct(grid, sigma2_w)
-    cstd_abs2 = np.abs(standardize(corrected).values) ** 2
-    labels = _merged_regions(part)
-    sigma4 = _sigma4_by_region(cstd_abs2, labels)
-    sigma4_cells = np.empty(grid.shape)
-    for r, value in sigma4.items():
-        sigma4_cells[labels == r] = value
-    out = _hard_threshold(corrected.values, grid.n, sigma4_cells, cfg.c_exponent)
-    return AmbiguityGrid(out, grid.n, "thresholded")
-
-
-def threshold_with_details(
-    grid: AmbiguityGrid,
-    cfg: ThresholdConfig,
-    part: RegionPartition | None = None,
-) -> tuple[AmbiguityGrid, dict]:
-    """Run the configured estimator and return (grid, metadata).
-
-    Metadata records the method, C, region count, rim fraction, the
-    per-region sigma4 estimates actually used and the squared threshold
-    level, ready for a JSON sidecar.
-    """
-    cfg.validate()
-    n = grid.n
-    lam2 = threshold_level(2 * n, cfg.c_exponent)
-    meta = {
-        "method": cfg.method,
-        "c_exponent": cfg.c_exponent,
-        "region_count": cfg.region_count,
-        "rim_fraction": cfg.rim_fraction,
-        "lambda2": lam2,
-        "n": n,
-    }
-    if part is None:
-        part = make_partition(n, cfg.region_count)
-    if cfg.method == "teaf":
-        std = standardize(grid)
-        sigma4 = estimate_sigma4(std, np.ones(grid.shape, dtype=bool))
-        meta["sigma4"] = {"0": sigma4}
-        return teaf(grid, cfg), meta
-    if cfg.method == "lteaf":
-        std_abs2 = np.abs(standardize(grid).values) ** 2
-        labels = _merged_regions(part)
-        meta["sigma4"] = {str(r): v for r, v in _sigma4_by_region(std_abs2, labels).items()}
-        return lteaf(grid, part, cfg), meta
-    rim = rim_region(n, cfg.rim_fraction)
-    sigma2_w = math.sqrt(estimate_sigma4(standardize(grid), rim))
-    corrected = bias_correct(grid, sigma2_w)
-    cstd_abs2 = np.abs(standardize(corrected).values) ** 2
-    labels = _merged_regions(part)
-    meta["sigma2_w"] = sigma2_w
-    meta["sigma4"] = {str(r): v for r, v in _sigma4_by_region(cstd_abs2, labels).items()}
-    return lbteaf(grid, part, cfg), meta
+    return threshold_with_details(grid, replace(cfg, method="lbteaf"), part)[0]

@@ -61,10 +61,34 @@ class TestGridCsv:
         assert path.read_bytes()[:8] == b"AFKITGRD"
 
     def test_binary_rejects_garbage(self, tmp_path):
+        valid = tmp_path / "valid.bin"
+        gridio.write_grid_binary(valid, compute_emaf(np.ones(8, dtype=complex)))
+        truncated = valid.read_bytes()[:-16]  # one cell short
         path = tmp_path / "x.bin"
-        path.write_bytes(b"NOTAGRID" + b"\x00" * 64)
+        for data in (b"NOTAGRID" + b"\x00" * 64, truncated):
+            path.write_bytes(data)
+            with pytest.raises(gridio.FileFormatError):
+                gridio.load_grid_binary(path)
+
+    def test_rejects_duplicated_row(self, tmp_path):
+        path = tmp_path / "grid.csv"
+        gridio.write_grid(path, compute_emaf(np.ones(8, dtype=complex)))
+        lines = path.read_text().splitlines()
+        lines[2] = lines[1]  # one cell twice, its neighbour missing
+        path.write_text("\n".join(lines) + "\n")
         with pytest.raises(gridio.FileFormatError):
-            gridio.load_grid_binary(path)
+            gridio.load_grid(path)
+
+    def test_rejects_non_finite_values(self, tmp_path):
+        g = compute_emaf(np.ones(8, dtype=complex))
+        g.values[3, 4] = np.nan
+        csv, binary = tmp_path / "grid.csv", tmp_path / "grid.bin"
+        gridio.write_grid(csv, g)
+        gridio.write_grid_binary(binary, g)
+        with pytest.raises(gridio.FileFormatError):
+            gridio.load_grid(csv)
+        with pytest.raises(gridio.FileFormatError):
+            gridio.load_grid_binary(binary)
 
     def test_mask_rows(self, tmp_path):
         ref = naf_um(0.09, 8)
@@ -145,6 +169,28 @@ class TestCliPipeline:
         main(["threshold", "-i", str(grid), "-o", str(est)])
         assert main(["threshold", "-i", str(est), "-o", str(est2)]) == 2
 
+    def test_nan_signal_exits_1(self, tmp_path, capsys):
+        sig = tmp_path / "sig.csv"
+        grid = tmp_path / "grid.csv"
+        x = np.ones(16, dtype=complex)
+        x[5] = np.nan
+        gridio.write_signal(sig, x, process="chirp")
+        assert main(["emaf", "-i", str(sig), "-o", str(grid)]) == 1
+        assert not grid.exists()
+        assert len(capsys.readouterr().err.strip().splitlines()) == 1
+
+    def test_nan_grid_exits_1(self, tmp_path):
+        grid = tmp_path / "grid.csv"
+        est = tmp_path / "est.csv"
+        meta = tmp_path / "est.json"
+        g = compute_emaf(generate(MovingAverage(), 16, 1))
+        g.values[10, 3] = np.nan
+        gridio.write_grid(grid, g, process="chirp")
+        code = main(["threshold", "-i", str(grid), "--method", "lbteaf",
+                     "-o", str(est), "--meta", str(meta)])
+        assert code == 1
+        assert not est.exists() and not meta.exists()
+
     def test_missing_file_exits_1(self, tmp_path):
         code = main(["emaf", "-i", str(tmp_path / "nope.csv"),
                      "-o", str(tmp_path / "out.csv")])
@@ -212,6 +258,15 @@ class TestCliBench:
         r1 = json.loads(out1.read_text())
         r2 = json.loads(out2.read_text())
         assert r1["results"] == r2["results"]
+
+    def test_bad_threads_env_exits_2(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("AFKIT_THREADS", "abc")
+        out = tmp_path / "r.json"
+        assert main(["bench", "--process", "um", "--n", "16", "--trials", "2",
+                     "-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1 and "AFKIT_THREADS" in err
+        assert not out.exists()
 
     def test_bad_estimator_exits_2(self, tmp_path):
         assert main(["bench", "--estimators", "nope", "--trials", "2",

@@ -128,6 +128,8 @@ class TestSpecsValidation:
             ChirpInNoise(0.1, 2e-3, 0.6).validate(256)
         with pytest.raises(ValueError):
             ChirpInNoise(0.0, 1e-4, 0.6).validate(256)
+        with pytest.raises(ValueError):  # sweeps below 0: not analytic
+            ChirpInNoise(0.1, -0.002, 0.6).validate(256)
 
     def test_ma_weights(self):
         with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ from afkit.sigcore import (
 )
 from afkit.thresholding import (
     MIN_REGION_CELLS,
+    RegionPartition,
     ThresholdConfig,
     bias_correct,
     estimate_sigma4,
@@ -259,6 +261,12 @@ class TestLteaf:
         assert min(part.cells_in(k) for k in range(8)) < MIN_REGION_CELLS
         out = lteaf(g, part, ThresholdConfig(region_count=8))
         assert out.kind == "thresholded"
+        labels = [r for r, _ in part.merged_regions]
+        masks = np.array([mask for _, mask in part.merged_regions])
+        assert labels == sorted(labels)
+        np.testing.assert_array_equal(masks.sum(axis=0), 1)
+        assert masks.sum(axis=(1, 2)).min() >= MIN_REGION_CELLS
+        assert part.merged_regions is make_partition(8, 8).merged_regions
 
     def test_partition_shape_checked(self):
         g = compute_emaf(np.ones(16, dtype=complex))
@@ -360,14 +368,39 @@ class TestLbteaf:
 
 class TestThresholdWithDetails:
     def test_metadata_fields(self):
-        x = generate(MovingAverage(), 64, 1)
-        g = compute_emaf(x)
-        cfg = ThresholdConfig(method="lteaf")
-        est, meta = threshold_with_details(g, cfg)
-        assert meta["method"] == "lteaf"
-        assert meta["lambda2"] == pytest.approx(threshold_level(128, 1.0))
-        assert set(meta["sigma4"]) and all(v > 0 for v in meta["sigma4"].values())
-        np.testing.assert_array_equal(est.values, lteaf(g, cfg=cfg).values)
+        # one case per estimator
+        for method, estimator in (("teaf", teaf), ("lteaf", lteaf), ("lbteaf", lbteaf)):
+            x = generate(ChirpInNoise() if method == "lbteaf" else MovingAverage(), 64, 1)
+            g = compute_emaf(x)
+            cfg = ThresholdConfig(method=method)
+            est, meta = threshold_with_details(g, cfg)
+            assert meta["method"] == method
+            assert meta["lambda2"] == pytest.approx(threshold_level(128, 1.0))
+            assert set(meta["sigma4"]) and all(v > 0 for v in meta["sigma4"].values())
+            assert set(meta["cells"]) == set(meta["survivors"]) == set(meta["sigma4"])
+            assert sum(meta["cells"].values()) == g.values.size
+            if method == "teaf":  # the one-region partition
+                assert meta["cells"] == {"0": g.values.size}
+            assert sum(meta["survivors"].values()) == np.count_nonzero(est.values)
+            np.testing.assert_array_equal(est.values, estimator(g, cfg=cfg).values)
+            json.dumps(meta, allow_nan=False)
+
+    def test_hand_built_partition_honoured(self):
+        # two halves along tau: the merged regions follow the given labels
+        n = 16
+        g = compute_emaf(generate(MovingAverage(), n, 4))
+        idx = np.zeros(g.shape, dtype=int)
+        idx[n:] = 1
+        _, meta = threshold_with_details(
+            g, ThresholdConfig(method="lteaf", region_count=2), RegionPartition(2, idx)
+        )
+        assert meta["cells"] == {"0": n * 2 * n, "1": (n - 1) * 2 * n}
+
+    def test_partition_labels_checked(self):
+        g = compute_emaf(np.ones(8, dtype=complex))
+        part = RegionPartition(2, np.full(g.shape, 2))
+        with pytest.raises(ValueError):
+            lteaf(g, part, ThresholdConfig(region_count=2))
 
     def test_lbteaf_metadata_has_noise_level(self):
         x = generate(ChirpInNoise(), 64, 1)
