@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .emaf import AmbiguityGrid, compute_emaf
+from .emaf import AmbiguityGrid, compute_emaf, standardization_base
 from .moments import NAFReference, naf_for_process
 from .sigcore import (
     AnalyticWhiteNoise,
@@ -31,8 +31,17 @@ from .sigcore import (
     UniformlyModulated,
     generate,
 )
-from .spread import indicator, total_spread
-from .thresholding import ThresholdConfig, lbteaf, lteaf, make_partition, teaf
+from .thresholding import (
+    ThresholdConfig,
+    _bias_basis,
+    _power,
+    _region_sigma4,
+    _rim_sigma2,
+    _subtract_bias,
+    _survivors,
+    make_partition,
+    threshold_level,
+)
 
 __all__ = [
     "ACCUMULATION_BLOCK",
@@ -132,57 +141,108 @@ def mse_against_naf(estimate: AmbiguityGrid, naf: NAFReference):
     return err, float(err.sum())
 
 
-def _estimate(name: str, raw: AmbiguityGrid, part, cfg: ThresholdConfig) -> AmbiguityGrid:
-    if name == "emaf":
-        return raw
-    if name == "teaf":
-        return teaf(raw, cfg)
-    if name == "lteaf":
-        return lteaf(raw, part, cfg)
-    return lbteaf(raw, part, cfg)
+class _TrialPass:
+    """run_bench's fused trial pass and its buffers, allocated once per
+    process: the EMAF workspace (two complex grids), one real grid and a
+    keep grid per thresholded estimator.  |standardized raw|^2 and |raw|^2
+    are computed once per trial and shared by teaf and lteaf, which apply
+    threshold_with_details' own survivor rule.  A thresholded estimate is
+    scored from its keep mask, never built: its error is |raw - ref|^2 where
+    kept and |ref|^2 elsewhere, its spread the kept fraction (same bits)."""
+
+    def __init__(self, cfg: MCConfig, naf: NAFReference):
+        shape, n = naf.grid.values.shape, cfg.n
+        self.cfg, self.ref = cfg, naf.grid.values
+        # a rejected cell scores |ref|^2, which is zero off the reference's nonzero cells
+        self.ref_cells = np.flatnonzero(self.ref)
+        self.ref_power = _power(self.ref.flat[self.ref_cells])
+        self.lam2 = threshold_level(2 * n, cfg.threshold.c_exponent)
+        local = make_partition(n, cfg.threshold.region_count)
+        self.parts = {"teaf": make_partition(n, 1), "lteaf": local, "lbteaf": local}
+        # Cached tables are built here, before any buffer below is touched,
+        # so that their temporaries do not add to the peak memory.
+        for part in self.parts.values():
+            part.merged
+        standardization_base(n)
+        if "lbteaf" in cfg.estimators:
+            _bias_basis(n)
+        self.ws, self.real = np.empty((2,) + shape, dtype=complex), np.empty(shape)
+        # the complex scratch grid doubles as two real ones
+        self.scratch = self.ws[1].view(float).reshape((2,) + shape)
+        self.keep = {name: np.empty(shape, dtype=bool) for name in cfg.estimators if name != "emaf"}
+
+    def scores(self, x):
+        """Yield (estimator, squared error grid, spread) of one record; the
+        grid is a reused buffer."""
+        raw = compute_emaf(x, self.ws).values
+        plain = [name for name in self.cfg.estimators if name != "lbteaf"]
+        sigma2_w = self._survive(raw, plain, rim="lbteaf" in self.cfg.estimators)
+        yield from self._errors(raw, plain)
+        if sigma2_w is not None:
+            _subtract_bias(raw, sigma2_w, out=raw, tmp=self.ws[1])
+            self._survive(raw, ["lbteaf"])
+            yield from self._errors(raw, ["lbteaf"])
+
+    def _survive(self, values, names, rim=False):
+        """Fill keep for the thresholded names; return sigma2_w if rim."""
+        n, names = self.cfg.n, [name for name in names if name != "emaf"]
+        scale = np.sqrt(standardization_base(n), out=self.real)
+        std_power = _power(np.divide(values, scale, out=self.ws[1]), out=self.real)
+        sigma2_w = _rim_sigma2(std_power, self.cfg.threshold.rim_fraction) if rim else None
+        sigma4 = {name: _region_sigma4(std_power, self.parts[name], self.scratch) for name in names}
+        power, thr = self.scratch
+        _power(values, out=power)
+        for name in names:
+            _survivors(power, sigma4[name], self.parts[name], self.lam2, self.keep[name], thr)
+        return sigma2_w
+
+    def _errors(self, values, names):
+        err, masked = self.real, self.scratch[0]
+        _power(np.subtract(values, self.ref, out=self.ws[1]), out=err)
+        for name in names:
+            if name == "emaf":
+                yield name, err, np.count_nonzero(values) / values.size
+            else:
+                keep, cells = self.keep[name], self.ref_cells
+                np.copyto(masked, 0.0)
+                np.copyto(masked, err, where=keep)
+                masked.flat[cells] = np.where(keep.flat[cells], err.flat[cells], self.ref_power)
+                yield name, masked, np.count_nonzero(keep) / values.size
 
 
-def _spread_of(name: str, grid: AmbiguityGrid) -> float:
-    if name == "emaf":
-        # The raw surface has no exact zeros in practice; count anyway.
-        mask = grid.values != 0
-    else:
-        mask = indicator(grid)
-    return total_spread(mask).total_spread
-
-
-def _run_block(cfg: MCConfig, naf: NAFReference, block) -> dict:
+def _run_block(trial_pass: _TrialPass, block) -> dict:
     start, stop = block
-    part = make_partition(cfg.n, cfg.threshold.region_count)
-    shape = naf.grid.values.shape
+    cfg = trial_pass.cfg
+    shape = trial_pass.ref.shape
     out = {
         name: {"sq": np.zeros(shape), "totals": [], "spreads": []}
         for name in cfg.estimators
     }
     for trial in range(start, stop):
         x = generate(cfg.process, cfg.n, derive_trial_seed(cfg.base_seed, trial))
-        raw = compute_emaf(x)
-        for name in cfg.estimators:
-            est = _estimate(name, raw, part, cfg.threshold)
-            err, tot = mse_against_naf(est, naf)
+        for name, err, spread in trial_pass.scores(x):
             slot = out[name]
             slot["sq"] += err
-            slot["totals"].append(tot)
-            slot["spreads"].append(_spread_of(name, est))
+            slot["totals"].append(float(err.sum()))
+            slot["spreads"].append(spread)
     return out
 
 
-_WORKER_ARGS = None
+_WORKER_PASS = None
 
 
 def _worker_init(cfg, naf):
-    global _WORKER_ARGS
-    _WORKER_ARGS = (cfg, naf)
+    global _WORKER_PASS
+    _WORKER_PASS = _TrialPass(cfg, naf)
 
 
 def _worker_run(block):
-    cfg, naf = _WORKER_ARGS
-    return _run_block(cfg, naf, block)
+    return _run_block(_WORKER_PASS, block)
+
+
+def _worker_count(threads: int, blocks: int) -> int:
+    """Worker processes worth starting: no more than the blocks or the CPUs."""
+    return max(1, min(threads, blocks, os.cpu_count() or 1))
 
 
 def run_bench(cfg: MCConfig, threads: int | None = None) -> MCReport:
@@ -199,40 +259,51 @@ def run_bench(cfg: MCConfig, threads: int | None = None) -> MCReport:
             threads = int(text)
         except ValueError:
             raise ValueError(f"AFKIT_THREADS must be an integer, got {text!r}") from None
+        if threads < 1:
+            raise ValueError(f"AFKIT_THREADS must be >= 1, got {threads}")
+    elif threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     naf = naf_for_process(cfg.process, cfg.n)
     blocks = [
         (s, min(s + ACCUMULATION_BLOCK, cfg.trials))
         for s in range(0, cfg.trials, ACCUMULATION_BLOCK)
     ]
+    workers = _worker_count(threads, len(blocks))
+    shape = naf.grid.values.shape
+    sq = {name: np.zeros(shape) for name in cfg.estimators}
+    totals = {name: [] for name in cfg.estimators}
+    spreads = {name: [] for name in cfg.estimators}
+
+    def combine(partials):
+        # Each block is folded in as it arrives, in index order, so that
+        # only a few blocks' grids are ever held at once.
+        for p in partials:
+            for name in cfg.estimators:
+                sq[name] += p[name]["sq"]
+                totals[name].extend(p[name]["totals"])
+                spreads[name].extend(p[name]["spreads"])
+
     t0 = time.perf_counter()
-    if threads > 1 and len(blocks) > 1:
+    if workers > 1:
         with ProcessPoolExecutor(
-            max_workers=threads, initializer=_worker_init, initargs=(cfg, naf)
+            max_workers=workers, initializer=_worker_init, initargs=(cfg, naf)
         ) as pool:
-            partials = list(pool.map(_worker_run, blocks))
+            combine(pool.map(_worker_run, blocks))
     else:
-        partials = [_run_block(cfg, naf, b) for b in blocks]
+        trial_pass = _TrialPass(cfg, naf)
+        combine(_run_block(trial_pass, b) for b in blocks)
     wall = time.perf_counter() - t0
 
     per_estimator = {}
+    k = cfg.trials
     for name in cfg.estimators:
-        sq = np.zeros(naf.grid.values.shape)
-        totals, spreads = [], []
-        for p in partials:
-            sq += p[name]["sq"]
-            totals.extend(p[name]["totals"])
-            spreads.extend(p[name]["spreads"])
-        totals = np.asarray(totals)
-        spreads = np.asarray(spreads)
-        k = cfg.trials
-        std = float(totals.std(ddof=1)) if k > 1 else 0.0
-        sstd = float(spreads.std(ddof=1)) if k > 1 else 0.0
+        t, sp = np.asarray(totals[name]), np.asarray(spreads[name])
         per_estimator[name] = EstimatorStats(
-            total_mse_mean=float(totals.mean()),
-            total_mse_std=std,
-            spread_mean=float(spreads.mean()),
-            spread_std=sstd,
-            mse_grid=sq / k,
+            total_mse_mean=float(t.mean()),
+            total_mse_std=float(t.std(ddof=1)) if k > 1 else 0.0,
+            spread_mean=float(sp.mean()),
+            spread_std=float(sp.std(ddof=1)) if k > 1 else 0.0,
+            mse_grid=np.divide(sq[name], k, out=sq[name]),
         )
     metadata = {
         "process": type(cfg.process).__name__,

@@ -44,8 +44,6 @@ from .thresholding import ThresholdConfig, threshold_with_details
 
 __all__ = ["main"]
 
-PROCESS_NAMES = ("chirp", "ma", "um", "tvma", "noise")
-
 # Which threshold methods a grid from each process may be fed to.
 _METHOD_BLOCKLIST = {
     "lbteaf": {"ma", "um", "tvma"},
@@ -80,7 +78,7 @@ def _build_process(args) -> object:
 
 
 def _add_process_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--process", choices=PROCESS_NAMES, default="ma")
+    p.add_argument("--process", choices=gridio.PROCESS_NAMES, default="ma")
     p.add_argument("--n", type=int, default=256)
     p.add_argument("--alpha", type=float, default=0.1)
     p.add_argument("--beta", type=float, default=9.0196e-4)
@@ -333,7 +331,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c", type=float, default=1.0)
     p.add_argument("--regions", type=int, default=8)
     p.add_argument("--rim", type=float, default=0.1)
-    p.add_argument("--process", choices=PROCESS_NAMES, default=None)
+    p.add_argument("--process", choices=gridio.PROCESS_NAMES, default=None)
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--meta", default=None, help="JSON sidecar with estimator details")
     p.set_defaults(func=_cmd_threshold)
@@ -361,7 +359,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="Monte Carlo MSE/spread benchmark")
     p.add_argument("--config", default=None, help="flat key = value config file")
-    p.add_argument("--process", choices=PROCESS_NAMES, default=None)
+    p.add_argument("--process", choices=gridio.PROCESS_NAMES, default=None)
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--trials", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)

@@ -65,19 +65,32 @@ class AmbiguityGrid:
         return (np.arange(2 * self.n) - self.n) / (2.0 * self.n)
 
 
-def compute_emaf(x) -> AmbiguityGrid:
+def compute_emaf(x, workspace: np.ndarray | None = None) -> AmbiguityGrid:
     """Empirical ambiguity function of a complex sample, kind="raw".
 
     For each lag tau the product sequence m_tau[t] = x[t] x*[t-tau] is laid
     out on t = 0..N-1 (zero outside the valid range), zero-padded to length
     2N and transformed; FFT bin q lands in column k = (q + N) mod 2N so that
     columns run over nu = (k-N)/(2N) in increasing order.
+
+    workspace, a complex (2, 2N-1, 2N) array, lends the two buffers the
+    computation needs so that repeated calls allocate nothing: the result
+    views workspace[0] and is overwritten by the next call, and
+    workspace[1] is left free as scratch.  Without one, fresh buffers are
+    allocated.
     """
     x = np.asarray(x, dtype=complex)
     n = x.size
     if n < 2:
         raise ValueError("need at least two samples")
-    rows = np.zeros((2 * n - 1, 2 * n), dtype=complex)
+    shape = (2 * n - 1, 2 * n)
+    if workspace is None:
+        rows, spectrum = np.zeros(shape, dtype=complex), np.empty(shape, dtype=complex)
+    elif workspace.shape != (2,) + shape or workspace.dtype != complex:
+        raise ValueError(f"EMAF workspace must be complex with shape {(2,) + shape}")
+    else:
+        rows, spectrum = workspace
+        rows.fill(0)
     conj = np.conj(x)
     for m in range(2 * n - 1):
         tau = m - (n - 1)
@@ -85,8 +98,11 @@ def compute_emaf(x) -> AmbiguityGrid:
             rows[m, tau:n] = x[tau:] * conj[: n - tau]
         else:
             rows[m, : n + tau] = x[: n + tau] * conj[-tau:]
-    values = np.fft.fftshift(np.fft.fft(rows, axis=1), axes=1)
-    return AmbiguityGrid(values, n, "raw")
+    np.fft.fft(rows, axis=1, out=spectrum)
+    # fftshift by a half-swap: bins q >= N hold the negative frequencies
+    rows[:, :n] = spectrum[:, n:]
+    rows[:, n:] = spectrum[:, :n]
+    return AmbiguityGrid(rows, n, "raw")
 
 
 @lru_cache(maxsize=8)

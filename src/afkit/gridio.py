@@ -23,6 +23,7 @@ import numpy as np
 from .emaf import GRID_KINDS, AmbiguityGrid
 
 __all__ = [
+    "PROCESS_NAMES",
     "FileFormatError",
     "load_grid",
     "load_grid_binary",
@@ -33,6 +34,9 @@ __all__ = [
     "write_real_grid",
     "write_signal",
 ]
+
+# Values the process= provenance field may take.
+PROCESS_NAMES = ("chirp", "ma", "um", "tvma", "noise")
 
 _MAGIC = b"AFKITGRD"
 _BINARY_VERSION = 1
@@ -64,6 +68,8 @@ def _parse_header(line: str, tag: str) -> dict:
             continue
         key, _, value = part.partition("=")
         fields[key.strip()] = value.strip()
+    if "process" in fields and fields["process"] not in PROCESS_NAMES:
+        raise FileFormatError(f"unknown process={fields['process']!r} in the {tag} header")
     return fields
 
 
@@ -167,6 +173,8 @@ def load_grid_binary(path) -> AmbiguityGrid:
             raise FileFormatError(f"unsupported grid binary version {version}")
         if kind_code >= len(GRID_KINDS):
             raise FileFormatError("unknown grid kind code")
+        if n < 2:
+            raise FileFormatError(f"grid binary declares n={n}, need n >= 2")
         raw = fh.read()
     expected = 16 * (2 * n - 1) * 2 * n
     if len(raw) != expected:

@@ -85,10 +85,14 @@ class RegionPartition:
         return int(np.count_nonzero(self.region_index == k))
 
     @cached_property
-    def merged_regions(self) -> tuple:
-        """(label, boolean cell mask) per region, ascending, after folding
-        regions with < MIN_REGION_CELLS cells outward into their neighbour
-        (inward for the outermost).  Built once per partition."""
+    def merged(self) -> tuple:
+        """(labels, cell_region, order, bounds) of the merged regions, built
+        once per partition.  Regions with < MIN_REGION_CELLS cells are folded
+        outward into their neighbour (inward for the outermost); labels lists
+        the survivors ascending, cell_region gives each cell's position in
+        labels (narrowest unsigned dtype), order the flat cell indices sorted
+        stably by it (row-major inside a region; None for one region) and
+        order[bounds[i]:bounds[i + 1]] the cells of region i."""
         k, idx = self.region_count, self.region_index
         if idx.size and (idx.min() < 0 or idx.max() >= k):
             raise ValueError(f"partition labels must lie in [0, {k})")
@@ -103,11 +107,16 @@ class RegionPartition:
             dest = remaining[min(small[0], len(remaining) - 1)]
             counts[dest] += counts[r]
             target[target == r] = dest
-        labels = target[idx]
-        regions = tuple((r, labels == r) for r in remaining)
-        for _, mask in regions:
-            mask.flags.writeable = False
-        return regions
+        position = np.zeros(k, dtype=np.min_scalar_type(max(len(remaining) - 1, 0)))
+        position[remaining] = np.arange(len(remaining))
+        cell_region = position[target][idx]
+        bounds = tuple(int(b) for b in np.cumsum([0, *counts[remaining]]))
+        order = None
+        if len(remaining) > 1:
+            order = np.argsort(cell_region.ravel(), kind="stable").astype(np.int32)
+            order.flags.writeable = False
+        cell_region.flags.writeable = False
+        return tuple(remaining), cell_region, order, bounds
 
 
 def threshold_level(n_x: int, c: float = 1.0) -> float:
@@ -136,7 +145,7 @@ def make_partition(n: int, k: int = 8) -> RegionPartition:
     if k < 1:
         raise ValueError("need at least one region")
     ratio = _maxnorm_ratio(n, eps=_BOUNDARY_EPS)
-    idx = np.minimum(k - 1, np.floor(k * ratio).astype(int))
+    idx = np.minimum(k - 1, np.floor(k * ratio)).astype(np.min_scalar_type(-k))
     idx.flags.writeable = False
     return RegionPartition(k, idx)
 
@@ -151,6 +160,29 @@ def rim_region(n: int, rim_fraction: float) -> np.ndarray:
     return mask
 
 
+def _median(a: np.ndarray, scratch: np.ndarray | None = None):
+    """np.median of a 1-D float array, bit for bit, from one partition pivot
+    and a max over the lower half (np.median partitions on two or three).
+    a is copied into scratch (default: a new array) and keeps its order for
+    np.median itself, which decides a zero or NaN result: its partition
+    order picks the sign of a zero and the payload of a NaN."""
+    part = np.empty_like(a) if scratch is None else scratch[: a.size]
+    np.copyto(part, a)
+    if a.size:
+        k = a.size // 2
+        part.partition(k)
+        mid = part[k] if a.size % 2 else (part[:k].max() + part[k]) / 2
+        if mid != 0 and not np.isnan(part[k:].max()):
+            return mid
+    return np.median(a)
+
+
+def _power(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """np.abs(values) ** 2, optionally into out."""
+    out = np.abs(values, out=out)
+    return np.square(out, out=out)
+
+
 def estimate_sigma4(std_grid: AmbiguityGrid, mask: np.ndarray) -> float:
     """Robust variance estimate: median of |standardized|^2 over mask / ln 2.
 
@@ -159,10 +191,45 @@ def estimate_sigma4(std_grid: AmbiguityGrid, mask: np.ndarray) -> float:
     """
     if std_grid.kind != "standardized":
         raise ValueError("variance estimation expects a standardized grid")
-    cells = np.abs(std_grid.values[mask]) ** 2
+    cells = _power(std_grid.values[mask])
     if cells.size == 0:
         raise ValueError("cannot estimate a variance from an empty region")
-    return float(np.median(cells) / LN2)
+    return float(_median(cells) / LN2)
+
+
+def _rim_sigma2(std_power: np.ndarray, rim_fraction: float) -> float:
+    """lbteaf's noise level sigma2_w = sqrt(median of std_power, the squared
+    standardized grid, over the rim / ln 2)."""
+    rim = std_power[rim_region(std_power.shape[1] // 2, rim_fraction)]
+    sigma4 = float(_median(rim) / LN2)
+    if not math.isfinite(sigma4):
+        raise ValueError("rim noise estimate is not finite: the grid holds NaN or inf")
+    return math.sqrt(sigma4)
+
+
+def _region_sigma4(std_power, part, scratch=None) -> np.ndarray:
+    """sigma4 per merged region of part: the median of std_power, the
+    squared standardized grid, over the region / ln 2.  scratch (two real
+    grids) is overwritten."""
+    _, _, order, bounds = part.merged
+    scratch = np.empty((2,) + std_power.shape) if scratch is None else scratch
+    flat = std_power.ravel()
+    if order is not None:
+        flat = np.take(flat, order, out=scratch[0].ravel(), mode="clip")
+    medians = [_median(flat[lo:hi], scratch[1].ravel()) for lo, hi in zip(bounds, bounds[1:])]
+    sigma4 = np.array(medians) / LN2
+    if not np.isfinite(sigma4).all():
+        raise ValueError("region variance estimate is not finite: the grid holds NaN or inf")
+    return sigma4
+
+
+def _survivors(power, sigma4, part, lam2, keep=None, thr=None) -> np.ndarray:
+    """The survivor rule: a cell survives iff power = |v|^2 > lam2 * sigma4_r
+    * (N-|tau|) * w(nu), sigma4_r from _region_sigma4 for the cell's merged
+    region.  keep (boolean) and thr (real) grids are overwritten."""
+    thr = np.take(lam2 * sigma4, part.merged[1], out=thr, mode="clip")
+    np.multiply(thr, standardization_base(power.shape[1] // 2), out=thr)
+    return np.greater(power, thr, out=keep)
 
 
 @lru_cache(maxsize=8)
@@ -191,8 +258,14 @@ def bias_correct(grid: AmbiguityGrid, sigma2_w: float) -> AmbiguityGrid:
         raise ValueError("bias correction expects a raw grid")
     if sigma2_w < 0:
         raise ValueError("noise variance must be >= 0")
-    out = grid.values - sigma2_w * _bias_basis(grid.n)
-    return AmbiguityGrid(out, grid.n, "bias_corrected")
+    return AmbiguityGrid(_subtract_bias(grid.values, sigma2_w), grid.n, "bias_corrected")
+
+
+def _subtract_bias(values, sigma2_w, out=None, tmp=None) -> np.ndarray:
+    """values - sigma2_w * bias basis, optionally into out with tmp as the
+    complex scratch grid for the scaled basis."""
+    basis = np.multiply(sigma2_w, _bias_basis(values.shape[1] // 2), out=tmp)
+    return np.subtract(values, basis, out=out)
 
 
 def threshold_with_details(
@@ -222,19 +295,17 @@ def threshold_with_details(
     lam2 = threshold_level(2 * n, cfg.c_exponent)
     meta = {"method": cfg.method, **vars(cfg), "lambda2": lam2, "n": n}
     if cfg.method == "lbteaf":
-        rim = rim_region(n, cfg.rim_fraction)
-        meta["sigma2_w"] = math.sqrt(estimate_sigma4(standardize(grid), rim))
+        meta["sigma2_w"] = _rim_sigma2(_power(standardize(grid).values), cfg.rim_fraction)
         grid = bias_correct(grid, meta["sigma2_w"])
-    std_abs2 = np.abs(standardize(grid).values) ** 2
-    sigma4, cells, survivors = {}, {}, {}
-    sigma4_cells = np.empty(grid.shape)
-    for r, mask in part.merged_regions:
-        sigma4_cells[mask] = sigma4[str(r)] = float(np.median(std_abs2[mask]) / LN2)
-        cells[str(r)] = int(np.count_nonzero(mask))
-    keep = np.abs(grid.values) ** 2 > lam2 * sigma4_cells * standardization_base(n)
-    for r, mask in part.merged_regions:
-        survivors[str(r)] = int(np.count_nonzero(keep & mask))
-    meta.update(sigma4=sigma4, cells=cells, survivors=survivors)
+    sigma4 = _region_sigma4(_power(standardize(grid).values), part)
+    keep = _survivors(_power(grid.values), sigma4, part, lam2)
+    labels, cell_region, _, bounds = part.merged
+    survivors = np.bincount(cell_region[keep], minlength=len(labels))
+    meta.update(
+        sigma4={str(r): float(s) for r, s in zip(labels, sigma4)},
+        cells={str(r): hi - lo for r, lo, hi in zip(labels, bounds, bounds[1:])},
+        survivors={str(r): int(c) for r, c in zip(labels, survivors)},
+    )
     return AmbiguityGrid(np.where(keep, grid.values, 0.0), n, "thresholded"), meta
 
 

@@ -4,6 +4,7 @@ import pytest
 from afkit.bench import (
     ACCUMULATION_BLOCK,
     MCConfig,
+    _worker_count,
     derive_trial_seed,
     mse_against_naf,
     run_bench,
@@ -11,13 +12,57 @@ from afkit.bench import (
 from afkit.emaf import AmbiguityGrid, compute_emaf
 from afkit.moments import naf_for_process, naf_um
 from afkit.sigcore import (
+    DEFAULT_MA_WEIGHTS,
     AnalyticWhiteNoise,
     ChirpInNoise,
     MovingAverage,
+    TimeVaryingMA,
     UniformlyModulated,
     generate,
 )
-from afkit.thresholding import ThresholdConfig
+from afkit.spread import indicator, total_spread
+from afkit.thresholding import ThresholdConfig, lbteaf, lteaf, make_partition, teaf
+
+
+def public_path_report(cfg):
+    """run_bench's per-estimator stats rebuilt from the public functions:
+    compute_emaf -> teaf/lteaf/lbteaf -> mse_against_naf -> total_spread,
+    summed in the same blocks and order."""
+    naf = naf_for_process(cfg.process, cfg.n)
+    part = make_partition(cfg.n, cfg.threshold.region_count)
+    estimate = {
+        "emaf": lambda g: g,
+        "teaf": lambda g: teaf(g, cfg.threshold),
+        "lteaf": lambda g: lteaf(g, part, cfg.threshold),
+        "lbteaf": lambda g: lbteaf(g, part, cfg.threshold),
+    }
+    sq = {name: np.zeros(naf.grid.values.shape) for name in cfg.estimators}
+    totals = {name: [] for name in cfg.estimators}
+    spreads = {name: [] for name in cfg.estimators}
+    for start in range(0, cfg.trials, ACCUMULATION_BLOCK):
+        block = {name: np.zeros(naf.grid.values.shape) for name in cfg.estimators}
+        for trial in range(start, min(start + ACCUMULATION_BLOCK, cfg.trials)):
+            x = generate(cfg.process, cfg.n, derive_trial_seed(cfg.base_seed, trial))
+            raw = compute_emaf(x)
+            for name in cfg.estimators:
+                est = estimate[name](raw)
+                err, total = mse_against_naf(est, naf)
+                block[name] += err
+                totals[name].append(total)
+                mask = est.values != 0 if name == "emaf" else indicator(est)
+                spreads[name].append(total_spread(mask).total_spread)
+        for name in cfg.estimators:
+            sq[name] += block[name]
+    out = {}
+    for name in cfg.estimators:
+        t, s = np.asarray(totals[name]), np.asarray(spreads[name])
+        out[name] = ({
+            "total_mse_mean": float(t.mean()),
+            "total_mse_std": float(t.std(ddof=1)),
+            "spread_mean": float(s.mean()),
+            "spread_std": float(s.std(ddof=1)),
+        }, sq[name] / cfg.trials)
+    return out
 
 
 class TestSeedDerivation:
@@ -139,6 +184,40 @@ class TestRunBench:
         emaf_mse = rep.per_estimator["emaf"].total_mse_mean
         assert rep.per_estimator["teaf"].total_mse_mean < emaf_mse
         assert rep.per_estimator["lteaf"].total_mse_mean < emaf_mse
+
+    def test_fused_pass_matches_public_path(self):
+        # every process x estimator pairing, bit for bit
+        configs = [
+            (ChirpInNoise(0.1, 9.0196e-4 * 255 / 31, 1.2), ("emaf", "teaf", "lbteaf")),
+            (MovingAverage(), ("emaf", "teaf", "lteaf")),
+            (UniformlyModulated(0.09), ("emaf", "teaf", "lteaf")),
+            (TimeVaryingMA(DEFAULT_MA_WEIGHTS, 0.042), ("emaf", "teaf", "lteaf")),
+            (AnalyticWhiteNoise(0.6), ("lbteaf", "lteaf", "emaf", "teaf")),
+        ]
+        for process, estimators in configs:
+            cfg = MCConfig(process, n=32, trials=30, base_seed=11, estimators=estimators,
+                           threshold=ThresholdConfig(region_count=3))
+            rep = run_bench(cfg)
+            for name, (stats, mse_grid) in public_path_report(cfg).items():
+                assert rep.per_estimator[name].to_dict() == stats, (process, name)
+                np.testing.assert_array_equal(rep.per_estimator[name].mse_grid, mse_grid)
+
+    def test_threads_below_one_rejected(self, monkeypatch):
+        cfg = MCConfig(MovingAverage(), n=16, trials=2, estimators=("emaf",))
+        with pytest.raises(ValueError, match="threads must be >= 1"):
+            run_bench(cfg, threads=0)
+        monkeypatch.setenv("AFKIT_THREADS", "0")
+        with pytest.raises(ValueError, match="AFKIT_THREADS must be >= 1"):
+            run_bench(cfg)
+
+    def test_worker_count_clamped(self, monkeypatch):
+        monkeypatch.setattr("os.cpu_count", lambda: 4)
+        assert _worker_count(1, 20) == 1
+        assert _worker_count(3, 20) == 3
+        assert _worker_count(64, 20) == 4  # CPUs
+        assert _worker_count(64, 2) == 2  # blocks
+        monkeypatch.setattr("os.cpu_count", lambda: None)
+        assert _worker_count(64, 20) == 1
 
     def test_noise_process_benchable(self):
         cfg = MCConfig(AnalyticWhiteNoise(0.6), n=64, trials=4,

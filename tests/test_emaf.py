@@ -102,6 +102,19 @@ class TestComputeEmaf:
         with pytest.raises(ValueError):
             compute_emaf(np.array([1.0 + 0j]))
 
+    def test_workspace_matches_fresh_buffers(self, rng):
+        # a reused workspace gives the same bits on every call, stale
+        # contents included
+        n = 24
+        ws = np.full((2, 2 * n - 1, 2 * n), np.nan + 1j, dtype=complex)
+        for _ in range(3):
+            x = random_complex_signal(rng, n)
+            got = compute_emaf(x, ws)
+            assert np.shares_memory(got.values, ws)
+            np.testing.assert_array_equal(got.values, compute_emaf(x).values)
+        with pytest.raises(ValueError):
+            compute_emaf(x, np.empty((2, 2 * n - 1, 2 * n)))
+
 
 class TestStandardize:
     def test_origin_divisor(self):

@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -68,6 +69,15 @@ class TestGridCsv:
         for data in (b"NOTAGRID" + b"\x00" * 64, truncated):
             path.write_bytes(data)
             with pytest.raises(gridio.FileFormatError):
+                gridio.load_grid_binary(path)
+
+    def test_binary_rejects_small_n(self, tmp_path):
+        # n = 0 used to fail in numpy's reshape (exit 2), n = 1 loaded a 1x2 grid
+        path = tmp_path / "x.bin"
+        for n in (0, 1):
+            header = (b"AFKITGRD" + struct.pack("<III", 1, n, 0)).ljust(32, b"\x00")
+            path.write_bytes(header + b"\x00" * 16 * (2 * n - 1) * 2 * n)
+            with pytest.raises(gridio.FileFormatError, match="n >= 2"):
                 gridio.load_grid_binary(path)
 
     def test_rejects_duplicated_row(self, tmp_path):
@@ -191,6 +201,23 @@ class TestCliPipeline:
         assert code == 1
         assert not est.exists() and not meta.exists()
 
+    def test_unknown_provenance_exits_1(self, tmp_path, capsys):
+        # process=bogus used to slip past the method/process pairing check
+        sig, grid = tmp_path / "sig.csv", tmp_path / "grid.csv"
+        est, meta = tmp_path / "est.csv", tmp_path / "est.json"
+        x = generate(MovingAverage(), 16, 1)
+        gridio.write_signal(sig, x, process="bogus")
+        assert main(["emaf", "-i", str(sig), "-o", str(grid)]) == 1
+        assert not grid.exists()
+        assert len(capsys.readouterr().err.strip().splitlines()) == 1
+        gridio.write_grid(grid, compute_emaf(x), process="bogus")
+        code = main(["threshold", "-i", str(grid), "--method", "lbteaf",
+                     "-o", str(est), "--meta", str(meta)])
+        assert code == 1
+        assert not est.exists() and not meta.exists()
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1 and "bogus" in err
+
     def test_missing_file_exits_1(self, tmp_path):
         code = main(["emaf", "-i", str(tmp_path / "nope.csv"),
                      "-o", str(tmp_path / "out.csv")])
@@ -266,6 +293,17 @@ class TestCliBench:
                      "-o", str(out)]) == 2
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1 and "AFKIT_THREADS" in err
+        assert not out.exists()
+
+    def test_threads_below_one_exits_2(self, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "r.json"
+        args = ["bench", "--process", "um", "--n", "16", "--trials", "2", "-o", str(out)]
+        assert main(args + ["--threads", "0"]) == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1 and "threads" in err
+        monkeypatch.setenv("AFKIT_THREADS", "-1")
+        assert main(args) == 2
+        assert "AFKIT_THREADS" in capsys.readouterr().err
         assert not out.exists()
 
     def test_bad_estimator_exits_2(self, tmp_path):

@@ -16,6 +16,7 @@ from afkit.thresholding import (
     MIN_REGION_CELLS,
     RegionPartition,
     ThresholdConfig,
+    _median,
     bias_correct,
     estimate_sigma4,
     lbteaf,
@@ -153,6 +154,43 @@ class TestEstimateSigma4:
             estimate_sigma4(g, np.ones(g.shape, bool))
 
 
+class TestMedian:
+    CASES = [
+        [3.0],
+        [2.0, 1.0],
+        [5.0, 1.0, 4.0, 1.0, 5.0],
+        [2.0, 2.0, 7.0, 1.0, 2.0, 2.0],  # ties
+        [0.0, -0.0, -0.0, 0.0, -0.0],  # signed zeros
+        [-0.0, 0.0, 0.0, -0.0],
+        [-0.0, -0.0],
+        [-1.0, 1.0],
+        [np.inf, 1.0, np.inf, 2.0],
+        [-np.inf, np.inf],
+        [1.0, np.nan, 2.0, 3.0],
+        [np.nan, 1.0, 2.0],
+        [np.nan, -np.nan, 1.0, 2.0],
+    ]
+
+    @staticmethod
+    def _bits(v):
+        return np.float64(v).tobytes()
+
+    def test_bit_identical_to_numpy(self, rng):
+        cases = [np.array(c) for c in self.CASES]
+        cases += [rng.standard_exponential(size) for size in (1, 2, 7, 8, 255, 256, 4097)]
+        cases += [rng.integers(0, 3, size).astype(float) for size in (9, 10, 101, 1000)]
+        for a in cases:
+            before = a.copy()
+            scratch = np.full(a.size + 3, 42.0)
+            for got in (_median(a), _median(a, scratch)):
+                assert self._bits(got) == self._bits(np.median(a)), a
+            np.testing.assert_array_equal(a, before)  # a keeps its order
+
+    def test_empty_is_nan_like_numpy(self):
+        with pytest.warns(RuntimeWarning):
+            assert np.isnan(_median(np.array([])))
+
+
 class TestTeaf:
     def test_zero_grid_stays_zero(self):
         n = 16
@@ -261,12 +299,18 @@ class TestLteaf:
         assert min(part.cells_in(k) for k in range(8)) < MIN_REGION_CELLS
         out = lteaf(g, part, ThresholdConfig(region_count=8))
         assert out.kind == "thresholded"
-        labels = [r for r, _ in part.merged_regions]
-        masks = np.array([mask for _, mask in part.merged_regions])
-        assert labels == sorted(labels)
-        np.testing.assert_array_equal(masks.sum(axis=0), 1)
-        assert masks.sum(axis=(1, 2)).min() >= MIN_REGION_CELLS
-        assert part.merged_regions is make_partition(8, 8).merged_regions
+        labels, cell_region, order, bounds = part.merged
+        assert list(labels) == sorted(labels)
+        counts = np.bincount(cell_region.ravel(), minlength=len(labels))
+        assert counts.size == len(labels) and counts.min() >= MIN_REGION_CELLS
+        assert cell_region.dtype == np.uint8 and order.dtype == np.int32
+        assert bounds == tuple(np.cumsum([0, *counts]))
+        # stable: row-major inside each region, as a boolean mask would gather
+        for i in range(len(labels)):
+            np.testing.assert_array_equal(
+                order[bounds[i]:bounds[i + 1]], np.flatnonzero(cell_region == i)
+            )
+        assert part.merged is make_partition(8, 8).merged
 
     def test_partition_shape_checked(self):
         g = compute_emaf(np.ones(16, dtype=complex))
@@ -401,6 +445,19 @@ class TestThresholdWithDetails:
         part = RegionPartition(2, np.full(g.shape, 2))
         with pytest.raises(ValueError):
             lteaf(g, part, ThresholdConfig(region_count=2))
+
+    def test_non_finite_grid_rejected(self):
+        # one NaN cell used to make every threshold NaN: no survivors, spread 0
+        g = compute_emaf(generate(ChirpInNoise(), 32, 2))
+        center = g.values.copy()
+        center[31, 32] = np.nan  # tau = 0, nu = 0
+        rim = g.values.copy()
+        rim[0, 0] = np.nan
+        for method, values in (("teaf", center), ("lteaf", center),
+                               ("lbteaf", center), ("lbteaf", rim)):
+            bad = AmbiguityGrid(values, 32)
+            with pytest.raises(ValueError, match="not finite"):
+                threshold_with_details(bad, ThresholdConfig(method=method))
 
     def test_lbteaf_metadata_has_noise_level(self):
         x = generate(ChirpInNoise(), 64, 1)
