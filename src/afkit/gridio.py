@@ -17,6 +17,7 @@ trips lossless for doubles.
 from __future__ import annotations
 
 import struct
+import warnings
 
 import numpy as np
 
@@ -56,7 +57,23 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
+def _lattice_text(n: int, cell: str) -> tuple[list, list]:
+    """Lattice row heads (the tau values) and one line template per nu column."""
+    nus = (np.arange(2 * n) - n) / (2.0 * n)
+    return [str(tau) for tau in range(1 - n, n)], [f",{_fmt(nu)},{cell}\n" for nu in nus]
+
+
+def _write_rows(path, header: str, heads: list, cells: list, rows) -> None:
+    """Header line, then one write per row: `head + cell` for every cell, filled by
+    % from the row's values.  '%.17g' % x is the same conversion as f"{x:.17g}"."""
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for head, row in zip(heads, rows):
+            fh.write((head + head.join(cells)) % tuple(row.tolist()))
+
+
 def _parse_header(line: str, tag: str) -> dict:
+    """Header fields; fields["n"] is the checked integer sample count."""
     line = line.strip()
     prefix = f"# {tag} v1"
     if not line.startswith(prefix):
@@ -70,31 +87,49 @@ def _parse_header(line: str, tag: str) -> dict:
         fields[key.strip()] = value.strip()
     if "process" in fields and fields["process"] not in PROCESS_NAMES:
         raise FileFormatError(f"unknown process={fields['process']!r} in the {tag} header")
+    if "n" not in fields:
+        raise FileFormatError(f"the {tag} header has no n= field")
+    try:
+        fields["n"] = int(fields["n"])
+    except ValueError:
+        raise FileFormatError(f"the {tag} header has a non-integer n={fields['n']!r}") from None
+    if fields["n"] < 2:
+        raise FileFormatError(f"the {tag} header declares n={fields['n']}, need n >= 2")
     return fields
 
 
+def _read_csv(path, tag: str) -> tuple[dict, np.ndarray]:
+    """Header fields and body rows of a CSV file; a malformed body is a FileFormatError."""
+    try:
+        with open(path) as fh, warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # empty body: the row count check names it
+            fields = _parse_header(fh.readline(), tag)
+            data = np.loadtxt(fh, delimiter=",", ndmin=2)
+    except ValueError as exc:  # a non-numeric cell, a ragged row or undecodable bytes
+        raise FileFormatError(f"{tag} file: {exc}") from None
+    return fields, data
+
+
 def write_signal(path, x, process: str | None = None) -> None:
-    x = np.asarray(x, dtype=complex)
+    x = np.ascontiguousarray(x, dtype=complex)
     header = f"# afkit-signal v1, n={x.size}"
     if process:
         header += f", process={process}"
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for t, v in enumerate(x):
-            fh.write(f"{t},{_fmt(v.real)},{_fmt(v.imag)}\n")
+    cells = [f"{t},%.17g,%.17g\n" for t in range(x.size)]
+    _write_rows(path, header, [""], cells, [x.view(np.float64)])
 
 
 def load_signal(path):
     """Returns (samples, process-or-None)."""
-    with open(path) as fh:
-        fields = _parse_header(fh.readline(), "afkit-signal")
-        n = int(fields["n"])
-        data = np.loadtxt(fh, delimiter=",", ndmin=2)
+    fields, data = _read_csv(path, "afkit-signal")
+    n = fields["n"]
     if data.shape != (n, 3):
         raise FileFormatError(f"expected {n} rows of t,re,im")
     _check_finite(data, "signal CSV")
     order = np.argsort(data[:, 0])
     data = data[order]
+    if (data[:, 0] != np.arange(n)).any():
+        raise FileFormatError(f"signal CSV t column does not hold each of 0..{n - 1} exactly once")
     return data[:, 1] + 1j * data[:, 2], fields.get("process")
 
 
@@ -102,26 +137,17 @@ def write_grid(path, grid: AmbiguityGrid, process: str | None = None) -> None:
     header = f"# afkit-grid v1, n={grid.n}, kind={grid.kind}"
     if process:
         header += f", process={process}"
-    taus = grid.tau_values()
-    nus = grid.nu_values()
-    values = grid.values
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for m, tau in enumerate(taus):
-            row = values[m]
-            for k, nu in enumerate(nus):
-                fh.write(f"{tau},{_fmt(nu)},{_fmt(row[k].real)},{_fmt(row[k].imag)}\n")
+    values = np.ascontiguousarray(grid.values, dtype=complex).view(np.float64)
+    _write_rows(path, header, *_lattice_text(grid.n, "%.17g,%.17g"), values)
 
 
 def load_grid(path):
     """Returns (AmbiguityGrid, process-or-None)."""
-    with open(path) as fh:
-        fields = _parse_header(fh.readline(), "afkit-grid")
-        n = int(fields["n"])
-        kind = fields.get("kind", "raw")
-        if kind not in GRID_KINDS:
-            raise FileFormatError(f"cannot load a grid of kind {kind!r}")
-        data = np.loadtxt(fh, delimiter=",", ndmin=2)
+    fields, data = _read_csv(path, "afkit-grid")
+    n = fields["n"]
+    kind = fields.get("kind", "raw")
+    if kind not in GRID_KINDS:
+        raise FileFormatError(f"cannot load a grid of kind {kind!r}")
     rows, cols = 2 * n - 1, 2 * n
     if data.shape != (rows * cols, 4):
         raise FileFormatError("grid CSV has the wrong number of rows")
@@ -144,13 +170,7 @@ def write_real_grid(path, values: np.ndarray, n: int, kind: str = "reference") -
 
 
 def write_mask(path, mask: np.ndarray, n: int) -> None:
-    taus = np.arange(-(n - 1), n)
-    nus = (np.arange(2 * n) - n) / (2.0 * n)
-    with open(path, "w") as fh:
-        fh.write(f"# afkit-mask v1, n={n}\n")
-        for m, tau in enumerate(taus):
-            for k, nu in enumerate(nus):
-                fh.write(f"{tau},{_fmt(nu)},{int(mask[m, k])}\n")
+    _write_rows(path, f"# afkit-mask v1, n={n}", *_lattice_text(n, "%d"), np.asarray(mask))
 
 
 def write_grid_binary(path, grid: AmbiguityGrid) -> None:

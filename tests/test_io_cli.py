@@ -1,12 +1,13 @@
 import json
 import struct
+import warnings
 
 import numpy as np
 import pytest
 
 from afkit import gridio
 from afkit.cli import main
-from afkit.emaf import compute_emaf
+from afkit.emaf import AmbiguityGrid, compute_emaf
 from afkit.moments import naf_um
 from afkit.sigcore import MovingAverage, generate
 from afkit.thresholding import ThresholdConfig, teaf, threshold_with_details
@@ -109,6 +110,236 @@ class TestGridCsv:
         assert len(lines) - 1 == 15 * 16
         ones = [ln for ln in lines[1:] if ln.endswith(",1")]
         assert len(ones) == ref.cells_nonzero
+
+
+# The per-cell writers the row-template writers replaced: the byte oracle.
+def _oracle_signal(path, x, process=None):
+    x = np.asarray(x, dtype=complex)
+    header = f"# afkit-signal v1, n={x.size}"
+    if process:
+        header += f", process={process}"
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for t, v in enumerate(x):
+            fh.write(f"{t},{v.real:.17g},{v.imag:.17g}\n")
+
+
+def _oracle_grid(path, grid, process=None):
+    header = f"# afkit-grid v1, n={grid.n}, kind={grid.kind}"
+    if process:
+        header += f", process={process}"
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for m, tau in enumerate(grid.tau_values()):
+            row = grid.values[m]
+            for k, nu in enumerate(grid.nu_values()):
+                fh.write(f"{tau},{nu:.17g},{row[k].real:.17g},{row[k].imag:.17g}\n")
+
+
+def _oracle_mask(path, mask, n):
+    taus = np.arange(-(n - 1), n)
+    nus = (np.arange(2 * n) - n) / (2.0 * n)
+    with open(path, "w") as fh:
+        fh.write(f"# afkit-mask v1, n={n}\n")
+        for m, tau in enumerate(taus):
+            for k, nu in enumerate(nus):
+                fh.write(f"{tau},{nu:.17g},{int(mask[m, k])}\n")
+
+
+_SPECIALS = (0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 3.0, -7.0, 2.0**53,
+             np.nan, -np.nan, np.inf, -np.inf, 0.1, 1 / 3)
+
+
+def _special_values(rng, shape, dtype=complex):
+    """Random doubles over the whole exponent range with every special value
+    planted in both the real and the imaginary parts."""
+    v = np.empty(shape, dtype)
+    for part in (v.real, v.imag) if dtype is complex else (v,):
+        part[...] = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
+        part.reshape(-1)[rng.permutation(v.size)[: len(_SPECIALS)]] = _SPECIALS[: v.size]
+    return v
+
+
+class TestCsvWriterBytes:
+    @pytest.mark.parametrize("n", [2, 3, 16, 64])
+    def test_signal_matches_per_cell_writer(self, tmp_path, rng, n):
+        x = _special_values(rng, n)
+        for process in (None, "chirp"):
+            new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+            gridio.write_signal(new, x, process=process)
+            _oracle_signal(old, x, process=process)
+            assert new.read_bytes() == old.read_bytes()
+
+    @pytest.mark.parametrize("n", [2, 3, 16, 64])
+    def test_grids_match_per_cell_writer(self, tmp_path, rng, n):
+        shape = (2 * n - 1, 2 * n)
+        raw = _special_values(rng, shape)
+        thresholded = np.where(rng.random(shape) < 0.9, 0, raw)
+        new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+        for values, kind in ((raw, "raw"), (thresholded, "thresholded")):
+            grid = AmbiguityGrid(values, n, kind)
+            gridio.write_grid(new, grid, process="ma")
+            _oracle_grid(old, grid, process="ma")
+            assert new.read_bytes() == old.read_bytes()
+        real = _special_values(rng, shape, float)
+        gridio.write_real_grid(new, real, n)
+        _oracle_grid(old, AmbiguityGrid(real + 0j, n, "reference"))
+        assert new.read_bytes() == old.read_bytes()
+
+    @pytest.mark.parametrize("n", [2, 3, 16, 64])
+    def test_mask_matches_per_cell_writer(self, tmp_path, rng, n):
+        mask = rng.random((2 * n - 1, 2 * n)) < 0.3
+        new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+        for m in (mask, mask.astype(np.int8)):
+            gridio.write_mask(new, m, n)
+            _oracle_mask(old, m, n)
+            assert new.read_bytes() == old.read_bytes()
+
+
+def _run_cli(argv, capsys):
+    """Exit code, stderr lines and warnings raised of one in-process CLI run."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(argv)
+    return code, capsys.readouterr().err.strip().splitlines(), caught
+
+
+def _csv_lines(kind, n, tmp_path):
+    """Lines of a valid signal or raw grid CSV file of size n."""
+    path = tmp_path / "valid.csv"
+    x = np.exp(2j * np.pi * 0.1 * np.arange(n)) + 0.5
+    if kind == "signal":
+        gridio.write_signal(path, x, process="chirp")
+    else:
+        gridio.write_grid(path, compute_emaf(x), process="chirp")
+    lines = path.read_text().splitlines()
+    path.unlink()
+    return lines
+
+
+def _command(kind, path, tmp_path):
+    out = str(tmp_path / "out.csv")
+    if kind == "signal":
+        return ["emaf", "-i", str(path), "-o", out, "--db", str(tmp_path / "db.csv")]
+    return ["threshold", "-i", str(path), "-o", out, "--meta", str(tmp_path / "out.json")]
+
+
+class TestCsvLoaderRejects:
+    """Each bad CSV exits 1 with a one-line cause and leaves no output."""
+
+    def _assert_rejected(self, kind, lines, tmp_path, capsys, cause):
+        path = tmp_path / "in.csv"
+        path.write_text("\n".join(lines) + "\n")
+        code, err, caught = _run_cli(_command(kind, path, tmp_path), capsys)
+        assert code == 1
+        assert len(err) == 1 and cause in err[0], err
+        assert not caught, [str(w.message) for w in caught]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["in.csv"]
+
+    @pytest.mark.parametrize("kind", ["signal", "grid"])
+    @pytest.mark.parametrize(
+        "field, rows_of, cause",
+        [("n=1,", 1, "n >= 2"), ("n=abc,", 4, "non-integer n"), ("", 4, "no n= field"),
+         ("n=-3,", 0, "n >= 2")],
+        ids=["n1", "non-integer", "missing", "negative-empty-body"],
+    )
+    def test_bad_n_field(self, tmp_path, capsys, kind, field, rows_of, cause):
+        # n=1 used to exit 0 (grid) or 2 (signal), n=abc exit 2, a missing n
+        # gave the cause 'n', and n=-3 over an empty body a numpy warning.
+        # The body holds the rows of a file of size rows_of.
+        lines = _csv_lines(kind, 4, tmp_path)
+        rows = rows_of if kind == "signal" else (2 * rows_of - 1) * 2 * rows_of
+        header = lines[0].replace("n=4,", field)
+        self._assert_rejected(kind, [header] + lines[1 : 1 + rows], tmp_path, capsys, cause)
+
+    @pytest.mark.parametrize("kind", ["signal", "grid"])
+    @pytest.mark.parametrize(
+        "row", ["{0},x,{2}", "{0},{1}"], ids=["non-numeric-cell", "missing-column"]
+    )
+    def test_malformed_body(self, tmp_path, capsys, kind, row):
+        # np.loadtxt's ValueError used to exit 2, as if a usage error
+        lines = _csv_lines(kind, 6, tmp_path)
+        lines[4] = row.format(*lines[4].split(","))
+        self._assert_rejected(kind, lines, tmp_path, capsys, f"afkit-{kind} file")
+
+    @pytest.mark.parametrize("t", ["0", "7.5", "-1", "6"])
+    def test_signal_t_column_covers_each_sample_once(self, tmp_path, capsys, t):
+        # a repeated t=0 or a t=7.5 row used to go through emaf with exit 0
+        lines = _csv_lines("signal", 8, tmp_path)
+        lines[3] = ",".join([t] + lines[3].split(",")[1:])
+        self._assert_rejected("signal", lines, tmp_path, capsys, "t column")
+
+
+_FUZZ_TOKENS = ("x", "", "nan", "-inf", "1e999", "0x10", "1.0.0", "--1", "1,2", "\u00e9")
+
+
+def _corrupt(lines, rng):
+    """One random change that makes a valid CSV file invalid."""
+    header, body = lines[0], lines[1:]
+    n = int(header.split("n=")[1].split(",")[0])
+    what = rng.integers(6)
+    if what == 0:  # a wrong, non-integer, too small or missing n= field
+        bad = [f"n={n + d}" for d in (-2, -1, 1, 3)] + ["n=abc", "n=", "n=2.5", "n=1", "n=-3", "n=0", ""]
+        header = header.replace(f"n={n}", bad[rng.integers(len(bad))])
+    elif what == 1:  # a wrong tag, version, kind or provenance
+        bad = [("v1", "v2"), ("afkit-", "afkit_"), ("process=chirp", "process=bogus"),
+               ("kind=raw", "kind=bogus"), ("signal", "grid"), ("grid", "signal")]
+        old, new = bad[rng.integers(len(bad))]
+        header = header.replace(old, new) if old in header else "# " + header
+    elif what == 2:  # truncated: rows dropped from the tail or anywhere
+        k = int(rng.integers(1, len(body) + 1))
+        body = body[:-k] if rng.random() < 0.5 else list(np.delete(body, rng.permutation(len(body))[:k]))
+    elif what == 3:  # a row duplicated over another row, or appended
+        i, j = rng.permutation(len(body))[:2]
+        if rng.random() < 0.5:
+            body[j] = body[i]
+        else:
+            body.append(body[i])
+    elif what == 4:  # a bad token in one cell
+        i = rng.integers(len(body))
+        cells = body[i].split(",")
+        cells[rng.integers(len(cells))] = _FUZZ_TOKENS[rng.integers(len(_FUZZ_TOKENS))]
+        body[i] = ",".join(cells)
+    else:  # a cell dropped from one row
+        i = rng.integers(len(body))
+        body[i] = ",".join(np.delete(body[i].split(","), rng.integers(3)))
+    return [header] + body
+
+
+class TestCsvFuzz:
+    def test_corrupted_round_trips_rejected(self, tmp_path, capsys):
+        """Seeded fuzz over signal, grid and mask files: every corrupted file
+        exits 1 or 2 with a one-line cause, no traceback and no output."""
+        rng = np.random.default_rng(20261018)
+        work = tmp_path / "work"
+        for case in range(200):
+            n = int(rng.integers(2, 25))
+            kind = ("signal", "raw", "thresholded", "mask")[rng.integers(4)]
+            x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            work.mkdir()
+            path = work / "in.csv"
+            if kind == "signal":
+                gridio.write_signal(path, x, process="chirp")
+            elif kind == "raw":
+                gridio.write_grid(path, compute_emaf(x), process="chirp")
+            elif kind == "thresholded":
+                gridio.write_grid(path, teaf(compute_emaf(x)), process="chirp")
+            else:
+                gridio.write_mask(path, rng.random((2 * n - 1, 2 * n)) < 0.5, n)
+            lines = _corrupt(path.read_text().splitlines(), rng)
+            path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+            if kind in ("signal", "raw"):
+                argv = _command("signal" if kind == "signal" else "grid", path, work)
+            else:
+                argv = ["spread", "-i", str(path), "-o", str(work / "out.json")]
+            code, err, caught = _run_cli(argv, capsys)
+            context = (case, kind, n, lines[0], code, err)
+            assert code in (1, 2), context
+            assert len(err) == 1 and "Traceback" not in err[0], context
+            assert not caught, context
+            assert [p.name for p in work.iterdir()] == ["in.csv"], context
+            path.unlink()
+            work.rmdir()
 
 
 class TestCliPipeline:
