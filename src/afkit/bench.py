@@ -22,15 +22,7 @@ import numpy as np
 
 from .emaf import AmbiguityGrid, compute_emaf, standardization_base
 from .moments import NAFReference, naf_for_process
-from .sigcore import (
-    AnalyticWhiteNoise,
-    ChirpInNoise,
-    MovingAverage,
-    ProcessSpec,
-    TimeVaryingMA,
-    UniformlyModulated,
-    generate,
-)
+from .sigcore import ProcessSpec, generate
 from .thresholding import (
     ThresholdConfig,
     _bias_basis,
@@ -61,9 +53,6 @@ ESTIMATORS = ("emaf", "teaf", "lteaf", "lbteaf")
 # would differ between schedules.
 ACCUMULATION_BLOCK = 25
 
-_STOCHASTIC = (MovingAverage, UniformlyModulated, TimeVaryingMA)
-_NOISE_LIKE = (ChirpInNoise, AnalyticWhiteNoise)
-
 
 @dataclass(frozen=True)
 class MCConfig:
@@ -85,15 +74,8 @@ class MCConfig:
         for est in self.estimators:
             if est not in ESTIMATORS:
                 raise ValueError(f"unknown estimator {est!r}")
-        # Mirror the populated benchmark table: the bias-corrected variant
-        # applies to deterministic-signal-plus-noise observations, the
-        # plain local variant to stochastic processes.
-        if "lbteaf" in self.estimators and not isinstance(self.process, _NOISE_LIKE):
-            raise ValueError("lbteaf applies to deterministic-plus-noise processes only")
-        if "lteaf" in self.estimators and not isinstance(
-            self.process, _STOCHASTIC + (AnalyticWhiteNoise,)
-        ):
-            raise ValueError("lteaf applies to stochastic processes only")
+            if est not in self.process.estimators:
+                raise ValueError(f"estimator {est} is not defined for the {self.process.name} process")
         self.threshold.validate()
 
 

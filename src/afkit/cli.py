@@ -9,11 +9,10 @@ validation failures (parse, validate, then execute).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
-
-import numpy as np
 
 from . import gridio
 from .bench import ESTIMATORS, MCConfig, run_bench
@@ -30,73 +29,61 @@ from .moments import (
     underspread_relation,
     underspread_variance,
 )
-from .sigcore import (
-    AnalyticWhiteNoise,
-    ChirpInNoise,
-    MovingAverage,
-    DEFAULT_MA_WEIGHTS,
-    TimeVaryingMA,
-    UniformlyModulated,
-    generate,
-)
+from .sigcore import PROCESSES, ChirpInNoise, MovingAverage, UniformlyModulated, generate
 from .spread import indicator, lag_band, total_spread
 from .thresholding import ThresholdConfig, threshold_with_details
 
 __all__ = ["main"]
 
-# Which threshold methods a grid from each process may be fed to.
-_METHOD_BLOCKLIST = {
-    "lbteaf": {"ma", "um", "tvma"},
-    "lteaf": {"chirp"},
+# Flags that set process spec fields, with their types: a flag sets the field
+# of its own name; _FIELD_FLAGS names the flag of a field named otherwise.
+_PROCESS_FLAGS = {
+    "alpha": float, "beta": float, "noise_psd": float, "weights": str, "xi_var": float, "f0": float,
 }
+_FIELD_FLAGS = {"psd": "noise_psd"}
+
+# The process whose moments each `moments --prop` evaluates.
+_PROP_PROCESS = {"1": ChirpInNoise, "2": MovingAverage, "3": UniformlyModulated, "thm1": MovingAverage}
+
+# Keys a bench config file may set: the bench settings and the process flags.
+_BENCH_KEYS = ("process", "n", *_PROCESS_FLAGS, "trials", "seed", "estimators", "c", "regions", "rim")
 
 
 class UsageError(Exception):
     pass
 
 
-def _parse_weights(text: str) -> tuple:
+def _parse_weights(value) -> tuple:
+    if isinstance(value, list):  # a bracketed list in a bench config
+        value = ",".join(str(w) for w in value)
     try:
-        return tuple(float(w) for w in text.split(","))
+        return tuple(float(w) for w in str(value).split(","))
     except ValueError as exc:
         raise UsageError(f"bad weights list: {exc}") from None
 
 
-def _build_process(args) -> object:
-    name = args.process
-    if name == "chirp":
-        return ChirpInNoise(args.alpha, args.beta, args.noise_psd)
-    if name == "ma":
-        return MovingAverage(_parse_weights(args.weights), args.xi_var)
-    if name == "um":
-        return UniformlyModulated(args.f0)
-    if name == "tvma":
-        return TimeVaryingMA(_parse_weights(args.weights), args.f0)
-    if name == "noise":
-        return AnalyticWhiteNoise(args.noise_psd)
-    raise UsageError(f"unknown process {name!r}")
+def _process_spec(name: str, flags: dict):
+    """Spec of the named process: each field takes its flag's value, or the
+    dataclass default where the flag is unset (None)."""
+    cls, fields = PROCESSES.get(str(name)), {}
+    if cls is None:  # a bench config's process key; argparse checks the flag
+        raise UsageError(f"unknown process {name!r}")
+    for f in dataclasses.fields(cls):
+        value = flags.get(_FIELD_FLAGS.get(f.name, f.name))
+        if value is not None:
+            fields[f.name] = _parse_weights(value) if f.name == "weights" else value
+    return cls(**fields)
 
 
-def _add_process_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--process", choices=gridio.PROCESS_NAMES, default="ma")
-    p.add_argument("--n", type=int, default=256)
-    p.add_argument("--alpha", type=float, default=0.1)
-    p.add_argument("--beta", type=float, default=9.0196e-4)
-    p.add_argument("--noise-psd", type=float, default=0.6, dest="noise_psd")
-    p.add_argument("--weights", default=",".join(str(w) for w in DEFAULT_MA_WEIGHTS))
-    p.add_argument("--xi-var", type=float, default=1.0, dest="xi_var")
-    p.add_argument("--f0", type=float, default=None)
-
-
-def _default_f0(args) -> None:
-    if args.f0 is None:
-        args.f0 = 0.09 if args.process == "um" else 0.042
+def _add_process_flags(p: argparse.ArgumentParser, process=MovingAverage.name, n=256) -> None:
+    p.add_argument("--process", choices=tuple(PROCESSES), default=process)
+    p.add_argument("--n", type=int, default=n)
+    for dest, kind in _PROCESS_FLAGS.items():
+        p.add_argument("--" + dest.replace("_", "-"), type=kind, default=None, dest=dest)
 
 
 def _cmd_gen(args) -> int:
-    _default_f0(args)
-    spec = _build_process(args)
-    x = generate(spec, args.n, args.seed)
+    x = generate(_process_spec(args.process, vars(args)), args.n, args.seed)
     gridio.write_signal(args.output, x, process=args.process)
     return 0
 
@@ -114,16 +101,15 @@ def _cmd_threshold(args) -> int:
     grid, process = gridio.load_grid(args.input)
     if grid.kind != "raw":
         raise UsageError(f"thresholding needs a raw grid, got kind={grid.kind}")
-    if process and args.process is None:
-        args.process = process
-    if args.process and args.process in _METHOD_BLOCKLIST.get(args.method, ()):  # pairing
-        raise UsageError(
-            f"method {args.method} is not defined for {args.process} grids"
-        )
+    if process and args.process and args.process != process:
+        raise UsageError(f"--process {args.process} contradicts process={process} in {args.input}")
+    process = process or args.process
+    if process and args.method not in PROCESSES[process].estimators:  # pairing
+        raise UsageError(f"method {args.method} is not defined for {process} grids")
     cfg = ThresholdConfig(args.c, args.regions, args.rim, args.method)
     est, meta = threshold_with_details(grid, cfg)
     sidecar = json.dumps(meta, indent=2, allow_nan=False)  # strict JSON, before any output
-    gridio.write_grid(args.output, est, process=args.process)
+    gridio.write_grid(args.output, est, process=process)
     if args.meta:
         with open(args.meta, "w") as fh:
             fh.write(sidecar + "\n")
@@ -131,9 +117,7 @@ def _cmd_threshold(args) -> int:
 
 
 def _cmd_naf(args) -> int:
-    _default_f0(args)
-    spec = _build_process(args)
-    ref = naf_for_process(spec, args.n)
+    ref = naf_for_process(_process_spec(args.process, vars(args)), args.n)
     gridio.write_grid(args.output, ref.grid, process=args.process)
     if args.mask:
         gridio.write_mask(args.mask, ref.support_mask, args.n)
@@ -162,28 +146,26 @@ def _cmd_spread(args) -> int:
 
 
 def _cmd_moments(args) -> int:
-    _default_f0(args)
+    name = _PROP_PROCESS[args.prop].name
+    if args.process not in (None, name):
+        raise UsageError(f"--prop {args.prop} is for the {name} process, not {args.process}")
     n, nu, tau = args.n, args.nu, args.tau
+    spec = _process_spec(name, vars(args))
+    spec.validate(n)
     if args.prop == "1":
-        spec = ChirpInNoise(args.alpha, args.beta, 0.0)
-        spec.validate(n)
-        t = np.arange(n)
-        g = np.exp(1j * np.pi * (2 * args.alpha * t + args.beta * t * t))
-        triple = prop1_moments(g, args.noise_psd, nu, tau, n)
+        triple = prop1_moments(spec.chirp(n), spec.noise_psd, nu, tau, n)
         result = {"mean": triple.mean, "variance": triple.variance, "relation": triple.relation}
     elif args.prop == "2":
-        weights = _parse_weights(args.weights)
-        auto = {tau: 2.0 * ma_analytic_autocorr(weights, args.xi_var, tau)}
-        spectrum = ma_analytic_spectrum(weights, args.xi_var)
+        auto = {tau: 2.0 * ma_analytic_autocorr(spec.weights, spec.xi_var, tau)}
+        spectrum = ma_analytic_spectrum(spec.weights, spec.xi_var)
         triple = prop2_moments(auto, spectrum, nu, tau, n)
         result = {"mean": triple.mean, "variance": triple.variance, "relation": triple.relation}
     elif args.prop == "3":
-        sigma = um_modulation_spectrum(args.f0, n)
+        sigma = um_modulation_spectrum(spec.f0, n)
         triple = prop3_moments(sigma, nu, tau, n)
         result = {"mean": triple.mean, "variance": triple.variance, "relation": triple.relation}
     else:  # thm1
-        weights = _parse_weights(args.weights)
-        table = ma_dual_time_table(weights, args.xi_var, n, args.t_spread)
+        table = ma_dual_time_table(spec.weights, spec.xi_var, n, args.t_spread)
         result = {
             "variance": underspread_variance(table, args.t_spread, nu, tau),
             "relation": underspread_relation(table, args.t_spread, nu, tau),
@@ -243,29 +225,16 @@ def _load_bench_config(path) -> dict:
 
 def _cmd_bench(args) -> int:
     cfg_file = _load_bench_config(args.config) if args.config else {}
+    for key in cfg_file:
+        if key not in _BENCH_KEYS:
+            raise UsageError(f"unknown key {key!r} in {args.config}")
 
-    def pick(flag_value, key, default):
-        if flag_value is not None:
-            return flag_value
-        return cfg_file.get(key, default)
+    def pick(key, default=None):
+        flag_value = getattr(args, key)
+        return cfg_file.get(key, default) if flag_value is None else flag_value
 
-    process_name = pick(args.process, "process", "ma")
-    ns = argparse.Namespace(
-        process=process_name,
-        alpha=pick(args.alpha, "alpha", 0.1),
-        beta=pick(args.beta, "beta", 9.0196e-4),
-        noise_psd=pick(args.noise_psd, "noise_psd", 0.6),
-        weights=pick(args.weights, "weights", ",".join(str(w) for w in DEFAULT_MA_WEIGHTS)),
-        xi_var=pick(args.xi_var, "xi_var", 1.0),
-        f0=pick(args.f0, "f0", None),
-        n=int(pick(args.n, "n", 256)),
-    )
-    if isinstance(ns.weights, list):
-        ns.weights = ",".join(str(w) for w in ns.weights)
-    _default_f0(ns)
-    spec = _build_process(ns)
-
-    estimators = pick(args.estimators, "estimators", "emaf,teaf")
+    spec = _process_spec(pick("process", MovingAverage.name), {k: pick(k) for k in _PROCESS_FLAGS})
+    estimators = pick("estimators", "emaf,teaf")
     if isinstance(estimators, str):
         estimators = tuple(e.strip() for e in estimators.split(",") if e.strip())
     else:
@@ -275,15 +244,15 @@ def _cmd_bench(args) -> int:
             raise UsageError(f"unknown estimator {est!r}")
 
     threshold = ThresholdConfig(
-        c_exponent=float(pick(args.c, "c", 1.0)),
-        region_count=int(pick(args.regions, "regions", 8)),
-        rim_fraction=float(pick(args.rim, "rim", 0.1)),
+        c_exponent=float(pick("c", 1.0)),
+        region_count=int(pick("regions", 8)),
+        rim_fraction=float(pick("rim", 0.1)),
     )
     mc = MCConfig(
         process=spec,
-        n=ns.n,
-        trials=int(pick(args.trials, "trials", 500)),
-        base_seed=int(pick(args.seed, "seed", 0)),
+        n=int(pick("n", 256)),
+        trials=int(pick("trials", 500)),
+        base_seed=int(pick("seed", 0)),
         estimators=estimators,
         threshold=threshold,
     )
@@ -331,7 +300,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c", type=float, default=1.0)
     p.add_argument("--regions", type=int, default=8)
     p.add_argument("--rim", type=float, default=0.1)
-    p.add_argument("--process", choices=gridio.PROCESS_NAMES, default=None)
+    p.add_argument("--process", choices=tuple(PROCESSES), default=None)
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--meta", default=None, help="JSON sidecar with estimator details")
     p.set_defaults(func=_cmd_threshold)
@@ -349,30 +318,23 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_spread)
 
     p = sub.add_parser("moments", help="closed-form EMAF moments at one cell")
-    p.add_argument("--prop", choices=("1", "2", "3", "thm1"), required=True)
+    p.add_argument("--prop", choices=tuple(_PROP_PROCESS), required=True)
     p.add_argument("--nu", type=float, required=True)
     p.add_argument("--tau", type=int, required=True)
-    _add_process_flags(p)
+    _add_process_flags(p, process=None)
     p.add_argument("--t-spread", type=int, default=12, dest="t_spread")
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=_cmd_moments)
 
     p = sub.add_parser("bench", help="Monte Carlo MSE/spread benchmark")
     p.add_argument("--config", default=None, help="flat key = value config file")
-    p.add_argument("--process", choices=gridio.PROCESS_NAMES, default=None)
-    p.add_argument("--n", type=int, default=None)
+    _add_process_flags(p, process=None, n=None)
     p.add_argument("--trials", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--estimators", default=None, help="comma list from emaf,teaf,lteaf,lbteaf")
     p.add_argument("--c", type=float, default=None)
     p.add_argument("--regions", type=int, default=None)
     p.add_argument("--rim", type=float, default=None)
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--beta", type=float, default=None)
-    p.add_argument("--noise-psd", type=float, default=None, dest="noise_psd")
-    p.add_argument("--weights", default=None)
-    p.add_argument("--xi-var", type=float, default=None, dest="xi_var")
-    p.add_argument("--f0", type=float, default=None)
     p.add_argument(
         "--threads",
         type=int,

@@ -22,9 +22,9 @@ import warnings
 import numpy as np
 
 from .emaf import GRID_KINDS, AmbiguityGrid
+from .sigcore import PROCESSES
 
 __all__ = [
-    "PROCESS_NAMES",
     "FileFormatError",
     "load_grid",
     "load_grid_binary",
@@ -35,9 +35,6 @@ __all__ = [
     "write_real_grid",
     "write_signal",
 ]
-
-# Values the process= provenance field may take.
-PROCESS_NAMES = ("chirp", "ma", "um", "tvma", "noise")
 
 _MAGIC = b"AFKITGRD"
 _BINARY_VERSION = 1
@@ -85,7 +82,7 @@ def _parse_header(line: str, tag: str) -> dict:
             continue
         key, _, value = part.partition("=")
         fields[key.strip()] = value.strip()
-    if "process" in fields and fields["process"] not in PROCESS_NAMES:
+    if "process" in fields and fields["process"] not in PROCESSES:
         raise FileFormatError(f"unknown process={fields['process']!r} in the {tag} header")
     if "n" not in fields:
         raise FileFormatError(f"the {tag} header has no n= field")
@@ -156,6 +153,9 @@ def load_grid(path):
     k = np.rint(data[:, 1] * 2 * n).astype(int) + n
     if m.min() < 0 or m.max() >= rows or k.min() < 0 or k.max() >= cols:
         raise FileFormatError("grid CSV indices out of range")
+    # tau must be an integer and nu the lattice value (k - n) / (2n) exactly, as written
+    if (data[:, 0] != m - (n - 1)).any() or (data[:, 1] != (k - n) / (2.0 * n)).any():
+        raise FileFormatError("grid CSV holds a (tau, nu) pair off the lattice")
     if (np.bincount(m * cols + k, minlength=rows * cols) != 1).any():
         raise FileFormatError("grid CSV does not cover every (tau, nu) cell exactly once")
     values = np.zeros((rows, cols), dtype=complex)

@@ -653,15 +653,5 @@ def naf_noise(psd: float, n: int) -> NAFReference:
 
 
 def naf_for_process(spec: ProcessSpec, n: int) -> NAFReference:
-    """Reference surface for any supported process spec."""
-    if isinstance(spec, ChirpInNoise):
-        return naf_chirp(spec.alpha, spec.beta, n)
-    if isinstance(spec, MovingAverage):
-        return naf_ma(spec.weights, spec.xi_var, n)
-    if isinstance(spec, UniformlyModulated):
-        return naf_um(spec.f0, n)
-    if isinstance(spec, TimeVaryingMA):
-        return naf_tvma(spec.weights, spec.f0, n)
-    if isinstance(spec, AnalyticWhiteNoise):
-        return naf_noise(spec.psd, n)
-    raise ValueError(f"no reference surface for {spec!r}")
+    """Reference surface for any registered process spec."""
+    return spec.reference(n)

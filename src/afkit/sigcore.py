@@ -2,9 +2,10 @@
 
 Provides the test processes used throughout the package (a linear chirp in
 analytic white noise, a moving-average process, uniformly modulated white
-noise and a time-varying MA), the discrete analytic-signal construction,
-seeded Gaussian noise, and the Dirichlet / sinc kernels that the moment
-formulas are built from.
+noise, a time-varying MA and analytic white noise) and their registry
+PROCESSES, the discrete analytic-signal construction, seeded Gaussian
+noise, and the Dirichlet / sinc kernels that the moment formulas are built
+from.
 
 All generators are pure functions of (spec, n, seed): the same inputs give
 bit-identical output regardless of thread count.
@@ -13,7 +14,7 @@ bit-identical output regardless of thread count.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import ClassVar, Sequence, Union
 
 import numpy as np
 
@@ -22,6 +23,7 @@ __all__ = [
     "AnalyticWhiteNoise",
     "ChirpInNoise",
     "MovingAverage",
+    "PROCESSES",
     "TimeVaryingMA",
     "UniformlyModulated",
     "ProcessSpec",
@@ -108,10 +110,42 @@ def analytic_signal(x) -> np.ndarray:
     return np.fft.ifft(spec * h)
 
 
+def _analytic_white_noise(n: int, psd: float, rng: np.random.Generator) -> np.ndarray:
+    # Synthesize i.i.d. circular complex Gaussian spectrum on the positive
+    # bins of a 4x oversampled grid, inverse DFT, and crop n samples.  The
+    # oversampling removes the circular wrap-around correlation at lags
+    # near +-n that a length-n construction would carry.
+    m = 4 * n
+    half = m // 2
+    scale = np.sqrt(m * psd / 2.0)
+    z = scale * (rng.standard_normal(half) + 1j * rng.standard_normal(half))
+    spec = np.zeros(m, dtype=complex)
+    spec[:half] = z
+    w = np.fft.ifft(spec)
+    return w[n : 2 * n]
+
+
+def _ma_filter(xi: np.ndarray, weights) -> np.ndarray:
+    # xi carries len(weights)-1 warm-up samples so the output is stationary.
+    return np.convolve(xi, np.asarray(weights, dtype=float), mode="valid")
+
+
+# Each process spec class carries its registry entry: `name` (the CLI
+# --process value and the process= provenance field), `estimators` (the
+# estimators whose output means something for a record of the process:
+# the bias-corrected lbteaf for a deterministic signal in noise, the plain
+# local lteaf for a stochastic process), `validate(n)`, `_draw(n, rng)` and
+# `reference(n)`, which imports its naf_* function from moments at call
+# time because moments imports this module.
+
+
 @dataclass(frozen=True)
 class ChirpInNoise:
     """Deterministic linear chirp exp(j*pi*(2*alpha*t + beta*t^2)) plus
     analytic white noise with one-sided PSD level noise_psd on [0, 1/2)."""
+
+    name: ClassVar[str] = "chirp"
+    estimators: ClassVar[tuple] = ("emaf", "teaf", "lbteaf")
 
     alpha: float = 0.1
     beta: float = 9.0196e-4
@@ -134,11 +168,29 @@ class ChirpInNoise:
         if self.noise_psd < 0:
             raise ValueError("noise PSD level must be >= 0")
 
+    def chirp(self, n: int) -> np.ndarray:
+        """The noise-free chirp samples t = 0..n-1."""
+        t = np.arange(n)
+        return np.exp(1j * np.pi * (2.0 * self.alpha * t + self.beta * t * t))
+
+    def _draw(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        g = self.chirp(n)
+        if self.noise_psd > 0:
+            g = g + _analytic_white_noise(n, self.noise_psd, rng)
+        return g
+
+    def reference(self, n: int):
+        from .moments import naf_chirp
+        return naf_chirp(self.alpha, self.beta, n)
+
 
 @dataclass(frozen=True)
 class MovingAverage:
     """Real MA process R[t] = sum_i w_i xi[t-i] with xi ~ N(0, xi_var),
     observed through its analytic signal."""
+
+    name: ClassVar[str] = "ma"
+    estimators: ClassVar[tuple] = ("emaf", "teaf", "lteaf")
 
     weights: Sequence[float] = DEFAULT_MA_WEIGHTS
     xi_var: float = 1.0
@@ -154,11 +206,23 @@ class MovingAverage:
         if w.size - 1 >= n:
             raise ValueError("MA order must be smaller than the record length")
 
+    def _draw(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        order = len(self.weights) - 1
+        xi = rng.normal(0.0, np.sqrt(self.xi_var), n + order)
+        return analytic_signal(_ma_filter(xi, self.weights))
+
+    def reference(self, n: int):
+        from .moments import naf_ma
+        return naf_ma(self.weights, self.xi_var, n)
+
 
 @dataclass(frozen=True)
 class UniformlyModulated:
     """Uniformly modulated white noise R[t] = sin(2*pi*f0*t) * xi[t] with
     xi ~ N(0,1), observed through its analytic signal."""
+
+    name: ClassVar[str] = "um"
+    estimators: ClassVar[tuple] = ("emaf", "teaf", "lteaf")
 
     f0: float = 0.09
 
@@ -166,10 +230,21 @@ class UniformlyModulated:
         if not 0.0 < self.f0 < 0.25:
             raise ValueError("modulation frequency must lie in (0, 1/4)")
 
+    def _draw(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        xi = rng.standard_normal(n)
+        return analytic_signal(np.sin(2.0 * np.pi * self.f0 * np.arange(n)) * xi)
+
+    def reference(self, n: int):
+        from .moments import naf_um
+        return naf_um(self.f0, n)
+
 
 @dataclass(frozen=True)
 class TimeVaryingMA:
     """Time-varying MA: R[t] = sin(2*pi*f0*t) * sum_i w_i xi[t-i]."""
+
+    name: ClassVar[str] = "tvma"
+    estimators: ClassVar[tuple] = ("emaf", "teaf", "lteaf")
 
     weights: Sequence[float] = DEFAULT_MA_WEIGHTS
     f0: float = 0.042
@@ -179,10 +254,23 @@ class TimeVaryingMA:
         if not 0.0 < self.f0 < 0.25:
             raise ValueError("modulation frequency must lie in (0, 1/4)")
 
+    def _draw(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        order = len(self.weights) - 1
+        xi = rng.standard_normal(n + order)
+        r = np.sin(2.0 * np.pi * self.f0 * np.arange(n)) * _ma_filter(xi, self.weights)
+        return analytic_signal(r)
+
+    def reference(self, n: int):
+        from .moments import naf_tvma
+        return naf_tvma(self.weights, self.f0, n)
+
 
 @dataclass(frozen=True)
 class AnalyticWhiteNoise:
     """Analytic white noise: flat one-sided PSD of level psd on [0, 1/2)."""
+
+    name: ClassVar[str] = "noise"
+    estimators: ClassVar[tuple] = ("emaf", "teaf", "lteaf", "lbteaf")
 
     psd: float = 0.6
 
@@ -190,30 +278,22 @@ class AnalyticWhiteNoise:
         if self.psd <= 0:
             raise ValueError("PSD level must be positive")
 
+    def _draw(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        return _analytic_white_noise(n, self.psd, rng)
 
-ProcessSpec = Union[
-    ChirpInNoise, MovingAverage, UniformlyModulated, TimeVaryingMA, AnalyticWhiteNoise
-]
-
-
-def _analytic_white_noise(n: int, psd: float, rng: np.random.Generator) -> np.ndarray:
-    # Synthesize i.i.d. circular complex Gaussian spectrum on the positive
-    # bins of a 4x oversampled grid, inverse DFT, and crop n samples.  The
-    # oversampling removes the circular wrap-around correlation at lags
-    # near +-n that a length-n construction would carry.
-    m = 4 * n
-    half = m // 2
-    scale = np.sqrt(m * psd / 2.0)
-    z = scale * (rng.standard_normal(half) + 1j * rng.standard_normal(half))
-    spec = np.zeros(m, dtype=complex)
-    spec[:half] = z
-    w = np.fft.ifft(spec)
-    return w[n : 2 * n]
+    def reference(self, n: int):
+        from .moments import naf_noise
+        return naf_noise(self.psd, n)
 
 
-def _ma_filter(xi: np.ndarray, weights) -> np.ndarray:
-    # xi carries len(weights)-1 warm-up samples so the output is stationary.
-    return np.convolve(xi, np.asarray(weights, dtype=float), mode="valid")
+# The process registry: name -> spec class.  The CLI choices, the
+# provenance check and the estimator pairing all read it.
+PROCESSES = {
+    cls.name: cls
+    for cls in (ChirpInNoise, MovingAverage, UniformlyModulated, TimeVaryingMA, AnalyticWhiteNoise)
+}
+
+ProcessSpec = Union[tuple(PROCESSES.values())]
 
 
 def generate(spec: ProcessSpec, n: int, seed: int) -> np.ndarray:
@@ -227,26 +307,4 @@ def generate(spec: ProcessSpec, n: int, seed: int) -> np.ndarray:
     if n < 2:
         raise ValueError("need at least two samples")
     spec.validate(n)
-    rng = np.random.Generator(np.random.PCG64(seed))
-    t = np.arange(n)
-
-    if isinstance(spec, ChirpInNoise):
-        g = np.exp(1j * np.pi * (2.0 * spec.alpha * t + spec.beta * t * t))
-        if spec.noise_psd > 0:
-            g = g + _analytic_white_noise(n, spec.noise_psd, rng)
-        return g
-    if isinstance(spec, AnalyticWhiteNoise):
-        return _analytic_white_noise(n, spec.psd, rng)
-    if isinstance(spec, MovingAverage):
-        order = len(spec.weights) - 1
-        xi = rng.normal(0.0, np.sqrt(spec.xi_var), n + order)
-        return analytic_signal(_ma_filter(xi, spec.weights))
-    if isinstance(spec, UniformlyModulated):
-        xi = rng.standard_normal(n)
-        return analytic_signal(np.sin(2.0 * np.pi * spec.f0 * t) * xi)
-    if isinstance(spec, TimeVaryingMA):
-        order = len(spec.weights) - 1
-        xi = rng.standard_normal(n + order)
-        r = np.sin(2.0 * np.pi * spec.f0 * t) * _ma_filter(xi, spec.weights)
-        return analytic_signal(r)
-    raise ValueError(f"unknown process spec: {spec!r}")
+    return spec._draw(n, np.random.Generator(np.random.PCG64(seed)))

@@ -269,6 +269,17 @@ class TestCsvLoaderRejects:
         lines[3] = ",".join([t] + lines[3].split(",")[1:])
         self._assert_rejected("signal", lines, tmp_path, capsys, "t column")
 
+    @pytest.mark.parametrize(
+        "tau, nu", [("-2.6", "-0.5"), ("-3", "-0.47"), ("-2.6", "-0.47"), ("-3", "-0.49999999999999994")],
+        ids=["tau", "nu", "both", "nu-one-ulp"],
+    )
+    def test_grid_coordinates_on_the_lattice(self, tmp_path, capsys, tau, nu):
+        # an off-lattice first row used to be rounded to cell (-3, -0.5) with exit 0
+        lines = _csv_lines("grid", 4, tmp_path)
+        assert lines[1].startswith("-3,-0.5,")
+        lines[1] = ",".join([tau, nu] + lines[1].split(",")[2:])
+        self._assert_rejected("grid", lines, tmp_path, capsys, "off the lattice")
+
 
 _FUZZ_TOKENS = ("x", "", "nan", "-inf", "1e999", "0x10", "1.0.0", "--1", "1,2", "\u00e9")
 
@@ -400,6 +411,23 @@ class TestCliPipeline:
         assert code == 2
         assert not est.exists()
 
+    def test_process_flag_contradicting_header_exits_2(self, tmp_path, capsys):
+        # --process chirp used to relabel an ma grid and get lbteaf past the pairing check
+        sig, grid = tmp_path / "sig.csv", tmp_path / "grid.csv"
+        est, meta = tmp_path / "est.csv", tmp_path / "est.json"
+        main(["gen", "--process", "ma", "--n", "32", "--seed", "1", "-o", str(sig)])
+        main(["emaf", "-i", str(sig), "-o", str(grid)])
+        capsys.readouterr()
+        for method in ("lbteaf", "teaf"):
+            code = main(["threshold", "-i", str(grid), "--process", "chirp", "--method", method,
+                         "-o", str(est), "--meta", str(meta)])
+            assert code == 2
+            err = capsys.readouterr().err.strip().splitlines()
+            assert len(err) == 1 and "process=ma" in err[0], err
+            assert not est.exists() and not meta.exists()
+        assert main(["threshold", "-i", str(grid), "--process", "ma", "-o", str(est)]) == 0
+        assert gridio.load_grid(est)[1] == "ma"
+
     def test_wrong_kind_exits_2(self, tmp_path):
         sig = tmp_path / "sig.csv"
         grid = tmp_path / "grid.csv"
@@ -476,6 +504,28 @@ class TestCliPipeline:
         payload = json.loads(capsys.readouterr().out)
         assert payload["variance"] > 0
 
+    def test_moments_defaults_follow_the_proposition(self, capsys):
+        # --prop 3 used to take the tvma f0 = 0.042 because --process defaulted to ma
+        base = ["moments", "--prop", "3", "--n", "64", "--nu", "0.18", "--tau", "0"]
+        assert main(base) == 0
+        plain = json.loads(capsys.readouterr().out)
+        assert main(base + ["--process", "um", "--f0", "0.09"]) == 0
+        assert json.loads(capsys.readouterr().out) == plain
+        assert plain["mean"]["re"] == pytest.approx(-19.93, abs=0.01)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["--prop", "3", "--process", "ma"], ["--prop", "1", "--process", "noise"],
+         ["--prop", "thm1", "--process", "tvma"], ["--prop", "2", "--weights", "0,1"],
+         ["--prop", "thm1", "--xi-var", "-1"], ["--prop", "3", "--f0", "0.3"],
+         ["--prop", "1", "--noise-psd", "-1"]],
+        ids=["prop3-ma", "prop1-noise", "thm1-tvma", "zero-lead-weight", "xi-var", "um-f0",
+             "noise-psd"],
+    )
+    def test_moments_rejects_bad_process(self, argv, capsys):
+        assert main(["moments", "--n", "64", "--nu", "0.1", "--tau", "1"] + argv) == 2
+        assert len(capsys.readouterr().err.strip().splitlines()) == 1
+
     def test_emaf_db_export(self, tmp_path):
         sig = tmp_path / "sig.csv"
         grid = tmp_path / "grid.csv"
@@ -540,6 +590,15 @@ class TestCliBench:
     def test_bad_estimator_exits_2(self, tmp_path):
         assert main(["bench", "--estimators", "nope", "--trials", "2",
                      "-o", str(tmp_path / "r.json")]) == 2
+
+    def test_config_rejects_unknown_key(self, tmp_path, capsys):
+        # a typo key used to be ignored: the run took the default f0 and exited 0
+        cfgfile, out = tmp_path / "bench.cfg", tmp_path / "r.json"
+        cfgfile.write_text("process = um\nfO = 0.2\nn = 16\ntrials = 2\n")
+        assert main(["bench", "--config", str(cfgfile), "-o", str(out)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "'fO'" in err[0], err
+        assert not out.exists()
 
     def test_pairing_enforced(self, tmp_path):
         assert main(["bench", "--process", "ma", "--estimators", "emaf,lbteaf",

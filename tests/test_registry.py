@@ -1,0 +1,104 @@
+"""The process registry: every per-process fact is read from sigcore.PROCESSES."""
+
+from dataclasses import dataclass
+from typing import ClassVar
+
+import numpy as np
+import pytest
+
+from afkit import gridio, sigcore
+from afkit.bench import ESTIMATORS, MCConfig, run_bench
+from afkit.cli import _build_parser, main
+from afkit.emaf import compute_emaf
+from afkit.moments import naf_for_process, naf_noise
+from afkit.sigcore import PROCESSES, generate
+
+METHODS = ("teaf", "lteaf", "lbteaf")  # the `afkit threshold --method` choices
+
+
+def _subparser(command):
+    (sub,) = [a for a in _build_parser()._actions if a.dest == "command"]
+    return sub.choices[command]
+
+
+def _option(command, flag):
+    return _subparser(command)._option_string_actions[flag]
+
+
+@pytest.mark.parametrize("command", ["gen", "threshold", "naf", "moments", "bench"])
+def test_process_choices_are_the_registry(command):
+    assert tuple(_option(command, "--process").choices) == tuple(PROCESSES)
+
+
+@pytest.mark.parametrize("name", list(PROCESSES))
+def test_registry_entry(tmp_path, name):
+    cls = PROCESSES[name]
+    assert cls.name == name
+    assert cls.estimators and set(cls.estimators) <= set(ESTIMATORS)
+    path = tmp_path / "g.csv"
+    x = generate(cls(), 16, 1)
+    gridio.write_grid(path, compute_emaf(x), process=name)
+    assert gridio.load_grid(path)[1] == name  # the provenance check accepts the name
+    assert naf_for_process(cls(), 16).grid.n == 16
+
+
+@pytest.mark.parametrize("name", list(PROCESSES))
+def test_cli_pairing_follows_estimators(tmp_path, name, capsys):
+    sig, raw = str(tmp_path / "s.csv"), str(tmp_path / "raw.csv")
+    assert main(["gen", "--process", name, "--n", "16", "--seed", "1", "-o", sig]) == 0
+    assert main(["emaf", "-i", sig, "-o", raw]) == 0
+    assert main(["naf", "--process", name, "--n", "16", "-o", str(tmp_path / "naf.csv")]) == 0
+    allowed = PROCESSES[name].estimators
+    for method in METHODS:
+        out, report = tmp_path / f"{method}.csv", tmp_path / f"{method}.json"
+        code = main(["threshold", "-i", raw, "--method", method, "-o", str(out)])
+        if method in allowed:
+            assert code == 0 and gridio.load_grid(out)[1] == name
+            continue
+        assert code == 2 and not out.exists()
+        code = main(["bench", "--process", name, "--n", "16", "--trials", "2",
+                     "--estimators", f"emaf,{method}", "-o", str(report)])
+        assert code == 2 and not report.exists()
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 2 and all(method in line and name in line for line in err), err
+
+
+@dataclass(frozen=True)
+class _Toy:
+    """A process added by one class: scaled circular complex white noise."""
+
+    name: ClassVar[str] = "toy"
+    estimators: ClassVar[tuple] = ("emaf", "teaf")
+
+    level: float = 1.0
+
+    def validate(self, n):
+        if self.level <= 0:
+            raise ValueError("level must be positive")
+
+    def _draw(self, n, rng):
+        return self.level * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+
+    def reference(self, n):
+        return naf_noise(4.0 * self.level**2, n)
+
+
+def test_new_process_needs_one_class(tmp_path, monkeypatch):
+    monkeypatch.setitem(sigcore.PROCESSES, _Toy.name, _Toy)
+    x = generate(_Toy(2.0), 16, 5)
+    np.testing.assert_array_equal(x, generate(_Toy(2.0), 16, 5))
+    with pytest.raises(ValueError):
+        generate(_Toy(-1.0), 16, 5)
+    assert naf_for_process(_Toy(), 16).cells_nonzero == 1
+    cfg = MCConfig(_Toy(), n=16, trials=3, estimators=("emaf", "teaf"))
+    cfg.validate()
+    assert set(run_bench(cfg, threads=1).per_estimator) == {"emaf", "teaf"}
+    with pytest.raises(ValueError, match="lteaf"):
+        MCConfig(_Toy(), n=16, estimators=("emaf", "lteaf")).validate()
+
+    sig, raw = str(tmp_path / "s.csv"), str(tmp_path / "raw.csv")
+    assert main(["gen", "--process", "toy", "--n", "16", "-o", sig]) == 0
+    assert main(["emaf", "-i", sig, "-o", raw]) == 0
+    assert gridio.load_grid(raw)[1] == "toy"
+    assert main(["threshold", "-i", raw, "--method", "teaf", "-o", str(tmp_path / "t.csv")]) == 0
+    assert main(["threshold", "-i", raw, "--method", "lteaf", "-o", str(tmp_path / "l.csv")]) == 2
