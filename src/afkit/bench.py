@@ -20,20 +20,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .emaf import AmbiguityGrid, compute_emaf, standardization_base
+from .emaf import AmbiguityGrid, compute_emaf
 from .moments import NAFReference, naf_for_process
 from .sigcore import ProcessSpec, generate
-from .thresholding import (
-    ThresholdConfig,
-    _bias_basis,
-    _power,
-    _region_sigma4,
-    _rim_sigma2,
-    _subtract_bias,
-    _survivors,
-    make_partition,
-    threshold_level,
-)
+from .thresholding import SurvivorKernel, ThresholdConfig
 
 __all__ = [
     "ACCUMULATION_BLOCK",
@@ -124,68 +114,41 @@ def mse_against_naf(estimate: AmbiguityGrid, naf: NAFReference):
 
 
 class _TrialPass:
-    """run_bench's fused trial pass and its buffers, allocated once per
-    process: the EMAF workspace (two complex grids), one real grid and a
-    keep grid per thresholded estimator.  |standardized raw|^2 and |raw|^2
-    are computed once per trial and shared by teaf and lteaf, which apply
-    threshold_with_details' own survivor rule.  A thresholded estimate is
-    scored from its keep mask, never built: its error is |raw - ref|^2 where
-    kept and |ref|^2 elsewhere, its spread the kept fraction (same bits)."""
+    """run_bench's fused trial pass, allocated once per process: one
+    SurvivorKernel for the thresholded estimators, whose workspace also
+    receives the EMAF, and the scoring, which borrows the kernel's scratch
+    grids between its passes.  A thresholded estimate is scored from its
+    keep mask, never built: its error is |raw - ref|^2 where kept and
+    |ref|^2 elsewhere, its spread the kept fraction (same bits)."""
 
     def __init__(self, cfg: MCConfig, naf: NAFReference):
-        shape, n = naf.grid.values.shape, cfg.n
         self.cfg, self.ref = cfg, naf.grid.values
         # a rejected cell scores |ref|^2, which is zero off the reference's nonzero cells
         self.ref_cells = np.flatnonzero(self.ref)
-        self.ref_power = _power(self.ref.flat[self.ref_cells])
-        self.lam2 = threshold_level(2 * n, cfg.threshold.c_exponent)
-        local = make_partition(n, cfg.threshold.region_count)
-        self.parts = {"teaf": make_partition(n, 1), "lteaf": local, "lbteaf": local}
-        # Cached tables are built here, before any buffer below is touched,
-        # so that their temporaries do not add to the peak memory.
-        for part in self.parts.values():
-            part.merged
-        standardization_base(n)
-        if "lbteaf" in cfg.estimators:
-            _bias_basis(n)
-        self.ws, self.real = np.empty((2,) + shape, dtype=complex), np.empty(shape)
-        # the complex scratch grid doubles as two real ones
-        self.scratch = self.ws[1].view(float).reshape((2,) + shape)
-        self.keep = {name: np.empty(shape, dtype=bool) for name in cfg.estimators if name != "emaf"}
+        self.ref_power = np.abs(self.ref.flat[self.ref_cells]) ** 2
+        self.kernel = SurvivorKernel(
+            cfg.n, cfg.threshold, [name for name in cfg.estimators if name != "emaf"]
+        )
 
     def scores(self, x):
         """Yield (estimator, squared error grid, spread) of one record; the
         grid is a reused buffer."""
-        raw = compute_emaf(x, self.ws).values
-        plain = [name for name in self.cfg.estimators if name != "lbteaf"]
-        sigma2_w = self._survive(raw, plain, rim="lbteaf" in self.cfg.estimators)
-        yield from self._errors(raw, plain)
-        if sigma2_w is not None:
-            _subtract_bias(raw, sigma2_w, out=raw, tmp=self.ws[1])
-            self._survive(raw, ["lbteaf"])
-            yield from self._errors(raw, ["lbteaf"])
-
-    def _survive(self, values, names, rim=False):
-        """Fill keep for the thresholded names; return sigma2_w if rim."""
-        n, names = self.cfg.n, [name for name in names if name != "emaf"]
-        scale = np.sqrt(standardization_base(n), out=self.real)
-        std_power = _power(np.divide(values, scale, out=self.ws[1]), out=self.real)
-        sigma2_w = _rim_sigma2(std_power, self.cfg.threshold.rim_fraction) if rim else None
-        sigma4 = {name: _region_sigma4(std_power, self.parts[name], self.scratch) for name in names}
-        power, thr = self.scratch
-        _power(values, out=power)
-        for name in names:
-            _survivors(power, sigma4[name], self.parts[name], self.lam2, self.keep[name], thr)
-        return sigma2_w
+        kernel = self.kernel
+        raw = compute_emaf(x, kernel.ws).values
+        kernel.survive(raw)
+        yield from self._errors(raw, [name for name in self.cfg.estimators if name != "lbteaf"])
+        if "lbteaf" in self.cfg.estimators:
+            yield from self._errors(kernel.corrected(raw), ["lbteaf"])
 
     def _errors(self, values, names):
-        err, masked = self.real, self.scratch[0]
-        _power(np.subtract(values, self.ref, out=self.ws[1]), out=err)
+        err, masked = self.kernel.real, self.kernel.scratch[0]
+        np.abs(np.subtract(values, self.ref, out=self.kernel.ws[1]), out=err)
+        np.square(err, out=err)
         for name in names:
             if name == "emaf":
                 yield name, err, np.count_nonzero(values) / values.size
             else:
-                keep, cells = self.keep[name], self.ref_cells
+                keep, cells = self.kernel.keep[name], self.ref_cells
                 np.copyto(masked, 0.0)
                 np.copyto(masked, err, where=keep)
                 masked.flat[cells] = np.where(keep.flat[cells], err.flat[cells], self.ref_power)

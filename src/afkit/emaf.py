@@ -14,14 +14,20 @@ has shape (2N-1, 2N) -- 511 x 512 for N = 256.  Lag products are zero-padded
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
+from .sigcore import dirichlet, normalized_sinc
+
 __all__ = [
     "GRID_KINDS",
+    "MIN_REGION_CELLS",
     "AmbiguityGrid",
+    "Lattice",
+    "RegionPartition",
     "compute_emaf",
+    "lattice",
     "standardization_base",
     "standardize",
     "to_db",
@@ -31,6 +37,151 @@ GRID_KINDS = ("raw", "standardized", "thresholded", "bias_corrected", "reference
 
 DB_CLAMP_FLOOR = 1e-15  # inputs below this clamp to -300 dB
 DB_FLOOR = -300.0
+
+# Medians over fewer cells than this are too unstable to act as a local
+# variance estimate; such regions are merged outward.
+MIN_REGION_CELLS = 16
+
+_BOUNDARY_EPS = 1e-9
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+@dataclass(frozen=True)
+class RegionPartition:
+    """Assignment of every grid cell to one of region_count annuli."""
+
+    region_count: int
+    region_index: np.ndarray
+
+    def cells_in(self, k: int) -> int:
+        return int(np.count_nonzero(self.region_index == k))
+
+    @cached_property
+    def merged(self) -> tuple:
+        """(labels, cell_region, order, bounds) of the merged regions, built
+        once per partition.  Regions with < MIN_REGION_CELLS cells are folded
+        outward into their neighbour (inward for the outermost); labels lists
+        the survivors ascending, cell_region gives each cell's position in
+        labels (narrowest unsigned dtype), order the flat cell indices sorted
+        stably by it (row-major inside a region; None for one region) and
+        order[bounds[i]:bounds[i + 1]] the cells of region i."""
+        k, idx = self.region_count, self.region_index
+        if idx.size and (idx.min() < 0 or idx.max() >= k):
+            raise ValueError(f"partition labels must lie in [0, {k})")
+        counts = np.bincount(idx.ravel(), minlength=k)
+        target = np.arange(k)
+        remaining = [r for r in range(k) if counts[r]]
+        while len(remaining) > 1:
+            small = [pos for pos, r in enumerate(remaining) if counts[r] < MIN_REGION_CELLS]
+            if not small:
+                break
+            r = remaining.pop(small[0])
+            dest = remaining[min(small[0], len(remaining) - 1)]
+            counts[dest] += counts[r]
+            target[target == r] = dest
+        position = np.zeros(k, dtype=np.min_scalar_type(max(len(remaining) - 1, 0)))
+        position[remaining] = np.arange(len(remaining))
+        cell_region = _frozen(position[target][idx])
+        bounds = tuple(int(b) for b in np.cumsum([0, *counts[remaining]]))
+        order = None
+        if len(remaining) > 1:
+            order = _frozen(np.argsort(cell_region.ravel(), kind="stable").astype(np.int32))
+        return tuple(remaining), cell_region, order, bounds
+
+
+class Lattice:
+    """The (nu, tau) lattice of a length-n record and the tables built on it.
+
+    Row m sits at time lag taus[m] = m-(n-1), column k at frequency
+    nus[k] = (k-n)/(2n).  Every table is built on first use, read-only and
+    kept with the lattice, so lattice(n) is the one place that holds them.
+    """
+
+    def __init__(self, n: int):
+        self.n = n
+        self.shape = (2 * n - 1, 2 * n)
+        self._partitions, self._rims = {}, {}
+
+    @cached_property
+    def taus(self) -> np.ndarray:
+        return _frozen(np.arange(-(self.n - 1), self.n))
+
+    @cached_property
+    def nus(self) -> np.ndarray:
+        return _frozen((np.arange(2 * self.n) - self.n) / (2.0 * self.n))
+
+    @cached_property
+    def w(self) -> np.ndarray:
+        """w(nu) = 1/2 - |nu|, except at the single nu = -1/2 column, where
+        the weight would vanish; there it is floored at half the cell width."""
+        w = 0.5 - np.abs(self.nus)
+        w[0] = 1.0 / (4.0 * self.n)
+        return _frozen(w)
+
+    @cached_property
+    def base(self) -> np.ndarray:
+        """Variance profile (N-|tau|) * w(nu) of the flat-spectrum reference."""
+        return _frozen(np.outer(self.n - np.abs(self.taus), self.w))
+
+    @cached_property
+    def scale(self) -> np.ndarray:
+        """sqrt(base), the divisor of standardize."""
+        return _frozen(np.sqrt(self.base))
+
+    def maxnorm_ratio(self, eps: float = 0.0) -> np.ndarray:
+        """max(|tau|/(N-1), |nu|/(1/2)) per cell, the denominators widened by eps."""
+        r_tau = np.abs(self.taus) / (self.n - 1.0 + eps)
+        r_nu = np.abs(self.nus) / (0.5 + eps)
+        return np.maximum(r_tau[:, None], r_nu[None, :])
+
+    def partition(self, k: int) -> RegionPartition:
+        """Centre square plus nested square annuli of equal max-norm width.
+
+        Cell (nu, tau) falls in region floor(K * max(|nu|/(1/2), |tau|/(N-1)))
+        capped at K-1; boundary cells stay in the inner region.
+        """
+        if k < 1:
+            raise ValueError("need at least one region")
+        if k not in self._partitions:
+            ratio = self.maxnorm_ratio(eps=_BOUNDARY_EPS)
+            idx = np.minimum(k - 1, np.floor(k * ratio)).astype(np.min_scalar_type(-k))
+            self._partitions[k] = RegionPartition(k, _frozen(idx))
+        return self._partitions[k]
+
+    def rim(self, fraction: float) -> np.ndarray:
+        """Boolean mask of the outer rim band of the ambiguity plane."""
+        if not 0.0 < fraction < 0.5:
+            raise ValueError("rim fraction must lie in (0, 1/2)")
+        if fraction not in self._rims:
+            self._rims[fraction] = _frozen(self.maxnorm_ratio() >= 1.0 - fraction)
+        return self._rims[fraction]
+
+    @cached_property
+    def bias_basis(self) -> np.ndarray:
+        """Unit-variance mean surface of analytic white noise:
+        (1/2) e^{-j pi nu (N+tau-1)} D_{N-|tau|}(nu) e^{j pi tau/2} sinc(tau/2)."""
+        n, taus, nus = self.n, self.taus[:, None], self.nus[None, :]
+        sinc_half = normalized_sinc(taus / 2.0)
+        # the sinc of a nonzero integer is exactly zero; floats leave ~1e-16
+        sinc_half[(taus % 2 == 0) & (taus != 0)] = 0.0
+        basis = (
+            0.5
+            * np.exp(-1j * np.pi * nus * (n + taus - 1.0))
+            * dirichlet(n - np.abs(taus), nus)
+            * np.exp(1j * np.pi * taus / 2.0)
+            * sinc_half
+        )
+        return _frozen(basis)
+
+
+@lru_cache(maxsize=8)
+def lattice(n: int) -> Lattice:
+    """The Lattice of a length-n record, shared by every caller."""
+    return Lattice(n)
 
 
 @dataclass
@@ -47,7 +198,7 @@ class AmbiguityGrid:
     def __post_init__(self):
         if self.kind not in GRID_KINDS:
             raise ValueError(f"unknown grid kind {self.kind!r}")
-        expected = (2 * self.n - 1, 2 * self.n)
+        expected = lattice(self.n).shape
         if self.values.shape != expected:
             raise ValueError(
                 f"grid shape {self.values.shape} does not match n={self.n} "
@@ -59,10 +210,10 @@ class AmbiguityGrid:
         return self.values.shape
 
     def tau_values(self) -> np.ndarray:
-        return np.arange(-(self.n - 1), self.n)
+        return lattice(self.n).taus
 
     def nu_values(self) -> np.ndarray:
-        return (np.arange(2 * self.n) - self.n) / (2.0 * self.n)
+        return lattice(self.n).nus
 
 
 def compute_emaf(x, workspace: np.ndarray | None = None) -> AmbiguityGrid:
@@ -83,7 +234,8 @@ def compute_emaf(x, workspace: np.ndarray | None = None) -> AmbiguityGrid:
     n = x.size
     if n < 2:
         raise ValueError("need at least two samples")
-    shape = (2 * n - 1, 2 * n)
+    lat = lattice(n)
+    shape = lat.shape
     if workspace is None:
         rows, spectrum = np.zeros(shape, dtype=complex), np.empty(shape, dtype=complex)
     elif workspace.shape != (2,) + shape or workspace.dtype != complex:
@@ -92,8 +244,7 @@ def compute_emaf(x, workspace: np.ndarray | None = None) -> AmbiguityGrid:
         rows, spectrum = workspace
         rows.fill(0)
     conj = np.conj(x)
-    for m in range(2 * n - 1):
-        tau = m - (n - 1)
+    for m, tau in enumerate(lat.taus.tolist()):
         if tau >= 0:
             rows[m, tau:n] = x[tau:] * conj[: n - tau]
         else:
@@ -105,33 +256,22 @@ def compute_emaf(x, workspace: np.ndarray | None = None) -> AmbiguityGrid:
     return AmbiguityGrid(rows, n, "raw")
 
 
-@lru_cache(maxsize=8)
 def standardization_base(n: int) -> np.ndarray:
-    """Variance profile (N-|tau|) * w(nu) of the flat-spectrum reference.
-
-    w(nu) = 1/2 - |nu| except at the single nu = -1/2 column, where the
-    weight would vanish; there it is floored at half the cell width 1/(4N).
-    """
-    taus = np.arange(-(n - 1), n)
-    nus = (np.arange(2 * n) - n) / (2.0 * n)
-    w = 0.5 - np.abs(nus)
-    w[0] = 1.0 / (4.0 * n)
-    base = np.outer(n - np.abs(taus), w)
-    base.flags.writeable = False
-    return base
+    """lattice(n).base: the variance profile (N-|tau|) * w(nu)."""
+    return lattice(n).base
 
 
-def standardize(grid: AmbiguityGrid) -> AmbiguityGrid:
+def standardize(grid: AmbiguityGrid, out: np.ndarray | None = None) -> AmbiguityGrid:
     """Divide each cell by sqrt((N-|tau|) * w(nu)), kind="standardized".
 
     Under a flat one-sided spectrum the standardized cells have constant
     variance, which is what the median-based variance estimators rely on.
-    Accepts raw or bias-corrected grids.
+    Accepts raw or bias-corrected grids; out, a complex array of the grid's
+    shape, receives the values (default: a new array).
     """
     if grid.kind not in ("raw", "bias_corrected"):
         raise ValueError("standardize expects a raw or bias-corrected grid")
-    den = np.sqrt(standardization_base(grid.n))
-    return AmbiguityGrid(grid.values / den, grid.n, "standardized")
+    return AmbiguityGrid(np.divide(grid.values, lattice(grid.n).scale, out=out), grid.n, "standardized")
 
 
 def to_db(grid, mode: str = "amplitude") -> np.ndarray:

@@ -21,7 +21,7 @@ import warnings
 
 import numpy as np
 
-from .emaf import GRID_KINDS, AmbiguityGrid
+from .emaf import GRID_KINDS, AmbiguityGrid, lattice
 from .sigcore import PROCESSES
 
 __all__ = [
@@ -50,14 +50,10 @@ def _check_finite(data: np.ndarray, what: str) -> None:
         raise FileFormatError(f"{what} holds non-finite values")
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
 def _lattice_text(n: int, cell: str) -> tuple[list, list]:
     """Lattice row heads (the tau values) and one line template per nu column."""
-    nus = (np.arange(2 * n) - n) / (2.0 * n)
-    return [str(tau) for tau in range(1 - n, n)], [f",{_fmt(nu)},{cell}\n" for nu in nus]
+    lat = lattice(n)
+    return [str(tau) for tau in lat.taus.tolist()], [f",{nu:.17g},{cell}\n" for nu in lat.nus]
 
 
 def _write_rows(path, header: str, heads: list, cells: list, rows) -> None:
@@ -145,7 +141,8 @@ def load_grid(path):
     kind = fields.get("kind", "raw")
     if kind not in GRID_KINDS:
         raise FileFormatError(f"cannot load a grid of kind {kind!r}")
-    rows, cols = 2 * n - 1, 2 * n
+    lat = lattice(n)
+    rows, cols = lat.shape
     if data.shape != (rows * cols, 4):
         raise FileFormatError("grid CSV has the wrong number of rows")
     _check_finite(data, "grid CSV")
@@ -154,11 +151,11 @@ def load_grid(path):
     if m.min() < 0 or m.max() >= rows or k.min() < 0 or k.max() >= cols:
         raise FileFormatError("grid CSV indices out of range")
     # tau must be an integer and nu the lattice value (k - n) / (2n) exactly, as written
-    if (data[:, 0] != m - (n - 1)).any() or (data[:, 1] != (k - n) / (2.0 * n)).any():
+    if (data[:, 0] != lat.taus[m]).any() or (data[:, 1] != lat.nus[k]).any():
         raise FileFormatError("grid CSV holds a (tau, nu) pair off the lattice")
     if (np.bincount(m * cols + k, minlength=rows * cols) != 1).any():
         raise FileFormatError("grid CSV does not cover every (tau, nu) cell exactly once")
-    values = np.zeros((rows, cols), dtype=complex)
+    values = np.zeros(lat.shape, dtype=complex)
     values[m, k] = data[:, 2] + 1j * data[:, 3]
     return AmbiguityGrid(values, n, kind), fields.get("process")
 
@@ -196,9 +193,10 @@ def load_grid_binary(path) -> AmbiguityGrid:
         if n < 2:
             raise FileFormatError(f"grid binary declares n={n}, need n >= 2")
         raw = fh.read()
-    expected = 16 * (2 * n - 1) * 2 * n
+    shape = lattice(n).shape
+    expected = 16 * shape[0] * shape[1]
     if len(raw) != expected:
         raise FileFormatError(f"grid binary holds {len(raw)} data bytes, expected {expected}")
-    values = np.frombuffer(raw, dtype="<c16").reshape(2 * n - 1, 2 * n).copy()
+    values = np.frombuffer(raw, dtype="<c16").reshape(shape).copy()
     _check_finite(values, "grid binary")
     return AmbiguityGrid(values, n, GRID_KINDS[kind_code])

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .emaf import AmbiguityGrid
+from .emaf import AmbiguityGrid, lattice
 from .sigcore import (
     AnalyticWhiteNoise,
     ChirpInNoise,
@@ -438,8 +438,8 @@ def variance_from_af(
     standard nu lattice (cell width 1/(2N)).
     """
     values = af.values if isinstance(af, AmbiguityGrid) else np.asarray(af)
-    taus = np.arange(-(n - 1), n)
-    nus = (np.arange(2 * n) - n) / (2.0 * n)
+    lat = lattice(n)
+    taus, nus = lat.taus, lat.nus
     rows = np.abs(taus) <= t_spread - 1
     abs2 = np.abs(values[rows, :]) ** 2
     inner = abs2 @ np.exp(2j * np.pi * nus * tau) / (2.0 * n)
@@ -537,10 +537,13 @@ class NAFReference:
             raise ValueError("reference grid must vanish off its support")
 
 
-def _empty_reference(n: int):
-    values = np.zeros((2 * n - 1, 2 * n), dtype=complex)
-    mask = np.zeros((2 * n - 1, 2 * n), dtype=bool)
-    return values, mask
+def _reference(n: int, cells: dict) -> NAFReference:
+    """Reference surface with value cells[tau, k] at lag tau in column k, zero elsewhere."""
+    shape = lattice(n).shape
+    values, mask = np.zeros(shape, dtype=complex), np.zeros(shape, dtype=bool)
+    for (tau, k), value in cells.items():
+        values[tau + n - 1, k], mask[tau + n - 1, k] = value, True
+    return NAFReference(AmbiguityGrid(values, n, "reference"), mask, int(mask.sum()))
 
 
 def _nearest_nu_bin(nu: float, n: int) -> int:
@@ -557,16 +560,13 @@ def naf_chirp(alpha: float, beta: float, n: int) -> NAFReference:
     * D_{N-|tau|}(beta tau - nu).
     """
     ChirpInNoise(alpha, beta, 0.0).validate(n)
-    values, mask = _empty_reference(n)
-    for m, tau in enumerate(range(-(n - 1), n)):
+    lat, cells = lattice(n), {}
+    for tau in lat.taus.tolist():
         k = _nearest_nu_bin(beta * tau, n)
-        nu = (k - n) / (2.0 * n)
-        delta = beta * tau - nu
+        delta = beta * tau - lat.nus[k]
         phase = np.pi * (2.0 * alpha * tau - beta * tau**2 + delta * (n + abs(tau) - 1))
-        values[m, k] = np.exp(1j * phase) * dirichlet(n - abs(tau), delta)
-        mask[m, k] = True
-    grid = AmbiguityGrid(values, n, "reference")
-    return NAFReference(grid, mask, int(mask.sum()))
+        cells[tau, k] = np.exp(1j * phase) * dirichlet(n - abs(tau), delta)
+    return _reference(n, cells)
 
 
 def naf_ma(weights, xi_var: float, n: int, q: int = DEFAULT_GRID_SIZE) -> NAFReference:
@@ -578,16 +578,10 @@ def naf_ma(weights, xi_var: float, n: int, q: int = DEFAULT_GRID_SIZE) -> NAFRef
     """
     MovingAverage(tuple(weights), xi_var).validate(n)
     order = len(weights) - 1
-    values, mask = _empty_reference(n)
-    k0 = n  # nu = 0 column
     lags = np.arange(-order, order + 1)
     auto = np.atleast_1d(ma_analytic_autocorr(weights, xi_var, lags, q))
-    for lag, a in zip(lags, auto):
-        m = lag + (n - 1)
-        values[m, k0] = (n - abs(lag)) * a
-        mask[m, k0] = True
-    grid = AmbiguityGrid(values, n, "reference")
-    return NAFReference(grid, mask, int(mask.sum()))
+    # column n is nu = 0
+    return _reference(n, {(lag, n): (n - abs(lag)) * a for lag, a in zip(lags, auto)})
 
 
 def naf_um(f0: float, n: int) -> NAFReference:
@@ -595,16 +589,10 @@ def naf_um(f0: float, n: int) -> NAFReference:
     origin and -N(1/2 - |2 f0|) at (nu = +-2 f0, tau = 0), off-grid
     frequencies snapped to the nearest bin."""
     UniformlyModulated(f0).validate(n)
-    values, mask = _empty_reference(n)
-    m0 = n - 1
-    values[m0, n] = float(n)
-    mask[m0, n] = True
+    cells = {(0, n): float(n)}
     for s in (+1, -1):
-        k = _nearest_nu_bin(s * 2.0 * f0, n)
-        values[m0, k] = -n * (0.5 - abs(2.0 * f0))
-        mask[m0, k] = True
-    grid = AmbiguityGrid(values, n, "reference")
-    return NAFReference(grid, mask, int(mask.sum()))
+        cells[0, _nearest_nu_bin(s * 2.0 * f0, n)] = -n * (0.5 - abs(2.0 * f0))
+    return _reference(n, cells)
 
 
 def naf_tvma(weights, f0: float, n: int, q: int = DEFAULT_GRID_SIZE) -> NAFReference:
@@ -612,8 +600,7 @@ def naf_tvma(weights, f0: float, n: int, q: int = DEFAULT_GRID_SIZE) -> NAFRefer
     nu in {0, +-2 f0} and |tau| <= L, with values given by shifted-spectrum
     integrals of the real MA density."""
     TimeVaryingMA(tuple(weights), f0).validate(n)
-    order = len(weights) - 1
-    values, mask = _empty_reference(n)
+    order, cells = len(weights) - 1, {}
 
     def dens(f):
         return ma_real_spectral_density(weights, 1.0, f)
@@ -621,7 +608,6 @@ def naf_tvma(weights, f0: float, n: int, q: int = DEFAULT_GRID_SIZE) -> NAFRefer
     k_plus = _nearest_nu_bin(2.0 * f0, n)
     k_minus = _nearest_nu_bin(-2.0 * f0, n)
     for lag in range(-order, order + 1):
-        m = lag + (n - 1)
         scale = n - abs(lag)
         center = _quad(
             lambda f: (dens(f - f0) + dens(f + f0)) * np.exp(2j * np.pi * f * lag), 0.0, 0.5, q
@@ -632,12 +618,10 @@ def naf_tvma(weights, f0: float, n: int, q: int = DEFAULT_GRID_SIZE) -> NAFRefer
         minus = -_quad(
             lambda f: dens(f - f0) * np.exp(2j * np.pi * f * lag), 2.0 * f0, 0.5, q
         )
-        values[m, n] = scale * center
-        values[m, k_plus] = scale * plus
-        values[m, k_minus] = scale * minus
-        mask[m, n] = mask[m, k_plus] = mask[m, k_minus] = True
-    grid = AmbiguityGrid(values, n, "reference")
-    return NAFReference(grid, mask, int(mask.sum()))
+        cells[lag, n] = scale * center
+        cells[lag, k_plus] = scale * plus
+        cells[lag, k_minus] = scale * minus
+    return _reference(n, cells)
 
 
 def naf_noise(psd: float, n: int) -> NAFReference:
@@ -645,11 +629,7 @@ def naf_noise(psd: float, n: int) -> NAFReference:
     the origin carries the mean N * psd / 2 (the real-noise ambiguity
     support is the origin alone)."""
     AnalyticWhiteNoise(psd).validate(n)
-    values, mask = _empty_reference(n)
-    values[n - 1, n] = n * psd / 2.0
-    mask[n - 1, n] = True
-    grid = AmbiguityGrid(values, n, "reference")
-    return NAFReference(grid, mask, int(mask.sum()))
+    return _reference(n, {(0, n): n * psd / 2.0})
 
 
 def naf_for_process(spec: ProcessSpec, n: int) -> NAFReference:

@@ -8,11 +8,11 @@ second tolerance is involved.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .emaf import AmbiguityGrid
+from .emaf import AmbiguityGrid, lattice
 
 __all__ = ["SpreadReport", "indicator", "lag_band", "total_spread"]
 
@@ -25,12 +25,7 @@ class SpreadReport:
     region_desc: str = "all"
 
     def to_dict(self) -> dict:
-        return {
-            "total_spread": self.total_spread,
-            "nonzero_cells": self.nonzero_cells,
-            "region_cells": self.region_cells,
-            "region_desc": self.region_desc,
-        }
+        return asdict(self)
 
 
 def indicator(grid: AmbiguityGrid) -> np.ndarray:
@@ -42,10 +37,11 @@ def indicator(grid: AmbiguityGrid) -> np.ndarray:
 
 def lag_band(n: int, tau0: int) -> np.ndarray:
     """Region mask selecting the single lag row tau = tau0."""
+    lat = lattice(n)
     if abs(tau0) > n - 1:
         raise ValueError("lag outside the grid")
-    mask = np.zeros((2 * n - 1, 2 * n), dtype=bool)
-    mask[tau0 + (n - 1), :] = True
+    mask = np.zeros(lat.shape, dtype=bool)
+    mask[lat.taus == tau0] = True
     return mask
 
 

@@ -417,7 +417,9 @@ class TestThresholdWithDetails:
             x = generate(ChirpInNoise() if method == "lbteaf" else MovingAverage(), 64, 1)
             g = compute_emaf(x)
             cfg = ThresholdConfig(method=method)
+            before = g.values.copy()
             est, meta = threshold_with_details(g, cfg)
+            np.testing.assert_array_equal(g.values, before)  # the input grid is never written
             assert meta["method"] == method
             assert meta["lambda2"] == pytest.approx(threshold_level(128, 1.0))
             assert set(meta["sigma4"]) and all(v > 0 for v in meta["sigma4"].values())
