@@ -15,7 +15,7 @@ import os
 import sys
 
 from . import gridio
-from .bench import ESTIMATORS, MCConfig, run_bench
+from .bench import MCConfig, run_bench
 from .emaf import compute_emaf, to_db
 from .moments import (
     ma_analytic_autocorr,
@@ -45,8 +45,12 @@ _FIELD_FLAGS = {"psd": "noise_psd"}
 # The process whose moments each `moments --prop` evaluates.
 _PROP_PROCESS = {"1": ChirpInNoise, "2": MovingAverage, "3": UniformlyModulated, "thm1": MovingAverage}
 
-# Keys a bench config file may set: the bench settings and the process flags.
-_BENCH_KEYS = ("process", "n", *_PROCESS_FLAGS, "trials", "seed", "estimators", "c", "regions", "rim")
+# Keys a bench config file may set, the bench settings and the process flags,
+# with the types of their flags; int and float values are cast to them.
+_BENCH_KEYS = {
+    "process": str, "n": int, **_PROCESS_FLAGS, "trials": int, "seed": int, "estimators": str,
+    "c": float, "regions": int, "rim": float,
+}
 
 
 class UsageError(Exception):
@@ -64,15 +68,29 @@ def _parse_weights(value) -> tuple:
 
 def _process_spec(name: str, flags: dict):
     """Spec of the named process: each field takes its flag's value, or the
-    dataclass default where the flag is unset (None)."""
+    dataclass default where the flag is unset (None).  A set flag that is
+    no field of the process is a usage error."""
     cls, fields = PROCESSES.get(str(name)), {}
     if cls is None:  # a bench config's process key; argparse checks the flag
         raise UsageError(f"unknown process {name!r}")
-    for f in dataclasses.fields(cls):
-        value = flags.get(_FIELD_FLAGS.get(f.name, f.name))
-        if value is not None:
-            fields[f.name] = _parse_weights(value) if f.name == "weights" else value
+    own = {_FIELD_FLAGS.get(f.name, f.name): f.name for f in dataclasses.fields(cls)}
+    for flag in _PROCESS_FLAGS:
+        value = flags.get(flag)
+        if value is None:
+            continue
+        if flag not in own:
+            raise UsageError(f"{flag} is not a parameter of the {name} process")
+        fields[own[flag]] = _parse_weights(value) if flag == "weights" else value
     return cls(**fields)
+
+
+def _emit(text: str, path) -> None:
+    """text and a newline into the file at path, or onto stdout without one."""
+    if path:
+        with open(path, "w") as fh:
+            fh.write(text + "\n")
+    else:
+        print(text)
 
 
 def _add_process_flags(p: argparse.ArgumentParser, process=MovingAverage.name, n=256) -> None:
@@ -111,8 +129,7 @@ def _cmd_threshold(args) -> int:
     sidecar = json.dumps(meta, indent=2, allow_nan=False)  # strict JSON, before any output
     gridio.write_grid(args.output, est, process=process)
     if args.meta:
-        with open(args.meta, "w") as fh:
-            fh.write(sidecar + "\n")
+        _emit(sidecar, args.meta)
     return 0
 
 
@@ -130,18 +147,8 @@ def _cmd_spread(args) -> int:
     region = "all" if args.tau is None else lag_band(grid.n, args.tau)
     report = total_spread(mask, region)
     if args.tau is not None:
-        report = type(report)(
-            report.total_spread,
-            report.nonzero_cells,
-            report.region_cells,
-            f"tau={args.tau}",
-        )
-    payload = json.dumps(report.to_dict(), indent=2)
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(payload + "\n")
-    else:
-        print(payload)
+        report = dataclasses.replace(report, region_desc=f"tau={args.tau}")
+    _emit(json.dumps(report.to_dict(), indent=2), args.output)
     return 0
 
 
@@ -152,58 +159,37 @@ def _cmd_moments(args) -> int:
     n, nu, tau = args.n, args.nu, args.tau
     spec = _process_spec(name, vars(args))
     spec.validate(n)
-    if args.prop == "1":
-        triple = prop1_moments(spec.chirp(n), spec.noise_psd, nu, tau, n)
-        result = {"mean": triple.mean, "variance": triple.variance, "relation": triple.relation}
-    elif args.prop == "2":
-        auto = {tau: 2.0 * ma_analytic_autocorr(spec.weights, spec.xi_var, tau)}
-        spectrum = ma_analytic_spectrum(spec.weights, spec.xi_var)
-        triple = prop2_moments(auto, spectrum, nu, tau, n)
-        result = {"mean": triple.mean, "variance": triple.variance, "relation": triple.relation}
-    elif args.prop == "3":
-        sigma = um_modulation_spectrum(spec.f0, n)
-        triple = prop3_moments(sigma, nu, tau, n)
-        result = {"mean": triple.mean, "variance": triple.variance, "relation": triple.relation}
-    else:  # thm1
+    if args.prop == "thm1":
         table = ma_dual_time_table(spec.weights, spec.xi_var, n, args.t_spread)
         result = {
             "variance": underspread_variance(table, args.t_spread, nu, tau),
             "relation": underspread_relation(table, args.t_spread, nu, tau),
         }
-    payload = {
-        "prop": args.prop,
-        "nu": nu,
-        "tau": tau,
-        "n": n,
-    }
-    for key, value in result.items():
-        if isinstance(value, complex):
-            payload[key] = {"re": value.real, "im": value.imag}
-        else:
-            payload[key] = value
-    text = json.dumps(payload, indent=2)
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text + "\n")
     else:
-        print(text)
+        if args.prop == "1":
+            triple = prop1_moments(spec.chirp(n), spec.noise_psd, nu, tau, n)
+        elif args.prop == "2":
+            auto = {tau: 2.0 * ma_analytic_autocorr(spec.weights, spec.xi_var, tau)}
+            spectrum = ma_analytic_spectrum(spec.weights, spec.xi_var)
+            triple = prop2_moments(auto, spectrum, nu, tau, n)
+        else:
+            triple = prop3_moments(um_modulation_spectrum(spec.f0, n), nu, tau, n)
+        result = {"mean": triple.mean, "variance": triple.variance, "relation": triple.relation}
+    payload = {"prop": args.prop, "nu": nu, "tau": tau, "n": n}
+    for key, value in result.items():
+        payload[key] = {"re": value.real, "im": value.imag} if isinstance(value, complex) else value
+    _emit(json.dumps(payload, indent=2), args.output)
     return 0
 
 
 def _load_bench_config(path) -> dict:
-    """Flat key = value config file; # starts a comment, values are ints,
-    floats, quoted strings, bare words or comma lists in brackets."""
+    """Flat key = value config file; # starts a comment, values are quoted
+    strings, bare words or comma lists in brackets, all kept as text:
+    _cmd_bench casts each with the type of its flag."""
 
-    def parse_scalar(token: str):
+    def parse_scalar(token: str) -> str:
         token = token.strip()
-        if token.startswith('"') and token.endswith('"'):
-            return token[1:-1]
-        for caster in (int, float):
-            try:
-                return caster(token)
-            except ValueError:
-                continue
-        return token
+        return token[1:-1] if token.startswith('"') and token.endswith('"') else token
 
     out = {}
     with open(path) as fh:
@@ -231,7 +217,15 @@ def _cmd_bench(args) -> int:
 
     def pick(key, default=None):
         flag_value = getattr(args, key)
-        return cfg_file.get(key, default) if flag_value is None else flag_value
+        if flag_value is not None:  # argparse has typed it
+            return flag_value
+        value, kind = cfg_file.get(key, default), _BENCH_KEYS[key]
+        if value is None or kind not in (int, float):
+            return value
+        try:
+            return kind(value)
+        except (TypeError, ValueError):
+            raise UsageError(f"{key} = {value!r} in {args.config} is not {kind.__name__}") from None
 
     spec = _process_spec(pick("process", MovingAverage.name), {k: pick(k) for k in _PROCESS_FLAGS})
     estimators = pick("estimators", "emaf,teaf")
@@ -239,20 +233,14 @@ def _cmd_bench(args) -> int:
         estimators = tuple(e.strip() for e in estimators.split(",") if e.strip())
     else:
         estimators = tuple(estimators)
-    for est in estimators:
-        if est not in ESTIMATORS:
-            raise UsageError(f"unknown estimator {est!r}")
-
     threshold = ThresholdConfig(
-        c_exponent=float(pick("c", 1.0)),
-        region_count=int(pick("regions", 8)),
-        rim_fraction=float(pick("rim", 0.1)),
+        c_exponent=pick("c", 1.0), region_count=pick("regions", 8), rim_fraction=pick("rim", 0.1)
     )
     mc = MCConfig(
         process=spec,
-        n=int(pick("n", 256)),
-        trials=int(pick("trials", 500)),
-        base_seed=int(pick("seed", 0)),
+        n=pick("n", 256),
+        trials=pick("trials", 500),
+        base_seed=pick("seed", 0),
         estimators=estimators,
         threshold=threshold,
     )
@@ -262,9 +250,7 @@ def _cmd_bench(args) -> int:
         raise UsageError(str(exc)) from None
 
     report = run_bench(mc, threads=args.threads)
-    with open(args.output, "w") as fh:
-        json.dump(report.to_dict(), fh, indent=2)
-        fh.write("\n")
+    _emit(json.dumps(report.to_dict(), indent=2), args.output)
     if args.mse_grids:
         os.makedirs(args.mse_grids, exist_ok=True)
         for name, stats in report.per_estimator.items():

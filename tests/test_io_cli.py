@@ -603,3 +603,39 @@ class TestCliBench:
     def test_pairing_enforced(self, tmp_path):
         assert main(["bench", "--process", "ma", "--estimators", "emaf,lbteaf",
                      "--trials", "2", "-o", str(tmp_path / "r.json")]) == 2
+
+    @pytest.mark.parametrize(
+        "process, key",
+        [("um", "f0"), ("chirp", "alpha"), ("chirp", "beta"), ("chirp", "noise_psd"), ("ma", "xi_var")],
+    )
+    def test_config_value_of_wrong_type_exits_2(self, tmp_path, capsys, process, key):
+        # f0 = abc used to reach validate() as a string and exit 1 with a TypeError text
+        cfgfile, out = tmp_path / "bench.cfg", tmp_path / "r.json"
+        cfgfile.write_text(f"process = {process}\n{key} = abc\nn = 16\ntrials = 2\n")
+        assert main(["bench", "--config", str(cfgfile), "-o", str(out)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and key in err[0], err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["gen", "--process", "um", "--alpha", "0.3"], ["gen", "--process", "chirp", "--f0", "0.1"],
+         ["naf", "--process", "ma", "--noise-psd", "1"], ["moments", "--prop", "3", "--weights", "1,2",
+                                                          "--nu", "0.1", "--tau", "0"],
+         ["bench", "--process", "um", "--weights", "1,2", "--trials", "2"]],
+        ids=["gen-um-alpha", "gen-chirp-f0", "naf-ma-noise-psd", "moments-um-weights", "bench-um-weights"],
+    )
+    def test_flag_of_another_process_exits_2(self, tmp_path, capsys, argv):
+        # such a flag used to be ignored silently, with exit 0
+        out = tmp_path / "out"
+        assert main(argv + ["--n", "16", "-o", str(out)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "not a parameter" in err[0], err
+        assert not out.exists()
+
+    def test_config_key_of_another_process_exits_2(self, tmp_path, capsys):
+        cfgfile, out = tmp_path / "bench.cfg", tmp_path / "r.json"
+        cfgfile.write_text("process = um\nalpha = 0.3\nn = 16\ntrials = 2\n")
+        assert main(["bench", "--config", str(cfgfile), "-o", str(out)]) == 2
+        assert "alpha is not a parameter of the um process" in capsys.readouterr().err
+        assert not out.exists()
