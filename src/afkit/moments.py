@@ -556,15 +556,16 @@ def naf_chirp(alpha: float, beta: float, n: int) -> NAFReference:
 
     Each lag row carries a single nonzero cell at the grid frequency
     nearest beta*tau, with value
-    exp(j pi [2 alpha tau - beta tau^2 + (beta tau - nu)(N+|tau|-1)])
-    * D_{N-|tau|}(beta tau - nu).
+    exp(j pi [2 alpha tau - beta tau^2 + (beta tau - nu)(N+tau-1)])
+    * D_{N-|tau|}(beta tau - nu), the noise-free EMAF there: the lag sum
+    runs over N-|tau| samples centred on t = (N-1+tau)/2.
     """
     ChirpInNoise(alpha, beta, 0.0).validate(n)
     lat, cells = lattice(n), {}
     for tau in lat.taus.tolist():
         k = _nearest_nu_bin(beta * tau, n)
         delta = beta * tau - lat.nus[k]
-        phase = np.pi * (2.0 * alpha * tau - beta * tau**2 + delta * (n + abs(tau) - 1))
+        phase = np.pi * (2.0 * alpha * tau - beta * tau**2 + delta * (n + tau - 1))
         cells[tau, k] = np.exp(1j * phase) * dirichlet(n - abs(tau), delta)
     return _reference(n, cells)
 

@@ -186,7 +186,7 @@ class TestCriterion4Chirp:
         _report(
             "4 [chirp-in-noise, K=500]",
             ok_ratio and ok_spread,
-            f"lbteaf/emaf={ratio:.3f} (band [0.15, 0.40], reference 0.244), "
+            f"lbteaf/emaf={ratio:.3f} (band [0.15, 0.40], reference 0.240), "
             f"lbteaf spread={spread:.4g} (band [0.005, 0.03])",
         )
         assert ok_ratio

@@ -294,6 +294,19 @@ class TestNafChirp:
         ref = naf_chirp(0.05, 5e-4, 64)
         assert np.all(ref.support_mask.sum(axis=1) == 1)
 
+    @pytest.mark.parametrize("n", [16, 64, 256])
+    def test_support_is_the_noise_free_emaf_on_both_lag_signs(self, n):
+        # the phase used N + |tau| - 1: every tau < 0 cell was off by up to 0.37 of the peak
+        spec = ChirpInNoise()
+        ref = naf_chirp(spec.alpha, spec.beta, n)
+        emaf = compute_emaf(spec.chirp(n)).values
+        taus = ref.grid.tau_values()[:, None]
+        for lags in (taus < 0, taus >= 0):
+            cells = ref.support_mask & lags
+            assert np.count_nonzero(cells) == np.count_nonzero(lags)
+            err = np.abs(ref.grid.values[cells] - emaf[cells]).max()
+            assert err <= 1e-12 * n, err
+
 
 class TestNafMa:
     def test_support_count_and_spread(self):
