@@ -127,11 +127,6 @@ class Lattice:
         """Variance profile (N-|tau|) * w(nu) of the flat-spectrum reference."""
         return _frozen(np.outer(self.n - np.abs(self.taus), self.w))
 
-    @cached_property
-    def scale(self) -> np.ndarray:
-        """sqrt(base), the divisor of standardize."""
-        return _frozen(np.sqrt(self.base))
-
     def maxnorm_ratio(self, eps: float = 0.0) -> np.ndarray:
         """max(|tau|/(N-1), |nu|/(1/2)) per cell, the denominators widened by eps."""
         r_tau = np.abs(self.taus) / (self.n - 1.0 + eps)
@@ -271,7 +266,8 @@ def standardize(grid: AmbiguityGrid, out: np.ndarray | None = None) -> Ambiguity
     """
     if grid.kind not in ("raw", "bias_corrected"):
         raise ValueError("standardize expects a raw or bias-corrected grid")
-    return AmbiguityGrid(np.divide(grid.values, lattice(grid.n).scale, out=out), grid.n, "standardized")
+    values = np.divide(grid.values, np.sqrt(lattice(grid.n).base), out=out)
+    return AmbiguityGrid(values, grid.n, "standardized")
 
 
 def to_db(grid, mode: str = "amplitude") -> np.ndarray:

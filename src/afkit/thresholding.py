@@ -171,7 +171,6 @@ class SurvivorKernel:
         for p in self.parts.values():
             p.merged
         self.base, self.basis = lat.base, lat.bias_basis if self.rim is not None else None
-        lat.scale
         self.ws, self.real = np.empty((2,) + lat.shape, dtype=complex), np.empty(lat.shape)
         self.scratch = self.ws[1].view(float).reshape((2,) + lat.shape)
         self.keep = {m: np.empty(lat.shape, dtype=bool) for m in methods}
@@ -197,8 +196,9 @@ class SurvivorKernel:
             flat = std_power.ravel()
             if order is not None:
                 flat = np.take(flat, order, out=self.scratch[0].ravel(), mode="clip")
+            median_scratch = self.scratch[1].ravel()
             self.sigma4[m] = np.array(
-                [_sigma4(flat[lo:hi], self.scratch[1].ravel()) for lo, hi in zip(bounds, bounds[1:])]
+                [_sigma4(flat[lo:hi], median_scratch) for lo, hi in zip(bounds, bounds[1:])]
             )
         power, thr = self.scratch
         _power(values, out=power)

@@ -606,7 +606,8 @@ class TestCliBench:
 
     @pytest.mark.parametrize(
         "process, key",
-        [("um", "f0"), ("chirp", "alpha"), ("chirp", "beta"), ("chirp", "noise_psd"), ("ma", "xi_var")],
+        [("um", "f0"), ("chirp", "alpha"), ("chirp", "beta"), ("chirp", "noise_psd"),
+         ("ma", "xi_var")],
     )
     def test_config_value_of_wrong_type_exits_2(self, tmp_path, capsys, process, key):
         # f0 = abc used to reach validate() as a string and exit 1 with a TypeError text
@@ -619,11 +620,13 @@ class TestCliBench:
 
     @pytest.mark.parametrize(
         "argv",
-        [["gen", "--process", "um", "--alpha", "0.3"], ["gen", "--process", "chirp", "--f0", "0.1"],
-         ["naf", "--process", "ma", "--noise-psd", "1"], ["moments", "--prop", "3", "--weights", "1,2",
-                                                          "--nu", "0.1", "--tau", "0"],
+        [["gen", "--process", "um", "--alpha", "0.3"],
+         ["gen", "--process", "chirp", "--f0", "0.1"],
+         ["naf", "--process", "ma", "--noise-psd", "1"],
+         ["moments", "--prop", "3", "--weights", "1,2", "--nu", "0.1", "--tau", "0"],
          ["bench", "--process", "um", "--weights", "1,2", "--trials", "2"]],
-        ids=["gen-um-alpha", "gen-chirp-f0", "naf-ma-noise-psd", "moments-um-weights", "bench-um-weights"],
+        ids=["gen-um-alpha", "gen-chirp-f0", "naf-ma-noise-psd", "moments-um-weights",
+             "bench-um-weights"],
     )
     def test_flag_of_another_process_exits_2(self, tmp_path, capsys, argv):
         # such a flag used to be ignored silently, with exit 0
