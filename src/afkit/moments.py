@@ -548,7 +548,7 @@ def _reference(n: int, cells: dict) -> NAFReference:
 
 def _nearest_nu_bin(nu: float, n: int) -> int:
     k = int(round(nu * 2 * n)) + n
-    return min(max(k, 0), 2 * n - 1)
+    return min(max(k, 0), lattice(n).shape[1] - 1)
 
 
 def naf_chirp(alpha: float, beta: float, n: int) -> NAFReference:

@@ -239,6 +239,7 @@ def threshold_with_details(
         cells={str(r): hi - lo for r, lo, hi in zip(labels, bounds, bounds[1:])},
         survivors={str(r): int(c) for r, c in zip(labels, survivors)},
     )
+    del kernel  # its buffers go before the output grid is allocated
     return AmbiguityGrid(np.where(keep, values, 0.0), grid.n, "thresholded"), meta
 
 
