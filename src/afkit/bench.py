@@ -23,7 +23,7 @@ import numpy as np
 from .emaf import AmbiguityGrid, compute_emaf
 from .moments import NAFReference, naf_for_process
 from .sigcore import ProcessSpec, generate
-from .thresholding import SurvivorKernel, ThresholdConfig
+from .thresholding import METHODS, SurvivorKernel, ThresholdConfig
 
 __all__ = [
     "ACCUMULATION_BLOCK",
@@ -36,7 +36,7 @@ __all__ = [
     "run_bench",
 ]
 
-ESTIMATORS = ("emaf", "teaf", "lteaf", "lbteaf")
+ESTIMATORS = ("emaf", *METHODS)
 
 # Trials are summed inside fixed contiguous blocks and blocks combined in
 # order; the grouping must not depend on the worker count or the floats

@@ -31,57 +31,78 @@ from .moments import (
 )
 from .sigcore import PROCESSES, ChirpInNoise, MovingAverage, UniformlyModulated, generate
 from .spread import indicator, lag_band, total_spread
-from .thresholding import ThresholdConfig, threshold_with_details
+from .thresholding import METHODS, ThresholdConfig, threshold_with_details
 
 __all__ = ["main"]
 
-# Flags that set process spec fields, with their types: a flag sets the field
-# of its own name; _FIELD_FLAGS names the flag of a field named otherwise.
-_PROCESS_FLAGS = {
-    "alpha": float, "beta": float, "noise_psd": float, "weights": str, "xi_var": float, "f0": float,
+# Flags named otherwise than the dataclass field they set.  Every other
+# field with a plain default, of a registered process, ThresholdConfig or
+# MCConfig, is set by the flag of its own name.
+_FLAG_NAMES = {
+    "psd": "noise_psd", "c_exponent": "c", "region_count": "regions", "rim_fraction": "rim",
+    "base_seed": "seed",
 }
-_FIELD_FLAGS = {"psd": "noise_psd"}
 
 # The process whose moments each `moments --prop` evaluates.
 _PROP_PROCESS = {"1": ChirpInNoise, "2": MovingAverage, "3": UniformlyModulated, "thm1": MovingAverage}
-
-# Keys a bench config file may set, the bench settings and the process flags,
-# with the types of their flags; int and float values are cast to them.
-_BENCH_KEYS = {
-    "process": str, "n": int, **_PROCESS_FLAGS, "trials": int, "seed": int, "estimators": str,
-    "c": float, "regions": int, "rim": float,
-}
 
 
 class UsageError(Exception):
     pass
 
 
-def _parse_weights(value) -> tuple:
-    if isinstance(value, list):  # a bracketed list in a bench config
-        value = ",".join(str(w) for w in value)
-    try:
-        return tuple(float(w) for w in str(value).split(","))
-    except ValueError as exc:
-        raise UsageError(f"bad weights list: {exc}") from None
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a one-line cause, like every other usage error
+        raise UsageError(message)
 
 
-def _process_spec(name: str, flags: dict):
-    """Spec of the named process: each field takes its flag's value, or the
-    dataclass default where the flag is unset (None).  A set flag that is
+def _flags(*classes, skip=()) -> dict:
+    """Flag name -> default of each field of classes with a plain default,
+    but the fields named in skip; of two fields with one flag, the first."""
+    flags = {}
+    for cls in classes:
+        for f in dataclasses.fields(cls):
+            if f.default is not dataclasses.MISSING and f.name not in skip:
+                flags.setdefault(_FLAG_NAMES.get(f.name, f.name), f.default)
+    return flags
+
+
+def _bench_flags() -> dict:
+    flags = _flags(*PROCESSES.values(), MCConfig, ThresholdConfig, skip=("method",))
+    return {"process": MovingAverage.name, **flags}
+
+
+def _cast(default):
+    """Type of the flag of a field with this default: its type, or for a tuple
+    a comma list of its items' type (empty names skipped, empty numbers not)."""
+    if not isinstance(default, tuple):
+        return type(default)
+    kind = type(default[0])
+
+    def cast(text: str) -> tuple:
+        items = [item.strip() for item in text.split(",")]
+        return tuple(kind(item) for item in items if item or kind is not str)
+
+    cast.__name__ = f"{kind.__name__} list"
+    return cast
+
+
+def _kwargs(cls, values: dict) -> dict:
+    """The fields of cls whose flags are set (not None) in values."""
+    names = {_FLAG_NAMES.get(f.name, f.name): f.name for f in dataclasses.fields(cls)}
+    return {names[flag]: values[flag] for flag in _flags(cls) if values.get(flag) is not None}
+
+
+def _process_spec(name: str, values: dict):
+    """Spec of the named process from the flag values.  A set flag that is
     no field of the process is a usage error."""
-    cls, fields = PROCESSES.get(str(name)), {}
+    cls = PROCESSES.get(str(name))
     if cls is None:  # a bench config's process key; argparse checks the flag
         raise UsageError(f"unknown process {name!r}")
-    own = {_FIELD_FLAGS.get(f.name, f.name): f.name for f in dataclasses.fields(cls)}
-    for flag in _PROCESS_FLAGS:
-        value = flags.get(flag)
-        if value is None:
-            continue
-        if flag not in own:
+    for flag in _flags(*PROCESSES.values()):
+        if values.get(flag) is not None and flag not in _flags(cls):
             raise UsageError(f"{flag} is not a parameter of the {name} process")
-        fields[own[flag]] = _parse_weights(value) if flag == "weights" else value
-    return cls(**fields)
+    return cls(**_kwargs(cls, values))
 
 
 def _emit(text: str, path) -> None:
@@ -93,11 +114,16 @@ def _emit(text: str, path) -> None:
         print(text)
 
 
-def _add_process_flags(p: argparse.ArgumentParser, process=MovingAverage.name, n=256) -> None:
+def _add_flags(p: argparse.ArgumentParser, flags: dict, **choices) -> None:
+    """A flag, unset by default, for each entry of flags (name -> field default)."""
+    for key, default in flags.items():
+        p.add_argument(f"--{key.replace('_', '-')}", type=_cast(default), choices=choices.get(key))
+
+
+def _add_process_flags(p: argparse.ArgumentParser, process=MovingAverage.name) -> None:
     p.add_argument("--process", choices=tuple(PROCESSES), default=process)
-    p.add_argument("--n", type=int, default=n)
-    for dest, kind in _PROCESS_FLAGS.items():
-        p.add_argument("--" + dest.replace("_", "-"), type=kind, default=None, dest=dest)
+    p.add_argument("--n", type=int, default=MCConfig.n)  # a record as long as a bench's
+    _add_flags(p, _flags(*PROCESSES.values()))
 
 
 def _cmd_gen(args) -> int:
@@ -122,9 +148,9 @@ def _cmd_threshold(args) -> int:
     if process and args.process and args.process != process:
         raise UsageError(f"--process {args.process} contradicts process={process} in {args.input}")
     process = process or args.process
-    if process and args.method not in PROCESSES[process].estimators:  # pairing
-        raise UsageError(f"method {args.method} is not defined for {process} grids")
-    cfg = ThresholdConfig(args.c, args.regions, args.rim, args.method)
+    cfg = ThresholdConfig(**_kwargs(ThresholdConfig, vars(args)))
+    if process and cfg.method not in PROCESSES[process].estimators:  # pairing
+        raise UsageError(f"method {cfg.method} is not defined for {process} grids")
     est, meta = threshold_with_details(grid, cfg)
     sidecar = json.dumps(meta, indent=2, allow_nan=False)  # strict JSON, before any output
     gridio.write_grid(args.output, est, process=process)
@@ -182,12 +208,13 @@ def _cmd_moments(args) -> int:
     return 0
 
 
-def _load_bench_config(path) -> dict:
-    """Flat key = value config file; # starts a comment, values are quoted
-    strings, bare words or comma lists in brackets, all kept as text:
-    _cmd_bench casts each with the type of its flag."""
+def _load_bench_config(path, flags: dict) -> dict:
+    """Key -> text of a flat key = value config file; each key is a bench
+    flag (a key of flags, name -> default), given once.  # starts a comment;
+    a value is a quoted string or a bare word, or for a list flag a list in
+    brackets, which reads as comma text."""
 
-    def parse_scalar(token: str) -> str:
+    def unquote(token: str) -> str:
         token = token.strip()
         return token[1:-1] if token.startswith('"') and token.endswith('"') else token
 
@@ -197,58 +224,35 @@ def _load_bench_config(path) -> dict:
             line = raw_line.split("#", 1)[0].strip()
             if not line:
                 continue
-            key, sep, value = line.partition("=")
+            key, sep, value = (part.strip() for part in line.partition("="))
             if not sep:
                 raise UsageError(f"bad config line: {raw_line.strip()!r}")
-            value = value.strip()
-            if value.startswith("[") and value.endswith("]"):
-                items = [parse_scalar(v) for v in value[1:-1].split(",") if v.strip()]
-                out[key.strip()] = items
-            else:
-                out[key.strip()] = parse_scalar(value)
+            if key not in flags:
+                raise UsageError(f"unknown key {key!r} in {path}")
+            if key in out:
+                raise UsageError(f"key {key!r} is given twice in {path}")
+            out[key] = unquote(value)
+            if isinstance(flags[key], tuple) and value.startswith("[") and value.endswith("]"):
+                out[key] = ",".join(unquote(v) for v in value[1:-1].split(",") if v.strip())
     return out
 
 
 def _cmd_bench(args) -> int:
-    cfg_file = _load_bench_config(args.config) if args.config else {}
-    for key in cfg_file:
-        if key not in _BENCH_KEYS:
-            raise UsageError(f"unknown key {key!r} in {args.config}")
-
-    def pick(key, default=None):
-        flag_value = getattr(args, key)
-        if flag_value is not None:  # argparse has typed it
-            return flag_value
-        value, kind = cfg_file.get(key, default), _BENCH_KEYS[key]
-        if value is None or kind not in (int, float):
-            return value
+    flags = _bench_flags()  # name -> default
+    values = {k: v for k, v in vars(args).items() if k in flags and v is not None}
+    config = _load_bench_config(args.config, flags) if args.config else {}
+    for key, text in config.items():
+        if key in values:  # a flag overrides the file
+            continue
+        cast = _cast(flags[key])
         try:
-            return kind(value)
-        except (TypeError, ValueError):
-            raise UsageError(f"{key} = {value!r} in {args.config} is not {kind.__name__}") from None
-
-    spec = _process_spec(pick("process", MovingAverage.name), {k: pick(k) for k in _PROCESS_FLAGS})
-    estimators = pick("estimators", "emaf,teaf")
-    if isinstance(estimators, str):
-        estimators = tuple(e.strip() for e in estimators.split(",") if e.strip())
-    else:
-        estimators = tuple(estimators)
-    threshold = ThresholdConfig(
-        c_exponent=pick("c", 1.0), region_count=pick("regions", 8), rim_fraction=pick("rim", 0.1)
-    )
-    mc = MCConfig(
-        process=spec,
-        n=pick("n", 256),
-        trials=pick("trials", 500),
-        base_seed=pick("seed", 0),
-        estimators=estimators,
-        threshold=threshold,
-    )
-    try:
-        mc.validate()
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-
+            values[key] = cast(text)
+        except ValueError:
+            raise UsageError(f"{key} = {text!r} in {args.config} is not {cast.__name__}") from None
+    spec = _process_spec(values.get("process", flags["process"]), values)
+    threshold = ThresholdConfig(**_kwargs(ThresholdConfig, values))
+    mc = MCConfig(spec, threshold=threshold, **_kwargs(MCConfig, values))
+    mc.validate()
     report = run_bench(mc, threads=args.threads)
     _emit(json.dumps(report.to_dict(), indent=2), args.output)
     if args.mse_grids:
@@ -261,7 +265,7 @@ def _cmd_bench(args) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="afkit",
         description="Ambiguity-function estimation: generation, thresholding, "
         "moments, spread and Monte Carlo benchmarks.",
@@ -282,10 +286,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("threshold", help="hard-threshold a raw grid")
     p.add_argument("-i", "--input", required=True)
-    p.add_argument("--method", choices=("teaf", "lteaf", "lbteaf"), default="teaf")
-    p.add_argument("--c", type=float, default=1.0)
-    p.add_argument("--regions", type=int, default=8)
-    p.add_argument("--rim", type=float, default=0.1)
+    _add_flags(p, _flags(ThresholdConfig), method=METHODS)
     p.add_argument("--process", choices=tuple(PROCESSES), default=None)
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--meta", default=None, help="JSON sidecar with estimator details")
@@ -314,13 +315,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="Monte Carlo MSE/spread benchmark")
     p.add_argument("--config", default=None, help="flat key = value config file")
-    _add_process_flags(p, process=None, n=None)
-    p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--estimators", default=None, help="comma list from emaf,teaf,lteaf,lbteaf")
-    p.add_argument("--c", type=float, default=None)
-    p.add_argument("--regions", type=int, default=None)
-    p.add_argument("--rim", type=float, default=None)
+    _add_flags(p, _bench_flags(), process=tuple(PROCESSES))
     p.add_argument(
         "--threads",
         type=int,
@@ -334,25 +329,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
-    except UsageError as exc:
-        print(f"afkit: {exc}", file=sys.stderr)
-        return 2
-    except gridio.FileFormatError as exc:
-        print(f"afkit: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except SystemExit as exc:  # --help
+        return int(exc.code or 0)
+    except (UsageError, ValueError) as exc:
         # Parameter/invariant violations from inner modules are user input
         # problems at this level.
         print(f"afkit: {exc}", file=sys.stderr)
         return 2
-    except Exception as exc:  # IO failures and other runtime errors
+    except Exception as exc:  # file format, IO and other runtime errors
         print(f"afkit: {exc}", file=sys.stderr)
         return 1
 

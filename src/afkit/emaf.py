@@ -114,6 +114,11 @@ class Lattice:
     def nus(self) -> np.ndarray:
         return _frozen((np.arange(2 * self.n) - self.n) / (2.0 * self.n))
 
+    def cell(self, tau, nu):
+        """(row, column) of the lattice cell nearest (tau, nu), elementwise
+        over arrays; a point beyond the plane maps beyond its shape."""
+        return np.rint(tau).astype(int) + self.n - 1, np.rint(nu * 2 * self.n).astype(int) + self.n
+
     @cached_property
     def w(self) -> np.ndarray:
         """w(nu) = 1/2 - |nu|, except at the single nu = -1/2 column, where

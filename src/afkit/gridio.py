@@ -146,8 +146,7 @@ def load_grid(path):
     if data.shape != (rows * cols, 4):
         raise FileFormatError("grid CSV has the wrong number of rows")
     _check_finite(data, "grid CSV")
-    m = np.rint(data[:, 0]).astype(int) + (n - 1)
-    k = np.rint(data[:, 1] * 2 * n).astype(int) + n
+    m, k = lat.cell(data[:, 0], data[:, 1])
     if m.min() < 0 or m.max() >= rows or k.min() < 0 or k.max() >= cols:
         raise FileFormatError("grid CSV indices out of range")
     # tau must be an integer and nu the lattice value (k - n) / (2n) exactly, as written

@@ -171,6 +171,14 @@ def _emaf_at(x: np.ndarray, nu: float, tau: int) -> complex:
     return complex(np.sum(prod * np.exp(-2j * np.pi * nu * t)))
 
 
+def _check_cell(nu: float, tau: int, n: int) -> None:
+    """Reject a (nu, tau) point off the ambiguity plane of a length-n record."""
+    if abs(tau) >= n:
+        raise ValueError("|tau| must be < n")
+    if not -0.5 < nu < 0.5:
+        raise ValueError(f"nu = {nu} must lie in (-1/2, 1/2)")
+
+
 def prop1_moments(
     g,
     sigma2_w: float,
@@ -197,8 +205,7 @@ def prop1_moments(
     g = np.asarray(g, dtype=complex)
     if g.size != n:
         raise ValueError("signal length does not match n")
-    if abs(tau) >= n:
-        raise ValueError("|tau| must be < n")
+    _check_cell(nu, tau, n)
     if sigma2_w < 0:
         raise ValueError("noise PSD level must be >= 0")
 
@@ -269,8 +276,7 @@ def prop2_moments(
     """
     if spectrum.grid_size < _MIN_GRID_SIZE:
         raise ValueError("spectrum grid too coarse")
-    if abs(tau) >= n:
-        raise ValueError("|tau| must be < n")
+    _check_cell(nu, tau, n)
     m = n - abs(tau)
     w_nu = 0.5 - abs(nu)
     mean = (
@@ -314,8 +320,7 @@ def prop3_moments(
     """
     if mod_spectrum.grid_size < _MIN_GRID_SIZE:
         raise ValueError("spectrum grid too coarse")
-    if abs(tau) >= n:
-        raise ValueError("|tau| must be < n")
+    _check_cell(nu, tau, n)
     w_nu = 0.5 - abs(nu)
     mean = (
         w_nu
@@ -538,17 +543,18 @@ class NAFReference:
 
 
 def _reference(n: int, cells: dict) -> NAFReference:
-    """Reference surface with value cells[tau, k] at lag tau in column k, zero elsewhere."""
+    """Reference surface with value cells[m, k] in lattice cell (m, k), zero elsewhere."""
     shape = lattice(n).shape
     values, mask = np.zeros(shape, dtype=complex), np.zeros(shape, dtype=bool)
-    for (tau, k), value in cells.items():
-        values[tau + n - 1, k], mask[tau + n - 1, k] = value, True
+    for cell, value in cells.items():
+        values[cell], mask[cell] = value, True
     return NAFReference(AmbiguityGrid(values, n, "reference"), mask, int(mask.sum()))
 
 
-def _nearest_nu_bin(nu: float, n: int) -> int:
-    k = int(round(nu * 2 * n)) + n
-    return min(max(k, 0), lattice(n).shape[1] - 1)
+def _nearest(n: int, tau: int, nu: float) -> tuple:
+    """Lattice cell nearest (tau, nu), its column clamped to the plane."""
+    m, k = lattice(n).cell(tau, nu)
+    return int(m), min(max(int(k), 0), 2 * n - 1)
 
 
 def naf_chirp(alpha: float, beta: float, n: int) -> NAFReference:
@@ -563,10 +569,10 @@ def naf_chirp(alpha: float, beta: float, n: int) -> NAFReference:
     ChirpInNoise(alpha, beta, 0.0).validate(n)
     lat, cells = lattice(n), {}
     for tau in lat.taus.tolist():
-        k = _nearest_nu_bin(beta * tau, n)
+        m, k = _nearest(n, tau, beta * tau)
         delta = beta * tau - lat.nus[k]
         phase = np.pi * (2.0 * alpha * tau - beta * tau**2 + delta * (n + tau - 1))
-        cells[tau, k] = np.exp(1j * phase) * dirichlet(n - abs(tau), delta)
+        cells[m, k] = np.exp(1j * phase) * dirichlet(n - abs(tau), delta)
     return _reference(n, cells)
 
 
@@ -581,8 +587,7 @@ def naf_ma(weights, xi_var: float, n: int, q: int = DEFAULT_GRID_SIZE) -> NAFRef
     order = len(weights) - 1
     lags = np.arange(-order, order + 1)
     auto = np.atleast_1d(ma_analytic_autocorr(weights, xi_var, lags, q))
-    # column n is nu = 0
-    return _reference(n, {(lag, n): (n - abs(lag)) * a for lag, a in zip(lags, auto)})
+    return _reference(n, {_nearest(n, lag, 0.0): (n - abs(lag)) * a for lag, a in zip(lags, auto)})
 
 
 def naf_um(f0: float, n: int) -> NAFReference:
@@ -590,9 +595,9 @@ def naf_um(f0: float, n: int) -> NAFReference:
     origin and -N(1/2 - |2 f0|) at (nu = +-2 f0, tau = 0), off-grid
     frequencies snapped to the nearest bin."""
     UniformlyModulated(f0).validate(n)
-    cells = {(0, n): float(n)}
+    cells = {_nearest(n, 0, 0.0): float(n)}
     for s in (+1, -1):
-        cells[0, _nearest_nu_bin(s * 2.0 * f0, n)] = -n * (0.5 - abs(2.0 * f0))
+        cells[_nearest(n, 0, s * 2.0 * f0)] = -n * (0.5 - abs(2.0 * f0))
     return _reference(n, cells)
 
 
@@ -606,8 +611,6 @@ def naf_tvma(weights, f0: float, n: int, q: int = DEFAULT_GRID_SIZE) -> NAFRefer
     def dens(f):
         return ma_real_spectral_density(weights, 1.0, f)
 
-    k_plus = _nearest_nu_bin(2.0 * f0, n)
-    k_minus = _nearest_nu_bin(-2.0 * f0, n)
     for lag in range(-order, order + 1):
         scale = n - abs(lag)
         center = _quad(
@@ -619,9 +622,9 @@ def naf_tvma(weights, f0: float, n: int, q: int = DEFAULT_GRID_SIZE) -> NAFRefer
         minus = -_quad(
             lambda f: dens(f - f0) * np.exp(2j * np.pi * f * lag), 2.0 * f0, 0.5, q
         )
-        cells[lag, n] = scale * center
-        cells[lag, k_plus] = scale * plus
-        cells[lag, k_minus] = scale * minus
+        cells[_nearest(n, lag, 0.0)] = scale * center
+        cells[_nearest(n, lag, 2.0 * f0)] = scale * plus
+        cells[_nearest(n, lag, -2.0 * f0)] = scale * minus
     return _reference(n, cells)
 
 
@@ -630,7 +633,7 @@ def naf_noise(psd: float, n: int) -> NAFReference:
     the origin carries the mean N * psd / 2 (the real-noise ambiguity
     support is the origin alone)."""
     AnalyticWhiteNoise(psd).validate(n)
-    return _reference(n, {(0, n): n * psd / 2.0})
+    return _reference(n, {_nearest(n, 0, 0.0): n * psd / 2.0})
 
 
 def naf_for_process(spec: ProcessSpec, n: int) -> NAFReference:

@@ -29,6 +29,7 @@ import numpy as np
 from .emaf import MIN_REGION_CELLS, AmbiguityGrid, RegionPartition, lattice, standardize
 
 __all__ = [
+    "METHODS",
     "MIN_REGION_CELLS",
     "RegionPartition",
     "SurvivorKernel",
@@ -45,6 +46,8 @@ __all__ = [
 ]
 
 LN2 = math.log(2.0)
+
+METHODS = ("teaf", "lteaf", "lbteaf")  # the threshold estimators, by name
 
 
 @dataclass(frozen=True)
@@ -63,7 +66,7 @@ class ThresholdConfig:
             raise ValueError("need at least one region")
         if not 0.0 < self.rim_fraction < 0.5:
             raise ValueError("rim fraction must lie in (0, 1/2)")
-        if self.method not in ("teaf", "lteaf", "lbteaf"):
+        if self.method not in METHODS:
             raise ValueError(f"unknown threshold method {self.method!r}")
 
 

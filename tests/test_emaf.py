@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from afkit.emaf import AmbiguityGrid, compute_emaf, standardization_base, standardize, to_db
+from afkit.emaf import (
+    AmbiguityGrid,
+    compute_emaf,
+    lattice,
+    standardization_base,
+    standardize,
+    to_db,
+)
 from afkit.sigcore import generate, MovingAverage
 
 from conftest import emaf_direct, random_complex_signal
@@ -15,6 +22,17 @@ class TestGridType:
         assert g.tau_values()[0] == -(n - 1) and g.tau_values()[-1] == n - 1
         nus = g.nu_values()
         assert nus[0] == -0.5 and nus[-1] == (n - 1) / (2 * n)
+
+    @pytest.mark.parametrize("n", [4, 16, 64])
+    def test_cell_inverts_the_axes(self, n):
+        lat = lattice(n)
+        np.testing.assert_array_equal(lat.cell(lat.taus, 0.0)[0], np.arange(lat.shape[0]))
+        np.testing.assert_array_equal(lat.cell(0, lat.nus)[1], np.arange(lat.shape[1]))
+        # a point within half a cell of a lattice point maps to that point's cell
+        assert lat.cell(2.4, 1.4 / (2 * n)) == (n + 1, n + 1)
+        assert lat.cell(-1.6, -1.6 / (2 * n)) == (n - 3, n - 2)
+        assert lat.cell(-(n - 1), -0.5) == (0, 0)
+        assert lat.cell(n, 0.5) == (lat.shape[0], lat.shape[1])  # beyond the plane
 
     def test_dimensions_for_paper_scale(self):
         g = compute_emaf(np.ones(256, dtype=complex))

@@ -1,6 +1,7 @@
 import json
 import struct
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +12,8 @@ from afkit.emaf import AmbiguityGrid, compute_emaf
 from afkit.moments import naf_um
 from afkit.sigcore import MovingAverage, generate
 from afkit.thresholding import ThresholdConfig, teaf, threshold_with_details
+
+BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
 
 
 class TestSignalCsv:
@@ -526,6 +529,32 @@ class TestCliPipeline:
         assert main(["moments", "--n", "64", "--nu", "0.1", "--tau", "1"] + argv) == 2
         assert len(capsys.readouterr().err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("prop", ["1", "2", "3"])
+    @pytest.mark.parametrize("nu", ["0.5", "-0.5", "0.7"])
+    def test_moments_rejects_nu_off_the_plane(self, prop, nu, capsys):
+        # nu = 0.7 used to exit 0 with meaningless numbers, and --prop 2 at nu = 0.5
+        # to exit 1 with a division by zero
+        assert main(["moments", "--prop", prop, "--n", "64", "--nu", nu, "--tau", "1"]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "nu" in err[0], err
+
+    def test_list_flags(self, tmp_path, capsys):
+        # a float list takes spaces but no empty item; a name list skips empty items
+        sig, out = tmp_path / "s.csv", tmp_path / "r.json"
+        assert main(["gen", "--weights", " 1, 0.5", "--n", "16", "--seed", "4",
+                     "-o", str(sig)]) == 0
+        np.testing.assert_array_equal(
+            gridio.load_signal(sig)[0], generate(MovingAverage((1.0, 0.5)), 16, 4)
+        )
+        for weights in ("1,,2", "1,2,"):
+            assert main(["gen", "--weights", weights, "-o", str(tmp_path / "x.csv")]) == 2
+            err = capsys.readouterr().err.strip().splitlines()
+            assert len(err) == 1 and "--weights" in err[0], err
+        assert main(["bench", "--process", "um", "--n", "16", "--trials", "2",
+                     "--estimators", "emaf, teaf,", "-o", str(out)]) == 0
+        assert set(json.loads(out.read_text())["results"]) == {"emaf", "teaf"}
+        assert not (tmp_path / "x.csv").exists()
+
     def test_emaf_db_export(self, tmp_path):
         sig = tmp_path / "sig.csv"
         grid = tmp_path / "grid.csv"
@@ -556,6 +585,37 @@ class TestCliBench:
         assert rep["metadata"]["n"] == 48
         assert set(rep["results"]) == {"emaf", "teaf"}
         assert (grids / "mse_emaf.csv").exists()
+
+    @pytest.mark.parametrize("cfg", sorted(BENCHMARKS.glob("*.cfg")), ids=lambda p: p.stem)
+    def test_desk_config_equals_its_flags(self, tmp_path, cfg):
+        # a config key is the bench flag of its name; bracket lists read as comma text
+        flags = []
+        for line in cfg.read_text().splitlines():
+            key, sep, value = line.split("#", 1)[0].partition("=")
+            if sep:
+                flags += ["--" + key.strip().replace("_", "-"), value.strip().strip("[]")]
+        small = ["--n", "32", "--trials", "4", "--threads", "1"]
+        by_file, by_flags = tmp_path / "file.json", tmp_path / "flags.json"
+        assert main(["bench", "--config", str(cfg), *small, "-o", str(by_file)]) == 0
+        assert main(["bench", *flags, *small, "-o", str(by_flags)]) == 0
+        file_report, flag_report = (json.loads(p.read_text()) for p in (by_file, by_flags))
+        assert file_report["results"] == flag_report["results"]
+        assert file_report["metadata"]["trials"] == 4
+
+    def test_config_repeated_key_exits_2(self, tmp_path, capsys):
+        # the last value used to win: n = 16 then n = 32 ran at n = 32 with exit 0
+        cfgfile, out = tmp_path / "bench.cfg", tmp_path / "r.json"
+        cfgfile.write_text("process = um\nn = 16\nn = 32\ntrials = 2\n")
+        assert main(["bench", "--config", str(cfgfile), "-o", str(out)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "'n'" in err[0] and str(cfgfile) in err[0], err
+        assert not out.exists()
+
+    def test_flag_overrides_a_file_value_its_type_rejects(self, tmp_path):
+        cfgfile, out = tmp_path / "bench.cfg", tmp_path / "r.json"
+        cfgfile.write_text("process = um\nn = 3.5\ntrials = 2\n")
+        assert main(["bench", "--config", str(cfgfile), "--n", "16", "-o", str(out)]) == 0
+        assert json.loads(out.read_text())["metadata"]["n"] == 16
 
     def test_threads_do_not_change_output(self, tmp_path):
         out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"

@@ -1,5 +1,7 @@
 """The process registry: every per-process fact is read from sigcore.PROCESSES."""
 
+import dataclasses
+import json
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -12,6 +14,7 @@ from afkit.cli import _build_parser, main
 from afkit.emaf import compute_emaf
 from afkit.moments import naf_for_process, naf_noise
 from afkit.sigcore import PROCESSES, generate
+from afkit.thresholding import ThresholdConfig
 
 METHODS = ("teaf", "lteaf", "lbteaf")  # the `afkit threshold --method` choices
 
@@ -97,8 +100,28 @@ def test_new_process_needs_one_class(tmp_path, monkeypatch):
         MCConfig(_Toy(), n=16, estimators=("emaf", "lteaf")).validate()
 
     sig, raw = str(tmp_path / "s.csv"), str(tmp_path / "raw.csv")
-    assert main(["gen", "--process", "toy", "--n", "16", "-o", sig]) == 0
+    assert main(["gen", "--process", "toy", "--level", "2", "--n", "16", "--seed", "5",
+                 "-o", sig]) == 0
+    np.testing.assert_array_equal(gridio.load_signal(sig)[0], generate(_Toy(2.0), 16, 5))
     assert main(["emaf", "-i", sig, "-o", raw]) == 0
     assert gridio.load_grid(raw)[1] == "toy"
     assert main(["threshold", "-i", raw, "--method", "teaf", "-o", str(tmp_path / "t.csv")]) == 0
     assert main(["threshold", "-i", raw, "--method", "lteaf", "-o", str(tmp_path / "l.csv")]) == 2
+    report = tmp_path / "r.json"
+    assert main(["bench", "--process", "toy", "--level", "2", "--n", "16", "--trials", "3",
+                 "-o", str(report)]) == 0
+    expected = run_bench(MCConfig(_Toy(2.0), n=16, trials=3), threads=1).to_dict()["results"]
+    assert json.loads(report.read_text())["results"] == expected
+
+
+@pytest.mark.parametrize("cls", [*PROCESSES.values(), ThresholdConfig, MCConfig],
+                         ids=lambda cls: cls.__name__)
+def test_settable_fields_follow_the_flag_convention(cls):
+    # afkit.cli types the flag of each field with a plain default by that default
+    for f in dataclasses.fields(cls):
+        if f.default is dataclasses.MISSING:
+            continue
+        items = f.default if isinstance(f.default, tuple) else (f.default,)
+        assert items and {type(item) for item in items} in ({int}, {float}, {str}), f.name
+        if f.type in ("float", float):
+            assert type(f.default) is float, f.name
