@@ -274,7 +274,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="generate a process realization")
     _add_process_flags(p)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=MCConfig.base_seed)
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=_cmd_gen)
 
