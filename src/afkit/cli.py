@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 
@@ -183,6 +184,8 @@ def _cmd_moments(args) -> int:
     if args.process not in (None, name):
         raise UsageError(f"--prop {args.prop} is for the {name} process, not {args.process}")
     n, nu, tau = args.n, args.nu, args.tau
+    if not math.isfinite(nu):
+        raise UsageError(f"--nu must be finite, not {nu}")
     spec = _process_spec(name, vars(args))
     spec.validate(n)
     if args.prop == "thm1":
@@ -204,7 +207,7 @@ def _cmd_moments(args) -> int:
     payload = {"prop": args.prop, "nu": nu, "tau": tau, "n": n}
     for key, value in result.items():
         payload[key] = {"re": value.real, "im": value.imag} if isinstance(value, complex) else value
-    _emit(json.dumps(payload, indent=2), args.output)
+    _emit(json.dumps(payload, indent=2, allow_nan=False), args.output)
     return 0
 
 

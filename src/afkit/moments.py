@@ -12,7 +12,7 @@ of the EMAF at a single (nu, tau) cell for three model classes:
 
 A fourth route covers any strictly underspread process through its
 dual-time second moment table.  All spectral integrals use trapezoidal
-quadrature on fine uniform grids (2^14 points by default); finite-sample
+quadrature on DEFAULT_GRID_SIZE = 2^14 uniform intervals; finite-sample
 O(1) remainder terms are omitted from the returned values, so ensemble
 comparisons should use statistical tolerances.
 
@@ -22,7 +22,7 @@ support") serve as ground truth for mean-square-error benchmarking.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -65,8 +65,6 @@ __all__ = [
 DEFAULT_GRID_SIZE = 2**14
 _MIN_GRID_SIZE = 2**12
 
-_REMAINDER_NOTE = "finite-sample O(1) remainder omitted"
-
 
 @dataclass(frozen=True)
 class MomentTriple:
@@ -75,7 +73,6 @@ class MomentTriple:
     mean: complex
     variance: float
     relation: complex
-    remainder: str = field(default=_REMAINDER_NOTE, compare=False)
 
     def __post_init__(self):
         if not np.isfinite(self.variance) or self.variance < 0:
@@ -152,12 +149,12 @@ class _PeriodicTable:
         return re + 1j * im
 
 
-def _windowed_transform(g: np.ndarray, tau: int, q: int) -> _PeriodicTable:
+def _windowed_transform(g: np.ndarray, tau: int) -> _PeriodicTable:
     # Transform of the lag-windowed signal: first N-|tau| samples for
     # tau >= 0, the trailing N-|tau| samples re-anchored at zero otherwise.
     n = g.size
     w = g[: n - tau] if tau >= 0 else g[-tau:]
-    return _PeriodicTable(np.fft.fft(w, q))
+    return _PeriodicTable(np.fft.fft(w, DEFAULT_GRID_SIZE))
 
 
 def _emaf_at(x: np.ndarray, nu: float, tau: int) -> complex:
@@ -185,7 +182,6 @@ def prop1_moments(
     nu: float,
     tau: int,
     n: int,
-    q: int = DEFAULT_GRID_SIZE,
 ) -> MomentTriple:
     """EMAF moments for a deterministic analytic signal plus analytic white
     noise with one-sided PSD level sigma2_w.
@@ -200,7 +196,7 @@ def prop1_moments(
                 + 2 sigma2_w h'(nu,tau]
 
     h and h' are overlap integrals of the lag-windowed transform of g,
-    evaluated by trapezoidal quadrature on a q-point grid.
+    evaluated by trapezoidal quadrature.
     """
     g = np.asarray(g, dtype=complex)
     if g.size != n:
@@ -214,12 +210,12 @@ def prop1_moments(
         -1j * np.pi * nu * (n + tau - 1)
     ) * dirichlet(m, nu) * np.exp(1j * np.pi * tau / 2.0) * normalized_sinc(tau / 2.0)
 
-    g_tab = _windowed_transform(g, tau, q)
-    g_neg = _windowed_transform(g, -tau, q)
+    g_tab = _windowed_transform(g, tau)
+    g_neg = _windowed_transform(g, -tau)
 
     def h_of(nu_, tab):
         return _quad(
-            lambda f: np.abs(tab.at(f)) ** 2, max(-nu_, 0.0), 0.5 - max(0.0, nu_), q
+            lambda f: np.abs(tab.at(f)) ** 2, max(-nu_, 0.0), 0.5 - max(0.0, nu_)
         ).real
 
     h_pos = h_of(nu, g_tab)
@@ -236,7 +232,7 @@ def prop1_moments(
             * np.exp(2j * np.pi * (f - sign * nu) * tau)
         )
 
-    h_prime = _quad(hprime_integrand, max(0.0, -nu), 0.5 + min(0.0, -nu), q)
+    h_prime = _quad(hprime_integrand, max(0.0, -nu), 0.5 + min(0.0, -nu))
     if tau == 0:
         ridge = -0.5
     else:
@@ -248,7 +244,7 @@ def prop1_moments(
     return MomentTriple(complex(mean), float(variance), complex(relation))
 
 
-def _abar(spectrum: SpectrumTable, nu: float, tau: int, q: int) -> complex:
+def _abar(spectrum: SpectrumTable, nu: float, tau: int) -> complex:
     """Normalized spectral overlap: int S(f-nu) S(f) e^{j4 pi f tau} df over
     the admissible band, divided by (1/2 - |nu|)."""
     a, b = max(0.0, nu), 0.5 + min(0.0, nu)
@@ -256,7 +252,7 @@ def _abar(spectrum: SpectrumTable, nu: float, tau: int, q: int) -> complex:
     def integrand(f):
         return spectrum.at(f - nu) * spectrum.at(f) * np.exp(4j * np.pi * f * tau)
 
-    return _quad(integrand, a, b, q) / (0.5 - abs(nu))
+    return _quad(integrand, a, b) / (0.5 - abs(nu))
 
 
 def prop2_moments(
@@ -265,7 +261,6 @@ def prop2_moments(
     nu: float,
     tau: int,
     n: int,
-    q: int = DEFAULT_GRID_SIZE,
 ) -> MomentTriple:
     """EMAF moments for a zero-mean stationary analytic process.
 
@@ -274,21 +269,19 @@ def prop2_moments(
     [0, 1/2].  mean = D_{N-|tau|}(nu) e^{-j pi nu (N+tau-1)} M[tau];
     variance and relation come from the spectral overlap integral.
     """
-    if spectrum.grid_size < _MIN_GRID_SIZE:
-        raise ValueError("spectrum grid too coarse")
     _check_cell(nu, tau, n)
     m = n - abs(tau)
     w_nu = 0.5 - abs(nu)
     mean = (
         dirichlet(m, nu) * np.exp(-1j * np.pi * nu * (n + tau - 1)) * complex(autocorr[tau])
     )
-    variance = (m * w_nu * _abar(spectrum, -nu, 0, q)).real
+    variance = (m * w_nu * _abar(spectrum, -nu, 0)).real
     relation = (
         np.exp(-2j * np.pi * nu * (n + tau - 1))
         * m
         * w_nu
         * l_value(m, nu)
-        * _abar(spectrum, nu, tau, q)
+        * _abar(spectrum, nu, tau)
     )
     return MomentTriple(complex(mean), float(max(variance, 0.0)), complex(relation))
 
@@ -298,7 +291,6 @@ def prop3_moments(
     nu: float,
     tau: int,
     n: int,
-    q: int = DEFAULT_GRID_SIZE,
 ) -> MomentTriple:
     """EMAF moments for the analytic image of uniformly modulated white
     noise, described by the transform Sigma(nu) of its time-varying
@@ -318,8 +310,6 @@ def prop3_moments(
     tau = 0 row (where the complementary part of the analytic process
     enters the second moment) carries a larger remainder.
     """
-    if mod_spectrum.grid_size < _MIN_GRID_SIZE:
-        raise ValueError("spectrum grid too coarse")
     _check_cell(nu, tau, n)
     w_nu = 0.5 - abs(nu)
     mean = (
@@ -334,13 +324,11 @@ def prop3_moments(
         * (w_nu - np.abs(f)),
         -0.5 + abs(nu),
         0.5 - abs(nu),
-        q,
     ).real
 
     # Double integral over the admissible square, inner axis vectorized.
     a, b = max(0.0, nu), 0.5 + min(0.0, nu)
-    q_outer = max(256, q // 32)
-    alphas = np.linspace(a, b, q_outer + 1)
+    alphas = np.linspace(a, b, 513)
 
     def inner(alpha):
         return _quad(
@@ -349,7 +337,7 @@ def prop3_moments(
             * np.exp(2j * np.pi * (f + alpha) * tau),
             a,
             b,
-            max(512, q // 16),
+            1024,
         )
 
     inner_vals = np.array([inner(al) for al in alphas])
@@ -466,7 +454,7 @@ def ma_real_spectral_density(weights, xi_var: float, f) -> np.ndarray:
     return xi_var * np.abs(resp) ** 2
 
 
-def ma_analytic_autocorr(weights, xi_var: float, taus, q: int = DEFAULT_GRID_SIZE):
+def ma_analytic_autocorr(weights, xi_var: float, taus):
     """One-sided spectral transform 2 * int_0^{1/2} S_R(f) e^{j2 pi f tau} df.
 
     This is the analytic extension of the real autocorrelation (equal to it
@@ -474,31 +462,31 @@ def ma_analytic_autocorr(weights, xi_var: float, taus, q: int = DEFAULT_GRID_SIZ
     is twice this value.
     """
     taus = np.atleast_1d(np.asarray(taus, dtype=int))
-    xs = np.linspace(0.0, 0.5, q + 1)
-    dens = ma_real_spectral_density(weights, xi_var, xs)
-    out = np.array(
-        [2.0 * np.trapezoid(dens * np.exp(2j * np.pi * xs * t), xs) for t in taus]
-    )
+
+    def integrand(f):
+        return ma_real_spectral_density(weights, xi_var, f) * np.exp(2j * np.pi * f * taus[:, None])
+
+    out = 2.0 * _quad(integrand, 0.0, 0.5)
     return out if out.size > 1 else complex(out[0])
 
 
-def ma_analytic_spectrum(weights, xi_var: float, q: int = DEFAULT_GRID_SIZE) -> SpectrumTable:
+def ma_analytic_spectrum(weights, xi_var: float) -> SpectrumTable:
     """Spectral density of the analytic MA process on [0, 1/2]: the real
     density doubled in amplitude twice (one-sided folding times the
     analytic doubling), i.e. 4 * S_R(f)."""
-    xs = np.linspace(0.0, 0.5, q + 1)
+    xs = np.linspace(0.0, 0.5, DEFAULT_GRID_SIZE + 1)
     return SpectrumTable(4.0 * ma_real_spectral_density(weights, xi_var, xs) + 0j, 0.0, 0.5)
 
 
-def ma_dual_time_table(weights, xi_var: float, n: int, t_spread: int, q: int = DEFAULT_GRID_SIZE) -> np.ndarray:
+def ma_dual_time_table(weights, xi_var: float, n: int, t_spread: int) -> np.ndarray:
     """Stationary dual-time second moment table M[t, tau'] of the analytic
     MA process, truncated to |tau'| <= T-1 (rows constant in t)."""
     taus = np.arange(-(t_spread - 1), t_spread)
-    row = 2.0 * np.atleast_1d(ma_analytic_autocorr(weights, xi_var, taus, q))
+    row = 2.0 * np.atleast_1d(ma_analytic_autocorr(weights, xi_var, taus))
     return np.tile(row, (n, 1))
 
 
-def um_modulation_spectrum(f0: float, n: int, q: int = DEFAULT_GRID_SIZE) -> SpectrumTable:
+def um_modulation_spectrum(f0: float, n: int) -> SpectrumTable:
     """Transform of the time-varying variance of the analytic modulated
     process, on [-1/2, 1/2].
 
@@ -512,7 +500,7 @@ def um_modulation_spectrum(f0: float, n: int, q: int = DEFAULT_GRID_SIZE) -> Spe
     with E_N(nu) = e^{-j pi nu (N-1)} D_N(nu).  The scaling is fixed by
     matching the ensemble mean of the EMAF.
     """
-    nus = np.linspace(-0.5, 0.5, q + 1)
+    nus = np.linspace(-0.5, 0.5, DEFAULT_GRID_SIZE + 1)
 
     def e_n(v):
         return np.exp(-1j * np.pi * v * (n - 1)) * dirichlet(n, v)
@@ -542,19 +530,20 @@ class NAFReference:
             raise ValueError("reference grid must vanish off its support")
 
 
-def _reference(n: int, cells: dict) -> NAFReference:
-    """Reference surface with value cells[m, k] in lattice cell (m, k), zero elsewhere."""
-    shape = lattice(n).shape
-    values, mask = np.zeros(shape, dtype=complex), np.zeros(shape, dtype=bool)
-    for cell, value in cells.items():
-        values[cell], mask[cell] = value, True
-    return NAFReference(AmbiguityGrid(values, n, "reference"), mask, int(mask.sum()))
-
-
-def _nearest(n: int, tau: int, nu: float) -> tuple:
-    """Lattice cell nearest (tau, nu), its column clamped to the plane."""
-    m, k = lattice(n).cell(tau, nu)
-    return int(m), min(max(int(k), 0), 2 * n - 1)
+def _reference(n: int, tau, nu, values) -> NAFReference:
+    """Reference surface with each value in the lattice cell nearest its
+    (tau, nu), nu taken modulo 1; values that land on one cell add."""
+    lat = lattice(n)
+    tau, nu, values = (np.ravel(a) for a in np.broadcast_arrays(tau, nu, values))
+    rows, cols = lat.cell(tau, nu)
+    keys = np.ravel_multi_index((rows, cols % (2 * n)), lat.shape)
+    cells, first = np.unique(keys, return_index=True)
+    # Each cell takes its first value and adds only the others, so a lone
+    # value keeps its bits, signed zeros included.
+    grid, mask = np.zeros(lat.shape, dtype=complex), np.zeros(lat.shape, dtype=bool)
+    grid.flat[cells], mask.flat[cells] = values[first], True
+    np.add.at(grid.ravel(), np.delete(keys, first), np.delete(values, first))
+    return NAFReference(AmbiguityGrid(grid, n, "reference"), mask, cells.size)
 
 
 def naf_chirp(alpha: float, beta: float, n: int) -> NAFReference:
@@ -567,16 +556,15 @@ def naf_chirp(alpha: float, beta: float, n: int) -> NAFReference:
     runs over N-|tau| samples centred on t = (N-1+tau)/2.
     """
     ChirpInNoise(alpha, beta, 0.0).validate(n)
-    lat, cells = lattice(n), {}
-    for tau in lat.taus.tolist():
-        m, k = _nearest(n, tau, beta * tau)
-        delta = beta * tau - lat.nus[k]
-        phase = np.pi * (2.0 * alpha * tau - beta * tau**2 + delta * (n + tau - 1))
-        cells[m, k] = np.exp(1j * phase) * dirichlet(n - abs(tau), delta)
-    return _reference(n, cells)
+    lat = lattice(n)
+    taus = lat.taus
+    nu = (lat.cell(taus, beta * taus)[1] - n) / (2.0 * n)  # the snapped lattice frequency
+    delta = beta * taus - nu
+    phase = np.pi * (2.0 * alpha * taus - beta * taus**2 + delta * (n + taus - 1))
+    return _reference(n, taus, nu, np.exp(1j * phase) * dirichlet(n - np.abs(taus), delta))
 
 
-def naf_ma(weights, xi_var: float, n: int, q: int = DEFAULT_GRID_SIZE) -> NAFReference:
+def naf_ma(weights, xi_var: float, n: int) -> NAFReference:
     """Reference surface of the analytic MA process.
 
     Support is the nu = 0 line at |tau| <= L (the support of the real
@@ -584,10 +572,9 @@ def naf_ma(weights, xi_var: float, n: int, q: int = DEFAULT_GRID_SIZE) -> NAFRef
     spectral transform of :func:`ma_analytic_autocorr`.
     """
     MovingAverage(tuple(weights), xi_var).validate(n)
-    order = len(weights) - 1
-    lags = np.arange(-order, order + 1)
-    auto = np.atleast_1d(ma_analytic_autocorr(weights, xi_var, lags, q))
-    return _reference(n, {_nearest(n, lag, 0.0): (n - abs(lag)) * a for lag, a in zip(lags, auto)})
+    lags = np.arange(1 - len(weights), len(weights))  # |tau| <= L
+    auto = np.atleast_1d(ma_analytic_autocorr(weights, xi_var, lags))
+    return _reference(n, lags, 0.0, (n - np.abs(lags)) * auto)
 
 
 def naf_um(f0: float, n: int) -> NAFReference:
@@ -595,37 +582,29 @@ def naf_um(f0: float, n: int) -> NAFReference:
     origin and -N(1/2 - |2 f0|) at (nu = +-2 f0, tau = 0), off-grid
     frequencies snapped to the nearest bin."""
     UniformlyModulated(f0).validate(n)
-    cells = {_nearest(n, 0, 0.0): float(n)}
-    for s in (+1, -1):
-        cells[_nearest(n, 0, s * 2.0 * f0)] = -n * (0.5 - abs(2.0 * f0))
-    return _reference(n, cells)
+    line = -n * (0.5 - abs(2.0 * f0))
+    return _reference(n, 0, [0.0, 2.0 * f0, -2.0 * f0], [float(n), line, line])
 
 
-def naf_tvma(weights, f0: float, n: int, q: int = DEFAULT_GRID_SIZE) -> NAFReference:
+def naf_tvma(weights, f0: float, n: int) -> NAFReference:
     """Reference surface of the time-varying MA: three lag bands at
     nu in {0, +-2 f0} and |tau| <= L, with values given by shifted-spectrum
     integrals of the real MA density."""
     TimeVaryingMA(tuple(weights), f0).validate(n)
-    order, cells = len(weights) - 1, {}
+    lags = np.arange(1 - len(weights), len(weights))  # |tau| <= L
 
     def dens(f):
         return ma_real_spectral_density(weights, 1.0, f)
 
-    for lag in range(-order, order + 1):
-        scale = n - abs(lag)
-        center = _quad(
-            lambda f: (dens(f - f0) + dens(f + f0)) * np.exp(2j * np.pi * f * lag), 0.0, 0.5, q
-        )
-        plus = -_quad(
-            lambda f: dens(f + f0) * np.exp(2j * np.pi * f * lag), 0.0, 0.5 - 2.0 * f0, q
-        )
-        minus = -_quad(
-            lambda f: dens(f - f0) * np.exp(2j * np.pi * f * lag), 2.0 * f0, 0.5, q
-        )
-        cells[_nearest(n, lag, 0.0)] = scale * center
-        cells[_nearest(n, lag, 2.0 * f0)] = scale * plus
-        cells[_nearest(n, lag, -2.0 * f0)] = scale * minus
-    return _reference(n, cells)
+    def band(fn, a, b):
+        # One quadrature for every lag: the lag axis runs down a column.
+        return _quad(lambda f: fn(f) * np.exp(2j * np.pi * f * lags[:, None]), a, b)
+
+    center = band(lambda f: dens(f - f0) + dens(f + f0), 0.0, 0.5)
+    plus = -band(lambda f: dens(f + f0), 0.0, 0.5 - 2.0 * f0)
+    minus = -band(lambda f: dens(f - f0), 2.0 * f0, 0.5)
+    values = (n - np.abs(lags)) * np.stack([center, plus, minus])
+    return _reference(n, lags, np.array([[0.0], [2.0 * f0], [-2.0 * f0]]), values)
 
 
 def naf_noise(psd: float, n: int) -> NAFReference:
@@ -633,7 +612,7 @@ def naf_noise(psd: float, n: int) -> NAFReference:
     the origin carries the mean N * psd / 2 (the real-noise ambiguity
     support is the origin alone)."""
     AnalyticWhiteNoise(psd).validate(n)
-    return _reference(n, {_nearest(n, 0, 0.0): n * psd / 2.0})
+    return _reference(n, 0, 0.0, n * psd / 2.0)
 
 
 def naf_for_process(spec: ProcessSpec, n: int) -> NAFReference:

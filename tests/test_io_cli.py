@@ -538,6 +538,17 @@ class TestCliPipeline:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and "nu" in err[0], err
 
+    @pytest.mark.parametrize("prop", ["1", "2", "3", "thm1"])
+    @pytest.mark.parametrize("nu", ["nan", "inf", "-inf"])
+    def test_moments_rejects_non_finite_nu(self, prop, nu, tmp_path, capsys):
+        # thm1 used to exit 0 and print NaN / Infinity, which is not JSON
+        out = tmp_path / "m.json"
+        assert main(["moments", "--prop", prop, "--n", "64", f"--nu={nu}", "--tau", "1",
+                     "-o", str(out)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "nu" in err[0], err
+        assert not out.exists()
+
     def test_list_flags(self, tmp_path, capsys):
         # a float list takes spaces but no empty item; a name list skips empty items
         sig, out = tmp_path / "s.csv", tmp_path / "r.json"

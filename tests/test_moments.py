@@ -31,6 +31,7 @@ from afkit.sigcore import (
     TimeVaryingMA,
     UniformlyModulated,
     dirichlet,
+    PROCESSES,
     generate,
 )
 
@@ -144,7 +145,7 @@ class TestProp2:
     def test_mean_at_zero_frequency(self):
         n = 256
         auto = {3: 0.4 + 0.2j}
-        spectrum = ma_analytic_spectrum(DEFAULT_MA_WEIGHTS, 1.0, q=2**12)
+        spectrum = ma_analytic_spectrum(DEFAULT_MA_WEIGHTS, 1.0)
         trip = prop2_moments(auto, spectrum, 0.0, 3, n)
         assert trip.mean == pytest.approx((n - 3) * (0.4 + 0.2j), rel=1e-12)
 
@@ -156,7 +157,7 @@ class TestProp2:
         assert trip.variance == pytest.approx(s2**2 * n / 2.0, rel=1e-6)
 
     def test_relation_magnitude_bounded(self):
-        spectrum = ma_analytic_spectrum(DEFAULT_MA_WEIGHTS, 1.0, q=2**12)
+        spectrum = ma_analytic_spectrum(DEFAULT_MA_WEIGHTS, 1.0)
         auto = dict.fromkeys(range(-6, 7), 0.0)
         for tau in (0, 2, 5):
             trip = prop2_moments(auto, spectrum, 0.11, tau, 256)
@@ -181,7 +182,7 @@ class TestProp3:
 
     def test_sinc_zero_kills_mean(self):
         # (1/2 - |nu|) tau integer and nonzero -> sinc factor vanishes
-        tab = um_modulation_spectrum(0.09, 256, q=2**12)
+        tab = um_modulation_spectrum(0.09, 256)
         trip = prop3_moments(tab, 0.25, 4, 256)
         assert abs(trip.mean) <= 1e-9 * 256
 
@@ -219,7 +220,7 @@ class TestUnderspread:
         assert got == pytest.approx(n * c**2, rel=1e-12)
 
     def test_variance_real_for_stationary_table(self):
-        table = ma_dual_time_table(DEFAULT_MA_WEIGHTS, 1.0, 128, 8, q=2**12)
+        table = ma_dual_time_table(DEFAULT_MA_WEIGHTS, 1.0, 128, 8)
         # direct complex evaluation must be real up to rounding
         taus_p = np.arange(-7, 8)
         phase = np.exp(-2j * np.pi * 0.17 * taus_p)
@@ -334,6 +335,13 @@ class TestNafMa:
         assert a0.real == pytest.approx(sum(w * w for w in DEFAULT_MA_WEIGHTS), rel=1e-9)
         assert abs(a0.imag) <= 1e-9
 
+    def test_autocorr_lag_column_equals_one_lag_at_a_time(self):
+        # one quadrature over a column of lags, bit for bit the per-lag values
+        lags = np.arange(-9, 10)
+        column = ma_analytic_autocorr(DEFAULT_MA_WEIGHTS, 1.0, lags)
+        one = [ma_analytic_autocorr(DEFAULT_MA_WEIGHTS, 1.0, int(t)) for t in lags]
+        assert column.tobytes() == np.array(one).tobytes()
+
 
 class TestNafUm:
     def test_three_cells(self):
@@ -400,6 +408,67 @@ class TestNafDispatch:
     def test_noise_reference_origin(self):
         ref = naf_for_process(AnalyticWhiteNoise(0.6), 256)
         assert ref.grid.values[255, 256] == pytest.approx(256 * 0.3)
+
+
+def _edge_specs(n):
+    # lines within a rounding of nu = +-1/2 or of each other, and a chirp whose
+    # sweep ends within 1/(4N) of 1/2
+    return [
+        UniformlyModulated(0.2499), UniformlyModulated(1e-5),
+        TimeVaryingMA(f0=0.2499), TimeVaryingMA(f0=1e-5),
+        ChirpInNoise(1.0 / (8 * n), (0.5 - 3.0 / (16 * n)) / (n - 1)),
+    ]
+
+
+class TestReferencePlacement:
+    """Every reference surface puts each line in its nearest lattice cell,
+    nu taken modulo 1, and lines that land on one cell add."""
+
+    @pytest.mark.parametrize("n", [16, 64, 256])
+    def test_support_is_mirror_symmetric(self, n):
+        # tau -> -tau, column k -> (2N - k) mod 2N: the AF symmetry
+        # A(-nu, -tau) = conj(A(nu, tau)) up to a phase; clamping nu = +1/2 to
+        # the last column broke it
+        mirror = (2 * n - np.arange(2 * n)) % (2 * n)
+        for spec in [cls() for cls in PROCESSES.values()] + _edge_specs(n):
+            mask = naf_for_process(spec, n).support_mask
+            assert np.array_equal(mask, mask[::-1, mirror]), spec
+
+    def test_coinciding_lines_add(self):
+        # all three lines of naf_um(1e-5, 64) snap to the origin; the last one
+        # used to overwrite the others, leaving -31.99872
+        ref = naf_um(1e-5, 64)
+        assert ref.cells_nonzero == 1
+        assert ref.grid.values[63, 64] == pytest.approx(64 - 128 * (0.5 - 2e-5), rel=1e-12)
+
+    @pytest.mark.parametrize("n", [16, 64, 256])
+    def test_chirp_line_at_the_band_edge_wraps(self, n):
+        # beta (N-1) snaps to nu = +1/2, which is the column of nu = -1/2; the
+        # value there is still the noise-free EMAF
+        spec = _edge_specs(n)[-1]
+        ref = naf_chirp(spec.alpha, spec.beta, n)
+        assert ref.support_mask[2 * n - 2, 0]
+        emaf = compute_emaf(spec.chirp(n)).values
+        assert np.abs(ref.grid.values - emaf)[ref.support_mask].max() <= 1e-12 * n
+
+    @pytest.mark.parametrize("n", [16, 64, 256])
+    @pytest.mark.parametrize("f0", [0.09, 0.2499, 1e-5])
+    def test_um_lines_keep_their_total(self, n, f0):
+        ref = naf_um(f0, n)
+        assert ref.grid.values.sum() == pytest.approx(n - 2 * n * (0.5 - 2 * f0), rel=1e-12)
+
+    @pytest.mark.parametrize("n", [16, 64, 256])
+    def test_tvma_bands_add_on_one_column(self, n):
+        # at f0 = 1e-5 the +-2 f0 bands share the nu = 0 column with the centre.
+        # Their sum leaves two integrals over bands of width 2 f0 of a density
+        # at most (sum |w|)^2, so it is at most (N - |tau|) 4 f0 (sum |w|)^2;
+        # one band alone (the last one used to overwrite the others) is O(N)
+        f0 = 1e-5
+        ref = naf_tvma(DEFAULT_MA_WEIGHTS, f0, n)
+        assert ref.cells_nonzero == len(DEFAULT_MA_WEIGHTS) * 2 - 1
+        assert np.count_nonzero(ref.support_mask[:, n]) == ref.cells_nonzero
+        bound = n * 4 * f0 * sum(abs(w) for w in DEFAULT_MA_WEIGHTS) ** 2
+        assert np.abs(ref.grid.values).max() <= bound
 
 
 class TestEnsembleAgreement:
