@@ -25,13 +25,13 @@ from afkit.moments import (
 )
 from afkit.sigcore import (
     DEFAULT_MA_WEIGHTS,
+    PROCESSES,
     AnalyticWhiteNoise,
     ChirpInNoise,
     MovingAverage,
     TimeVaryingMA,
     UniformlyModulated,
     dirichlet,
-    PROCESSES,
     generate,
 )
 
