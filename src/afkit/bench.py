@@ -13,6 +13,7 @@ bit-identical for a given config regardless of worker count.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -195,7 +196,10 @@ def run_bench(cfg: MCConfig, threads: int | None = None) -> MCReport:
 
     threads > 1 distributes trial blocks over worker processes; results are
     identical to a single-threaded run.  Defaults to the AFKIT_THREADS
-    environment variable, else 1.
+    environment variable, else 1.  The workers are spawned, not forked, so
+    that none carries a copy of the caller's memory; a script that calls
+    this with threads > 1 must guard its entry point with
+    ``if __name__ == "__main__":``.
     """
     cfg.validate()
     if threads is None:
@@ -231,7 +235,8 @@ def run_bench(cfg: MCConfig, threads: int | None = None) -> MCReport:
     t0 = time.perf_counter()
     if workers > 1:
         with ProcessPoolExecutor(
-            max_workers=workers, initializer=_worker_init, initargs=(cfg, naf)
+            max_workers=workers, mp_context=multiprocessing.get_context("spawn"),
+            initializer=_worker_init, initargs=(cfg, naf),
         ) as pool:
             combine(pool.map(_worker_run, blocks))
     else:
