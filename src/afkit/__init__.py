@@ -51,7 +51,6 @@ from .thresholding import (
     lbteaf,
     lteaf,
     make_partition,
-    rim_region,
     teaf,
     threshold_level,
 )

@@ -18,7 +18,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .sigcore import dirichlet, normalized_sinc
+from .sigcore import white_noise_mean
 
 __all__ = [
     "GRID_KINDS",
@@ -28,7 +28,6 @@ __all__ = [
     "RegionPartition",
     "compute_emaf",
     "lattice",
-    "standardization_base",
     "standardize",
     "to_db",
 ]
@@ -56,9 +55,6 @@ class RegionPartition:
 
     region_count: int
     region_index: np.ndarray
-
-    def cells_in(self, k: int) -> int:
-        return int(np.count_nonzero(self.region_index == k))
 
     @cached_property
     def merged(self) -> tuple:
@@ -162,20 +158,9 @@ class Lattice:
 
     @cached_property
     def bias_basis(self) -> np.ndarray:
-        """Unit-variance mean surface of analytic white noise:
-        (1/2) e^{-j pi nu (N+tau-1)} D_{N-|tau|}(nu) e^{j pi tau/2} sinc(tau/2)."""
-        n, taus, nus = self.n, self.taus[:, None], self.nus[None, :]
-        sinc_half = normalized_sinc(taus / 2.0)
-        # the sinc of a nonzero integer is exactly zero; floats leave ~1e-16
-        sinc_half[(taus % 2 == 0) & (taus != 0)] = 0.0
-        basis = (
-            0.5
-            * np.exp(-1j * np.pi * nus * (n + taus - 1.0))
-            * dirichlet(n - np.abs(taus), nus)
-            * np.exp(1j * np.pi * taus / 2.0)
-            * sinc_half
-        )
-        return _frozen(basis)
+        """Unit-variance mean surface of analytic white noise (white_noise_mean
+        on the lattice)."""
+        return _frozen(white_noise_mean(self.nus[None, :], self.taus[:, None], self.n))
 
 
 @lru_cache(maxsize=8)
@@ -208,12 +193,6 @@ class AmbiguityGrid:
     @property
     def shape(self):
         return self.values.shape
-
-    def tau_values(self) -> np.ndarray:
-        return lattice(self.n).taus
-
-    def nu_values(self) -> np.ndarray:
-        return lattice(self.n).nus
 
 
 def compute_emaf(x, workspace: np.ndarray | None = None) -> AmbiguityGrid:
@@ -254,11 +233,6 @@ def compute_emaf(x, workspace: np.ndarray | None = None) -> AmbiguityGrid:
     rows[:, :n] = spectrum[:, n:]
     rows[:, n:] = spectrum[:, :n]
     return AmbiguityGrid(rows, n, "raw")
-
-
-def standardization_base(n: int) -> np.ndarray:
-    """lattice(n).base: the variance profile (N-|tau|) * w(nu)."""
-    return lattice(n).base
 
 
 def standardize(grid: AmbiguityGrid, out: np.ndarray | None = None) -> AmbiguityGrid:

@@ -36,6 +36,7 @@ from .sigcore import (
     UniformlyModulated,
     dirichlet,
     normalized_sinc,
+    white_noise_mean,
 )
 
 __all__ = [
@@ -75,8 +76,10 @@ class MomentTriple:
     relation: complex
 
     def __post_init__(self):
-        if not np.isfinite(self.variance) or self.variance < 0:
-            raise ValueError("variance must be finite and nonnegative")
+        if not np.all(np.isfinite([self.mean, self.variance, self.relation])):
+            raise ValueError("mean, variance and relation must be finite")
+        if self.variance < 0:
+            raise ValueError("variance must be nonnegative")
         if abs(self.relation) > self.variance * (1.0 + 1e-6) + 1e-12:
             raise ValueError("relation magnitude exceeds the variance")
 
@@ -92,6 +95,8 @@ class SpectrumTable:
     f_stop: float
 
     def __post_init__(self):
+        if not (np.all(np.isfinite([self.f_start, self.f_stop])) and self.f_start < self.f_stop):
+            raise ValueError("spectrum support needs finite f_start < f_stop")
         q = self.grid_size
         if q < _MIN_GRID_SIZE or q & (q - 1):
             raise ValueError("grid_size must be a power of two >= 4096")
@@ -107,12 +112,10 @@ class SpectrumTable:
 
     def at(self, f) -> np.ndarray:
         """Linear interpolation, zero outside the table's support."""
-        f = np.asarray(f, dtype=float)
-        re = np.interp(f, self.nodes(), self.values.real, left=0.0, right=0.0)
-        im = np.interp(f, self.nodes(), self.values.imag, left=0.0, right=0.0)
-        out = re + 1j * im
-        inside = (f >= self.f_start) & (f <= self.f_stop)
-        return np.where(inside, out, 0.0)
+        f, nodes = np.asarray(f, dtype=float), self.nodes()
+        re = np.interp(f, nodes, self.values.real, left=0.0, right=0.0)
+        im = np.interp(f, nodes, self.values.imag, left=0.0, right=0.0)
+        return re + 1j * im
 
 
 def _quad(fn, a: float, b: float, q: int = DEFAULT_GRID_SIZE):
@@ -206,9 +209,7 @@ def prop1_moments(
         raise ValueError("noise PSD level must be >= 0")
 
     m = n - abs(tau)
-    mean = _emaf_at(g, nu, tau) + sigma2_w * 0.5 * np.exp(
-        -1j * np.pi * nu * (n + tau - 1)
-    ) * dirichlet(m, nu) * np.exp(1j * np.pi * tau / 2.0) * normalized_sinc(tau / 2.0)
+    mean = _emaf_at(g, nu, tau) + sigma2_w * white_noise_mean(nu, tau, n)
 
     g_tab = _windowed_transform(g, tau)
     g_neg = _windowed_transform(g, -tau)
@@ -326,28 +327,35 @@ def prop3_moments(
         0.5 - abs(nu),
     ).real
 
-    # Double integral over the admissible square, inner axis vectorized.
+    # Double integral over the admissible square: the outer axis alpha
+    # runs down a column, so one quadrature covers every inner integral.
     a, b = max(0.0, nu), 0.5 + min(0.0, nu)
-    alphas = np.linspace(a, b, 513)
-
-    def inner(alpha):
-        return _quad(
-            lambda f: mod_spectrum.at(f - alpha + nu)
-            * np.conj(mod_spectrum.at(f - nu - alpha))
-            * np.exp(2j * np.pi * (f + alpha) * tau),
-            a,
-            b,
-            1024,
-        )
-
-    inner_vals = np.array([inner(al) for al in alphas])
-    relation = np.exp(-4j * np.pi * nu * tau) * np.trapezoid(inner_vals, alphas)
+    alphas = np.linspace(a, b, 513)[:, None]
+    inner_vals = _quad(
+        lambda f: mod_spectrum.at(f - alphas + nu)
+        * np.conj(mod_spectrum.at(f - nu - alphas))
+        * np.exp(2j * np.pi * (f + alphas) * tau),
+        a,
+        b,
+        1024,
+    )
+    relation = np.exp(-4j * np.pi * nu * tau) * np.trapezoid(inner_vals, alphas[:, 0])
     variance = max(variance, 0.0)
     if abs(relation) > variance:
         # Quadrature noise can push the pseudo-variance a hair past the
         # variance; clip to keep the triple admissible.
         relation = relation * (variance / abs(relation)) if variance > 0 else 0.0
     return MomentTriple(complex(mean), float(variance), complex(relation))
+
+
+def _checked_table(m_table, t_spread: int) -> np.ndarray:
+    """m_table as a complex array, checked to be 2-D with 2T-1 lag columns."""
+    if t_spread < 1:
+        raise ValueError("spread bound must be >= 1")
+    m_table = np.asarray(m_table, dtype=complex)
+    if m_table.ndim != 2 or m_table.shape[1] != 2 * t_spread - 1:
+        raise ValueError("moment table must be 2-D with 2*T-1 lag columns")
+    return m_table
 
 
 def underspread_variance(m_table: np.ndarray, t_spread: int, nu: float, tau: int) -> float:
@@ -359,20 +367,14 @@ def underspread_variance(m_table: np.ndarray, t_spread: int, nu: float, tau: int
     with out-of-range factors treated as zero.  The sum is real up to
     symmetry; the real part is returned.
     """
-    if t_spread < 1:
-        raise ValueError("spread bound must be >= 1")
-    m_table = np.asarray(m_table, dtype=complex)
-    n_t, n_lag = m_table.shape
-    if n_lag != 2 * t_spread - 1:
-        raise ValueError("moment table must have 2*T-1 lag columns")
+    m_table = _checked_table(m_table, t_spread)
+    n_t = m_table.shape[0]
     if abs(tau) >= n_t:
         return 0.0
     taus_p = np.arange(-(t_spread - 1), t_spread)
     phase = np.exp(-2j * np.pi * nu * taus_p)
-    if tau >= 0:
-        lead, lag = m_table[tau:, :], np.conj(m_table[: n_t - tau, :])
-    else:
-        lead, lag = m_table[: n_t + tau, :], np.conj(m_table[-tau:, :])
+    lo, hi = max(tau, 0), n_t + min(tau, 0)  # rows t with t and t - tau in range
+    lead, lag = m_table[lo:hi], np.conj(m_table[lo - tau : hi - tau])
     total = np.sum((lead * lag) @ phase)
     return float(total.real)
 
@@ -381,40 +383,20 @@ def underspread_relation(m_table: np.ndarray, t_spread: int, nu: float, tau: int
     """EMAF relation of a strictly underspread process.
 
     Zero for |tau| >= T (the residual there is logarithmic in N and not
-    computable from the table); for |tau| < T the double sum over time and
-    lag offsets is evaluated directly.
+    computable from the table); for |tau| < T it is the direct double sum
+    sum_t sum_tau' e^{-j2 pi nu (2t - tau')} M[t, tau'+tau] M*[t-tau, tau'-tau]
+    over both lag signs, with out-of-range factors treated as zero.
     """
-    if t_spread < 1:
-        raise ValueError("spread bound must be >= 1")
-    m_table = np.asarray(m_table, dtype=complex)
-    n_t, n_lag = m_table.shape
-    if n_lag != 2 * t_spread - 1:
-        raise ValueError("moment table must have 2*T-1 lag columns")
-    if abs(tau) >= t_spread:
+    m_table = _checked_table(m_table, t_spread)
+    n_t, c = m_table.shape[0], t_spread - 1
+    if abs(tau) >= min(t_spread, n_t):  # beyond the spread, or no row pair
         return 0.0 + 0.0j
-    if tau < 0:
-        # rel(nu, tau] = conj(rel(-nu, -tau]) e^{-j4 pi nu tau} by the
-        # conjugation symmetry of the EMAF.
-        flipped = underspread_relation(m_table, t_spread, -nu, -tau)
-        return complex(np.conj(flipped) * np.exp(-4j * np.pi * nu * tau))
-
-    def m_at(t: np.ndarray, lag: int) -> np.ndarray:
-        if abs(lag) > t_spread - 1:
-            return np.zeros(t.size, dtype=complex)
-        col = lag + (t_spread - 1)
-        ok = (t >= 0) & (t < n_t)
-        out = np.zeros(t.size, dtype=complex)
-        out[ok] = m_table[t[ok], col]
-        return out
-
-    xs = np.arange(0, n_t - tau)
-    total = 0.0 + 0.0j
-    for tp in range(-(t_spread - 1), t_spread):
-        lead = m_at(xs + tau, tp + tau)
-        lag = np.conj(m_at(xs, tp - tau))
-        phase = np.exp(-2j * np.pi * nu * (2 * xs + 2 * tau - tp))
-        total += np.sum(phase * lead * lag)
-    return complex(total)
+    padded = np.pad(m_table, ((0, 0), (c, c)))  # column j holds lag j - 2c
+    lo, hi = max(tau, 0), n_t + min(tau, 0)
+    lead = padded[lo:hi, c + tau : 3 * c + 1 + tau]
+    lag = np.conj(padded[lo - tau : hi - tau, c - tau : 3 * c + 1 - tau])
+    phase = np.exp(-2j * np.pi * nu * (2 * np.arange(lo, hi)[:, None] - np.arange(-c, c + 1)))
+    return complex(np.sum(phase * lead * lag))
 
 
 def variance_from_af(

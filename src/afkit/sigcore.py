@@ -32,6 +32,7 @@ __all__ = [
     "gaussian_noise",
     "generate",
     "normalized_sinc",
+    "white_noise_mean",
 ]
 
 # Default MA weights used by the benchmark configurations.
@@ -66,6 +67,25 @@ def dirichlet(n, f):
 def normalized_sinc(x):
     """sin(pi*x)/(pi*x), with value 1 at x = 0."""
     return np.sinc(x)
+
+
+def white_noise_mean(nu, tau, n: int):
+    """EMAF mean of analytic white noise with unit PSD level at (nu, tau]:
+    (1/2) e^{-j pi nu (N+tau-1)} D_{N-|tau|}(nu) e^{j pi tau/2} sinc(tau/2).
+
+    Broadcasts over nu and the integer lag tau.  The sinc of a nonzero
+    integer is exactly zero, so the mean is exactly zero at even tau != 0
+    (floats would leave ~1e-16 there).
+    """
+    nu, tau = np.asarray(nu, dtype=float), np.asarray(tau)
+    sinc_half = np.where((tau % 2 == 0) & (tau != 0), 0.0, normalized_sinc(tau / 2.0))
+    return (
+        0.5
+        * np.exp(-1j * np.pi * nu * (n + tau - 1.0))
+        * dirichlet(n - np.abs(tau), nu)
+        * np.exp(1j * np.pi * tau / 2.0)
+        * sinc_half
+    )
 
 
 def gaussian_noise(n: int, variance: float, seed: int) -> np.ndarray:

@@ -39,7 +39,6 @@ __all__ = [
     "lbteaf",
     "lteaf",
     "make_partition",
-    "rim_region",
     "teaf",
     "threshold_level",
     "threshold_with_details",
@@ -80,11 +79,6 @@ def threshold_level(n_x: int, c: float = 1.0) -> float:
 def make_partition(n: int, k: int = 8) -> RegionPartition:
     """lattice(n).partition(k): the centre square and K - 1 nested annuli."""
     return lattice(n).partition(k)
-
-
-def rim_region(n: int, rim_fraction: float) -> np.ndarray:
-    """lattice(n).rim(rim_fraction): the outer rim band of the plane."""
-    return lattice(n).rim(rim_fraction)
 
 
 def _median(a: np.ndarray, scratch: np.ndarray | None = None):

@@ -5,7 +5,6 @@ from afkit.emaf import (
     AmbiguityGrid,
     compute_emaf,
     lattice,
-    standardization_base,
     standardize,
     to_db,
 )
@@ -19,8 +18,8 @@ class TestGridType:
         n = 16
         g = compute_emaf(np.ones(n, dtype=complex))
         assert g.shape == (2 * n - 1, 2 * n)
-        assert g.tau_values()[0] == -(n - 1) and g.tau_values()[-1] == n - 1
-        nus = g.nu_values()
+        taus, nus = lattice(n).taus, lattice(n).nus
+        assert taus[0] == -(n - 1) and taus[-1] == n - 1
         assert nus[0] == -0.5 and nus[-1] == (n - 1) / (2 * n)
 
     @pytest.mark.parametrize("n", [4, 16, 64])
@@ -59,7 +58,7 @@ class TestComputeEmaf:
         x = np.zeros(n, dtype=complex)
         x[t0] = 1.0
         g = compute_emaf(x)
-        nus = g.nu_values()
+        nus = lattice(n).nus
         np.testing.assert_allclose(
             g.values[n - 1, :], np.exp(-2j * np.pi * nus * t0), atol=1e-12
         )
@@ -167,7 +166,7 @@ class TestStandardize:
             standardize(s)
 
     def test_base_grid_cached_readonly(self):
-        base = standardization_base(32)
+        base = lattice(32).base
         assert not base.flags.writeable
 
 

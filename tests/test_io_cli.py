@@ -8,7 +8,7 @@ import pytest
 
 from afkit import gridio
 from afkit.cli import main
-from afkit.emaf import AmbiguityGrid, compute_emaf
+from afkit.emaf import AmbiguityGrid, compute_emaf, lattice
 from afkit.moments import naf_um
 from afkit.sigcore import MovingAverage, generate
 from afkit.thresholding import ThresholdConfig, teaf, threshold_with_details
@@ -133,9 +133,9 @@ def _oracle_grid(path, grid, process=None):
         header += f", process={process}"
     with open(path, "w") as fh:
         fh.write(header + "\n")
-        for m, tau in enumerate(grid.tau_values()):
+        for m, tau in enumerate(lattice(grid.n).taus):
             row = grid.values[m]
-            for k, nu in enumerate(grid.nu_values()):
+            for k, nu in enumerate(lattice(grid.n).nus):
                 fh.write(f"{tau},{nu:.17g},{row[k].real:.17g},{row[k].imag:.17g}\n")
 
 

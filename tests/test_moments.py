@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from afkit.emaf import compute_emaf
+from afkit.emaf import compute_emaf, lattice
 from afkit.moments import (
     MomentTriple,
     SpectrumTable,
@@ -60,6 +60,51 @@ def sinc_overlap_quadrature(a, half_width=2000.0, step=0.02):
     return body + tail
 
 
+def prop3_relation_loop(mod_spectrum, nu, tau):
+    """Prop 3 relation with one inner quadrature per outer node (oracle)."""
+    a, b = max(0.0, nu), 0.5 + min(0.0, nu)
+    alphas = np.linspace(a, b, 513)
+
+    def inner(alpha):
+        fs = np.linspace(a, b, 1025)
+        vals = (
+            mod_spectrum.at(fs - alpha + nu)
+            * np.conj(mod_spectrum.at(fs - nu - alpha))
+            * np.exp(2j * np.pi * (fs + alpha) * tau)
+        )
+        return np.trapezoid(vals, fs)
+
+    inner_vals = np.array([inner(al) for al in alphas])
+    return np.exp(-4j * np.pi * nu * tau) * np.trapezoid(inner_vals, alphas)
+
+
+def underspread_relation_loop(m_table, t_spread, nu, tau):
+    """Underspread relation for tau >= 0, one pass per lag offset (oracle)."""
+    n_t = m_table.shape[0]
+    if tau >= t_spread:
+        return 0j
+
+    def m_at(t, lag):
+        out = np.zeros(t.size, dtype=complex)
+        if abs(lag) <= t_spread - 1:
+            ok = (t >= 0) & (t < n_t)
+            out[ok] = m_table[t[ok], lag + t_spread - 1]
+        return out
+
+    xs = np.arange(0, n_t - tau)
+    total = 0j
+    for tp in range(1 - t_spread, t_spread):
+        phase = np.exp(-2j * np.pi * nu * (2 * xs + 2 * tau - tp))
+        total += np.sum(phase * m_at(xs + tau, tp + tau) * np.conj(m_at(xs, tp - tau)))
+    return total
+
+
+def nonstationary_table(n, t_spread):
+    """The MA dual-time table with each row scaled by a seeded random factor."""
+    table = ma_dual_time_table(DEFAULT_MA_WEIGHTS, 1.0, n, t_spread)
+    return table * np.random.default_rng(17).uniform(0.5, 1.5, size=(n, 1))
+
+
 class TestLValue:
     def test_zero_offset(self):
         assert l_value(10, 0.0) == pytest.approx(1.0)
@@ -101,6 +146,18 @@ class TestMomentTripleInvariants:
     def test_equality_allowed(self):
         MomentTriple(0j, 1.0, 1.0 + 0j)
 
+    @pytest.mark.parametrize(
+        "mean, relation", [(complex("nan"), 0j), (0j, complex("nan")), (complex(np.inf, 0), 0j)]
+    )
+    def test_non_finite_mean_or_relation_rejected(self, mean, relation):
+        with pytest.raises(ValueError):
+            MomentTriple(mean, 1.0, relation)
+
+    def test_nan_autocorrelation_rejected(self):
+        spectrum = ma_analytic_spectrum(DEFAULT_MA_WEIGHTS, 1.0)
+        with pytest.raises(ValueError):
+            prop2_moments({3: float("nan")}, spectrum, 0.1, 3, 256)
+
 
 class TestSpectrumTable:
     def test_power_of_two_enforced(self):
@@ -112,6 +169,14 @@ class TestSpectrumTable:
         assert tab.at(-0.1) == 0.0
         assert tab.at(0.6) == 0.0
         assert tab.at(0.25) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize(
+        "f_start, f_stop", [(0.5, 0.0), (0.25, 0.25), (np.nan, 0.5), (0.0, np.inf), (-np.inf, 0.5)]
+    )
+    def test_empty_or_non_finite_support_rejected(self, f_start, f_stop):
+        # such a table used to answer 0 everywhere
+        with pytest.raises(ValueError):
+            SpectrumTable(np.ones(2**12 + 1, dtype=complex), f_start, f_stop)
 
 
 class TestProp1:
@@ -139,6 +204,12 @@ class TestProp1:
     def test_lag_bound(self):
         with pytest.raises(ValueError):
             prop1_moments(np.zeros(8, dtype=complex), 0.1, 0.0, 8, 8)
+
+    @pytest.mark.parametrize("tau", [2, -2, 4, -6, 10])
+    @pytest.mark.parametrize("nu", [0.0, 0.1, -0.31])
+    def test_noise_mean_exactly_zero_at_even_lags(self, nu, tau):
+        # sinc(tau/2) of a nonzero integer is exactly zero, as in the bias basis
+        assert prop1_moments(np.zeros(64, dtype=complex), 0.5, nu, tau, 64).mean == 0
 
 
 class TestProp2:
@@ -199,6 +270,15 @@ class TestProp3:
         for nu, tau in ((0.1, 5), (-0.3, 40), (0.02, -77)):
             assert prop3_moments(tab, nu, tau, 256).variance > 0
 
+    @pytest.mark.parametrize("nu, tau", [(0.0, 0), (0.1, 5), (-0.3, 40), (0.02, -77), (-0.17, -3)])
+    def test_relation_equals_the_per_node_loop(self, nu, tau):
+        tab = um_modulation_spectrum(0.09, 256)
+        trip = prop3_moments(tab, nu, tau, 256)
+        want = prop3_relation_loop(tab, nu, tau)
+        if abs(want) > trip.variance:
+            want = want * (trip.variance / abs(want))
+        assert trip.relation == complex(want)  # bit for bit
+
 
 class TestUnderspread:
     def test_constant_table_variance(self):
@@ -231,6 +311,38 @@ class TestUnderspread:
     def test_table_shape_checked(self):
         with pytest.raises(ValueError):
             underspread_variance(np.ones((8, 4), dtype=complex), 3, 0.0, 0)
+
+    @pytest.mark.parametrize("fn", [underspread_variance, underspread_relation])
+    @pytest.mark.parametrize(
+        "table, t_spread",
+        [(np.ones(5), 3), (np.ones((2, 8, 5)), 3), (np.ones((8, 4)), 3), (np.ones((8, 1)), 0)],
+    )
+    def test_tables_checked_alike(self, fn, table, t_spread):
+        with pytest.raises(ValueError):
+            fn(table, t_spread, 0.1, 0)
+
+    @pytest.mark.parametrize("nu", [0.05, -0.2, 0.37])
+    def test_relation_conjugation_symmetry(self, nu):
+        # rel(nu, tau] = conj(rel(-nu, -tau]) e^{-j4 pi nu tau} (Hlawatsch &
+        # Boudreaux-Bartels 1992), on a table that is not stationary
+        n, t_spread = 64, 8
+        table = nonstationary_table(n, t_spread)
+        taus = np.arange(1 - t_spread, t_spread)
+        lhs = np.array([underspread_relation(table, t_spread, nu, tau) for tau in taus])
+        rhs = np.array(
+            [np.conj(underspread_relation(table, t_spread, -nu, -tau)) for tau in taus]
+        ) * np.exp(-4j * np.pi * nu * taus)
+        assert np.abs(lhs - rhs).max() <= 1e-12 * np.abs(lhs).max()
+
+    @pytest.mark.parametrize("nu", [0.0, 0.05, -0.2, 0.37])
+    def test_relation_equals_the_per_lag_loop(self, nu):
+        n, t_spread = 64, 8
+        for table in (ma_dual_time_table(DEFAULT_MA_WEIGHTS, 1.0, n, t_spread),
+                      nonstationary_table(n, t_spread)):
+            taus = range(t_spread + 1)
+            got = np.array([underspread_relation(table, t_spread, nu, tau) for tau in taus])
+            want = np.array([underspread_relation_loop(table, t_spread, nu, tau) for tau in taus])
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 class TestVarianceFromAf:
@@ -301,7 +413,7 @@ class TestNafChirp:
         spec = ChirpInNoise()
         ref = naf_chirp(spec.alpha, spec.beta, n)
         emaf = compute_emaf(spec.chirp(n)).values
-        taus = ref.grid.tau_values()[:, None]
+        taus = lattice(n).taus[:, None]
         for lags in (taus < 0, taus >= 0):
             cells = ref.support_mask & lags
             assert np.count_nonzero(cells) == np.count_nonzero(lags)

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from afkit.emaf import AmbiguityGrid, compute_emaf, standardization_base, standardize
+from afkit.emaf import AmbiguityGrid, compute_emaf, lattice, standardize
 from afkit.sigcore import (
     AnalyticWhiteNoise,
     ChirpInNoise,
@@ -22,7 +22,6 @@ from afkit.thresholding import (
     lbteaf,
     lteaf,
     make_partition,
-    rim_region,
     teaf,
     threshold_level,
     threshold_with_details,
@@ -81,7 +80,7 @@ class TestPartition:
 class TestRimRegion:
     def test_tiny_fraction_keeps_only_boundary(self):
         n = 32
-        mask = rim_region(n, 1e-9)
+        mask = lattice(n).rim(1e-9)
         taus = np.arange(-(n - 1), n)
         nus = (np.arange(2 * n) - n) / (2.0 * n)
         boundary = (np.abs(taus) == n - 1)[:, None] | (np.abs(nus) == 0.5)[None, :]
@@ -89,19 +88,19 @@ class TestRimRegion:
 
     def test_center_never_in_rim(self):
         n = 64
-        assert not rim_region(n, 0.49)[n - 1, n]
+        assert not lattice(n).rim(0.49)[n - 1, n]
 
     def test_known_cell(self):
         # nu = 0.46 has ratio 0.92 >= 0.9
         n = 256
         k = int(round(0.46 * 2 * n)) + n
-        assert rim_region(n, 0.1)[n - 1, k]
+        assert lattice(n).rim(0.1)[n - 1, k]
 
     def test_fraction_bounds(self):
         with pytest.raises(ValueError):
-            rim_region(16, 0.0)
+            lattice(16).rim(0.0)
         with pytest.raises(ValueError):
-            rim_region(16, 0.5)
+            lattice(16).rim(0.5)
 
 
 class TestEstimateSigma4:
@@ -279,7 +278,7 @@ class TestLteaf:
         allowed = set()
         for k in peaks:
             allowed |= set(range(k - 3, k + 4))
-        interior = ~rim_region(n, 0.1)
+        interior = ~lattice(n).rim(0.1)
         m0 = n - 1
         all3 = 0
         for s in range(trials):
@@ -296,7 +295,7 @@ class TestLteaf:
         x = generate(MovingAverage((1.0, 0.5), 1.0), 8, 1)
         g = compute_emaf(x)
         part = make_partition(8, 8)
-        assert min(part.cells_in(k) for k in range(8)) < MIN_REGION_CELLS
+        assert min(np.count_nonzero(part.region_index == k) for k in range(8)) < MIN_REGION_CELLS
         out = lteaf(g, part, ThresholdConfig(region_count=8))
         assert out.kind == "thresholded"
         labels, cell_region, order, bounds = part.merged
