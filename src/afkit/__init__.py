@@ -38,16 +38,13 @@ from .sigcore import (
     UniformlyModulated,
     analytic_signal,
     dirichlet,
-    gaussian_noise,
     generate,
-    normalized_sinc,
 )
 from .spread import SpreadReport, indicator, lag_band, total_spread
 from .thresholding import (
     RegionPartition,
     ThresholdConfig,
     bias_correct,
-    estimate_sigma4,
     lbteaf,
     lteaf,
     make_partition,

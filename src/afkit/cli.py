@@ -138,7 +138,7 @@ def _cmd_emaf(args) -> int:
     grid = compute_emaf(x)
     gridio.write_grid(args.output, grid, process=process)
     if args.db:
-        gridio.write_real_grid(args.db, to_db(grid, "amplitude"), grid.n)
+        gridio.write_real_grid(args.db, to_db(grid), grid.n)
     return 0
 
 

@@ -166,6 +166,8 @@ class Lattice:
 @lru_cache(maxsize=8)
 def lattice(n: int) -> Lattice:
     """The Lattice of a length-n record, shared by every caller."""
+    if n < 2:
+        raise ValueError("need at least two samples")
     return Lattice(n)
 
 
@@ -211,8 +213,6 @@ def compute_emaf(x, workspace: np.ndarray | None = None) -> AmbiguityGrid:
     """
     x = np.asarray(x, dtype=complex)
     n = x.size
-    if n < 2:
-        raise ValueError("need at least two samples")
     lat = lattice(n)
     shape = lat.shape
     if workspace is None:
@@ -249,26 +249,14 @@ def standardize(grid: AmbiguityGrid, out: np.ndarray | None = None) -> Ambiguity
     return AmbiguityGrid(values, grid.n, "standardized")
 
 
-def to_db(grid, mode: str = "amplitude") -> np.ndarray:
-    """Decibel display transform of a grid.
+def to_db(grid) -> np.ndarray:
+    """Amplitude decibel display transform of a grid: 20*log10(|v|).
 
-    amplitude mode: 20*log10(|v|) of a complex grid; power mode:
-    10*log10(v) of a real nonnegative grid.  Inputs with magnitude below
-    1e-15 clamp to -300 dB.
+    Inputs with magnitude below 1e-15 clamp to -300 dB.
     """
     values = grid.values if isinstance(grid, AmbiguityGrid) else np.asarray(grid)
-    if mode == "amplitude":
-        mag = np.abs(values)
-    elif mode == "power":
-        if np.iscomplexobj(values):
-            values = values.real
-        if np.any(values < 0):
-            raise ValueError("power mode requires a nonnegative real grid")
-        mag = values
-    else:
-        raise ValueError(f"unknown dB mode {mode!r}")
+    mag = np.abs(values)
     out = np.full(mag.shape, DB_FLOOR)
     ok = mag >= DB_CLAMP_FLOOR
-    factor = 20.0 if mode == "amplitude" else 10.0
-    out[ok] = factor * np.log10(mag[ok])
+    out[ok] = 20.0 * np.log10(mag[ok])
     return out

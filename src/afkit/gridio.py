@@ -1,12 +1,9 @@
-"""File formats: signal CSV, grid CSV, optional grid binary, mask CSV.
+"""File formats: signal CSV, grid CSV, mask CSV.
 
 Signal CSV    header `# afkit-signal v1, n=<N>[, process=<name>]`,
               rows `t,re,im` at 17 significant digits.
 Grid CSV      header `# afkit-grid v1, n=<N>, kind=<kind>[, process=<name>]`,
               rows `tau,nu,re,im`, row-major over the lattice.
-Grid binary   32-byte header (magic "AFKITGRD", u32 version, u32 n,
-              u32 kind code, zero padding) then row-major little-endian
-              complex doubles.
 Mask CSV      header `# afkit-mask v1, n=<N>`, rows `tau,nu,indicator`.
 
 The optional process field carries provenance so downstream commands can
@@ -16,7 +13,6 @@ trips lossless for doubles.
 
 from __future__ import annotations
 
-import struct
 import warnings
 
 import numpy as np
@@ -27,17 +23,12 @@ from .sigcore import PROCESSES
 __all__ = [
     "FileFormatError",
     "load_grid",
-    "load_grid_binary",
     "load_signal",
     "write_grid",
-    "write_grid_binary",
     "write_mask",
     "write_real_grid",
     "write_signal",
 ]
-
-_MAGIC = b"AFKITGRD"
-_BINARY_VERSION = 1
 
 
 class FileFormatError(Exception):
@@ -167,35 +158,3 @@ def write_real_grid(path, values: np.ndarray, n: int, kind: str = "reference") -
 
 def write_mask(path, mask: np.ndarray, n: int) -> None:
     _write_rows(path, f"# afkit-mask v1, n={n}", *_lattice_text(n, "%d"), np.asarray(mask))
-
-
-def write_grid_binary(path, grid: AmbiguityGrid) -> None:
-    kind_code = GRID_KINDS.index(grid.kind)
-    header = _MAGIC + struct.pack("<III", _BINARY_VERSION, grid.n, kind_code)
-    header = header.ljust(32, b"\x00")
-    data = np.ascontiguousarray(grid.values, dtype="<c16")
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(data.tobytes())
-
-
-def load_grid_binary(path) -> AmbiguityGrid:
-    with open(path, "rb") as fh:
-        header = fh.read(32)
-        if len(header) != 32 or header[:8] != _MAGIC:
-            raise FileFormatError("not an afkit grid binary")
-        version, n, kind_code = struct.unpack("<III", header[8:20])
-        if version != _BINARY_VERSION:
-            raise FileFormatError(f"unsupported grid binary version {version}")
-        if kind_code >= len(GRID_KINDS):
-            raise FileFormatError("unknown grid kind code")
-        if n < 2:
-            raise FileFormatError(f"grid binary declares n={n}, need n >= 2")
-        raw = fh.read()
-    shape = lattice(n).shape
-    expected = 16 * shape[0] * shape[1]
-    if len(raw) != expected:
-        raise FileFormatError(f"grid binary holds {len(raw)} data bytes, expected {expected}")
-    values = np.frombuffer(raw, dtype="<c16").reshape(shape).copy()
-    _check_finite(values, "grid binary")
-    return AmbiguityGrid(values, n, GRID_KINDS[kind_code])

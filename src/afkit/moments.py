@@ -35,7 +35,6 @@ from .sigcore import (
     TimeVaryingMA,
     UniformlyModulated,
     dirichlet,
-    normalized_sinc,
     white_noise_mean,
 )
 
@@ -95,6 +94,8 @@ class SpectrumTable:
     f_stop: float
 
     def __post_init__(self):
+        if np.ndim(self.values) != 1:
+            raise ValueError("spectrum values must be a 1-D array")
         if not (np.all(np.isfinite([self.f_start, self.f_stop])) and self.f_start < self.f_stop):
             raise ValueError("spectrum support needs finite f_start < f_stop")
         q = self.grid_size
@@ -134,30 +135,17 @@ def l_value(m: int, nu: float) -> float:
     """
     if m < 1:
         raise ValueError("kernel length must be >= 1")
-    return float(normalized_sinc(2.0 * m * nu))
+    return float(np.sinc(2.0 * m * nu))
 
 
-class _PeriodicTable:
-    """Values of a 1-periodic function on q uniform nodes over [0, 1)."""
-
-    def __init__(self, values: np.ndarray):
-        self.values = np.append(values, values[0])
-        self.q = values.size
-
-    def at(self, f) -> np.ndarray:
-        pos = (np.asarray(f, dtype=float) % 1.0) * self.q
-        grid = np.arange(self.q + 1, dtype=float)
-        re = np.interp(pos, grid, self.values.real)
-        im = np.interp(pos, grid, self.values.imag)
-        return re + 1j * im
-
-
-def _windowed_transform(g: np.ndarray, tau: int) -> _PeriodicTable:
-    # Transform of the lag-windowed signal: first N-|tau| samples for
-    # tau >= 0, the trailing N-|tau| samples re-anchored at zero otherwise.
+def _windowed_transform(g: np.ndarray, tau: int) -> SpectrumTable:
+    # Transform of the lag-windowed signal over one period [0, 1]: first
+    # N-|tau| samples for tau >= 0, the trailing N-|tau| samples re-anchored
+    # at zero otherwise.  The period's end repeats its start.
     n = g.size
     w = g[: n - tau] if tau >= 0 else g[-tau:]
-    return _PeriodicTable(np.fft.fft(w, DEFAULT_GRID_SIZE))
+    values = np.fft.fft(w, DEFAULT_GRID_SIZE)
+    return SpectrumTable(np.append(values, values[0]), 0.0, 1.0)
 
 
 def _emaf_at(x: np.ndarray, nu: float, tau: int) -> complex:
@@ -173,6 +161,8 @@ def _emaf_at(x: np.ndarray, nu: float, tau: int) -> complex:
 
 def _check_cell(nu: float, tau: int, n: int) -> None:
     """Reject a (nu, tau) point off the ambiguity plane of a length-n record."""
+    if n < 2:
+        raise ValueError("need at least two samples")
     if abs(tau) >= n:
         raise ValueError("|tau| must be < n")
     if not -0.5 < nu < 0.5:
@@ -229,7 +219,7 @@ def prop1_moments(
     def hprime_integrand(f):
         return (
             np.conj(g_tab.at(f))
-            * g_neg.at(f + 2.0 * nu)
+            * g_neg.at((f + 2.0 * nu) % 1.0)
             * np.exp(2j * np.pi * (f - sign * nu) * tau)
         )
 
@@ -237,7 +227,7 @@ def prop1_moments(
     if tau == 0:
         ridge = -0.5
     else:
-        ridge = abs(nu) * normalized_sinc(2.0 * abs(nu) * tau)
+        ridge = abs(nu) * np.sinc(2.0 * abs(nu) * tau)
     relation = (
         -(sigma2_w**2) * m * l_value(m, nu) * np.exp(-2j * np.pi * nu * (n - 1)) * ridge
         + 2.0 * sigma2_w * h_prime
@@ -317,7 +307,7 @@ def prop3_moments(
         w_nu
         * complex(mod_spectrum.at(nu))
         * np.exp(1j * np.pi * w_nu * tau)
-        * normalized_sinc(w_nu * tau)
+        * np.sinc(w_nu * tau)
     )
     variance = _quad(
         lambda f: np.abs(mod_spectrum.at(f)) ** 2

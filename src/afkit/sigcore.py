@@ -3,9 +3,8 @@
 Provides the test processes used throughout the package (a linear chirp in
 analytic white noise, a moving-average process, uniformly modulated white
 noise, a time-varying MA and analytic white noise) and their registry
-PROCESSES, the discrete analytic-signal construction, seeded Gaussian
-noise, and the Dirichlet / sinc kernels that the moment formulas are built
-from.
+PROCESSES, the discrete analytic-signal construction, and the Dirichlet
+kernel and white-noise mean that the moment formulas are built from.
 
 All generators are pure functions of (spec, n, seed): the same inputs give
 bit-identical output regardless of thread count.
@@ -29,9 +28,7 @@ __all__ = [
     "ProcessSpec",
     "analytic_signal",
     "dirichlet",
-    "gaussian_noise",
     "generate",
-    "normalized_sinc",
     "white_noise_mean",
 ]
 
@@ -64,11 +61,6 @@ def dirichlet(n, f):
     return out
 
 
-def normalized_sinc(x):
-    """sin(pi*x)/(pi*x), with value 1 at x = 0."""
-    return np.sinc(x)
-
-
 def white_noise_mean(nu, tau, n: int):
     """EMAF mean of analytic white noise with unit PSD level at (nu, tau]:
     (1/2) e^{-j pi nu (N+tau-1)} D_{N-|tau|}(nu) e^{j pi tau/2} sinc(tau/2).
@@ -78,7 +70,7 @@ def white_noise_mean(nu, tau, n: int):
     (floats would leave ~1e-16 there).
     """
     nu, tau = np.asarray(nu, dtype=float), np.asarray(tau)
-    sinc_half = np.where((tau % 2 == 0) & (tau != 0), 0.0, normalized_sinc(tau / 2.0))
+    sinc_half = np.where((tau % 2 == 0) & (tau != 0), 0.0, np.sinc(tau / 2.0))
     return (
         0.5
         * np.exp(-1j * np.pi * nu * (n + tau - 1.0))
@@ -86,19 +78,6 @@ def white_noise_mean(nu, tau, n: int):
         * np.exp(1j * np.pi * tau / 2.0)
         * sinc_half
     )
-
-
-def gaussian_noise(n: int, variance: float, seed: int) -> np.ndarray:
-    """n i.i.d. zero-mean Gaussian samples with the given variance.
-
-    Deterministic in the seed; rejects non-positive variance.
-    """
-    if n < 1:
-        raise ValueError("need at least one sample")
-    if variance <= 0:
-        raise ValueError("variance must be positive")
-    rng = np.random.Generator(np.random.PCG64(seed))
-    return rng.normal(0.0, np.sqrt(variance), n)
 
 
 def analytic_signal(x) -> np.ndarray:
@@ -185,8 +164,8 @@ class ChirpInNoise:
                 "chirp sweeps out of (0, 1/2) over the record: "
                 f"alpha + beta*(n-1) = {end:g}"
             )
-        if self.noise_psd < 0:
-            raise ValueError("noise PSD level must be >= 0")
+        if not 0.0 <= self.noise_psd < np.inf:
+            raise ValueError("noise PSD level must be finite and >= 0")
 
     def chirp(self, n: int) -> np.ndarray:
         """The noise-free chirp samples t = 0..n-1."""
@@ -221,8 +200,8 @@ class MovingAverage:
             raise ValueError("weights must be a finite 1-D sequence")
         if w[0] == 0:
             raise ValueError("leading MA weight must be nonzero")
-        if self.xi_var <= 0:
-            raise ValueError("innovation variance must be positive")
+        if not 0.0 < self.xi_var < np.inf:
+            raise ValueError("innovation variance must be finite and positive")
         if w.size - 1 >= n:
             raise ValueError("MA order must be smaller than the record length")
 
@@ -295,8 +274,8 @@ class AnalyticWhiteNoise:
     psd: float = 0.6
 
     def validate(self, n: int) -> None:
-        if self.psd <= 0:
-            raise ValueError("PSD level must be positive")
+        if not 0.0 < self.psd < np.inf:
+            raise ValueError("PSD level must be finite and positive")
 
     def _draw(self, n: int, rng: np.random.Generator) -> np.ndarray:
         return _analytic_white_noise(n, self.psd, rng)

@@ -35,7 +35,6 @@ __all__ = [
     "SurvivorKernel",
     "ThresholdConfig",
     "bias_correct",
-    "estimate_sigma4",
     "lbteaf",
     "lteaf",
     "make_partition",
@@ -59,8 +58,8 @@ class ThresholdConfig:
     method: str = "teaf"
 
     def validate(self) -> None:
-        if self.c_exponent < 1.0:
-            raise ValueError("threshold exponent must be >= 1")
+        if not 1.0 <= self.c_exponent < math.inf:
+            raise ValueError("threshold exponent must be finite and >= 1")
         if self.region_count < 1:
             raise ValueError("need at least one region")
         if not 0.0 < self.rim_fraction < 0.5:
@@ -115,13 +114,6 @@ def _sigma4(power: np.ndarray, scratch: np.ndarray | None = None) -> float:
     if not math.isfinite(sigma4):
         raise ValueError("variance estimate is not finite: the grid holds NaN or inf")
     return sigma4
-
-
-def estimate_sigma4(std_grid: AmbiguityGrid, mask: np.ndarray) -> float:
-    """Robust variance estimate: median of |standardized|^2 over mask / ln 2."""
-    if std_grid.kind != "standardized":
-        raise ValueError("variance estimation expects a standardized grid")
-    return _sigma4(_power(std_grid.values[mask]))
 
 
 def bias_correct(grid: AmbiguityGrid, sigma2_w: float) -> AmbiguityGrid:

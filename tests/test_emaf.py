@@ -174,24 +174,15 @@ class TestToDb:
     def test_amplitude_unit(self):
         vals = np.array([[1.0 + 0j]])
         g = AmbiguityGrid(np.ones((31, 32), dtype=complex), 16)
-        assert to_db(g, "amplitude")[0, 0] == pytest.approx(0.0)
-
-    def test_power_hundred(self):
-        arr = np.full((3, 3), 100.0)
-        assert to_db(arr, "power")[1, 1] == pytest.approx(20.0)
+        assert to_db(g)[0, 0] == pytest.approx(0.0)
 
     def test_zero_clamps(self):
         arr = np.zeros((2, 2))
-        assert np.all(to_db(arr, "power") == -300.0)
-        assert np.all(to_db(arr.astype(complex), "amplitude") == -300.0)
-
-    def test_power_rejects_negative(self):
-        with pytest.raises(ValueError):
-            to_db(np.array([[-1.0]]), "power")
+        assert np.all(to_db(arr.astype(complex)) == -300.0)
 
     def test_realistic_grid(self):
         x = generate(MovingAverage(), 64, 0)
         g = compute_emaf(x)
-        db = to_db(g, "amplitude")
+        db = to_db(g)
         assert np.all(np.isfinite(db))
         assert db.max() == pytest.approx(20 * np.log10(np.abs(g.values).max()))

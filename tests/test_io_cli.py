@@ -1,5 +1,4 @@
 import json
-import struct
 import warnings
 from pathlib import Path
 
@@ -55,35 +54,6 @@ class TestGridCsv:
         first = path.read_text().splitlines()[0]
         assert first.startswith("# afkit-grid v1, n=8, kind=thresholded")
 
-    def test_binary_round_trip(self, tmp_path, rng):
-        x = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-        g = compute_emaf(x)
-        path = tmp_path / "grid.bin"
-        gridio.write_grid_binary(path, g)
-        back = gridio.load_grid_binary(path)
-        np.testing.assert_array_equal(back.values, g.values)
-        assert back.kind == g.kind and back.n == g.n
-        assert path.read_bytes()[:8] == b"AFKITGRD"
-
-    def test_binary_rejects_garbage(self, tmp_path):
-        valid = tmp_path / "valid.bin"
-        gridio.write_grid_binary(valid, compute_emaf(np.ones(8, dtype=complex)))
-        truncated = valid.read_bytes()[:-16]  # one cell short
-        path = tmp_path / "x.bin"
-        for data in (b"NOTAGRID" + b"\x00" * 64, truncated):
-            path.write_bytes(data)
-            with pytest.raises(gridio.FileFormatError):
-                gridio.load_grid_binary(path)
-
-    def test_binary_rejects_small_n(self, tmp_path):
-        # n = 0 used to fail in numpy's reshape (exit 2), n = 1 loaded a 1x2 grid
-        path = tmp_path / "x.bin"
-        for n in (0, 1):
-            header = (b"AFKITGRD" + struct.pack("<III", 1, n, 0)).ljust(32, b"\x00")
-            path.write_bytes(header + b"\x00" * 16 * (2 * n - 1) * 2 * n)
-            with pytest.raises(gridio.FileFormatError, match="n >= 2"):
-                gridio.load_grid_binary(path)
-
     def test_rejects_duplicated_row(self, tmp_path):
         path = tmp_path / "grid.csv"
         gridio.write_grid(path, compute_emaf(np.ones(8, dtype=complex)))
@@ -96,13 +66,10 @@ class TestGridCsv:
     def test_rejects_non_finite_values(self, tmp_path):
         g = compute_emaf(np.ones(8, dtype=complex))
         g.values[3, 4] = np.nan
-        csv, binary = tmp_path / "grid.csv", tmp_path / "grid.bin"
+        csv = tmp_path / "grid.csv"
         gridio.write_grid(csv, g)
-        gridio.write_grid_binary(binary, g)
         with pytest.raises(gridio.FileFormatError):
             gridio.load_grid(csv)
-        with pytest.raises(gridio.FileFormatError):
-            gridio.load_grid_binary(binary)
 
     def test_mask_rows(self, tmp_path):
         ref = naf_um(0.09, 8)
@@ -488,10 +455,19 @@ class TestCliPipeline:
     def test_unknown_flag_exits_2(self):
         assert main(["gen", "--bogus", "1", "-o", "x.csv"]) == 2
 
-    def test_invalid_process_parameter_exits_2(self, tmp_path):
-        code = main(["gen", "--process", "um", "--f0", "0.4", "--n", "64",
-                     "-o", str(tmp_path / "s.csv")])
+    def test_invalid_process_parameter_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        code = main(["gen", "--process", "um", "--f0", "0.4", "--n", "64", "-o", str(out)])
         assert code == 2
+        capsys.readouterr()
+        # naf --n 1 used to write a grid that load_grid rejects; --n 0 and -3 exited
+        # with numpy's text
+        for process in ("um", "chirp", "noise"):
+            for n in ("1", "0", "-3"):
+                code = main(["naf", "--process", process, "--n", n, "-o", str(out)])
+                assert code == 2 and not out.exists(), (process, n)
+                err = capsys.readouterr().err.strip().splitlines()
+                assert len(err) == 1 and "two samples" in err[0], err
 
     def test_moments_command(self, tmp_path, capsys):
         assert main(["moments", "--prop", "2", "--process", "ma", "--n", "64",
@@ -521,9 +497,10 @@ class TestCliPipeline:
         [["--prop", "3", "--process", "ma"], ["--prop", "1", "--process", "noise"],
          ["--prop", "thm1", "--process", "tvma"], ["--prop", "2", "--weights", "0,1"],
          ["--prop", "thm1", "--xi-var", "-1"], ["--prop", "3", "--f0", "0.3"],
-         ["--prop", "1", "--noise-psd", "-1"]],
+         ["--prop", "1", "--noise-psd", "-1"], ["--prop", "3", "--n", "1", "--tau", "0"],
+         ["--prop", "1", "--n", "1", "--tau", "0"]],
         ids=["prop3-ma", "prop1-noise", "thm1-tvma", "zero-lead-weight", "xi-var", "um-f0",
-             "noise-psd"],
+             "noise-psd", "prop3-n1", "prop1-n1"],
     )
     def test_moments_rejects_bad_process(self, argv, capsys):
         assert main(["moments", "--n", "64", "--nu", "0.1", "--tau", "1"] + argv) == 2

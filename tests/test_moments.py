@@ -3,8 +3,10 @@ import pytest
 
 from afkit.emaf import compute_emaf, lattice
 from afkit.moments import (
+    DEFAULT_GRID_SIZE,
     MomentTriple,
     SpectrumTable,
+    _windowed_transform,
     l_value,
     ma_analytic_autocorr,
     ma_analytic_spectrum,
@@ -163,6 +165,9 @@ class TestSpectrumTable:
     def test_power_of_two_enforced(self):
         with pytest.raises(ValueError):
             SpectrumTable(np.ones(1000, dtype=complex), 0.0, 0.5)
+        # a column of 2^12 + 1 values used to construct and fail in np.interp
+        with pytest.raises(ValueError, match="1-D"):
+            SpectrumTable(np.ones((2**12 + 1, 1), dtype=complex), 0.0, 0.5)
 
     def test_zero_outside_support(self):
         tab = SpectrumTable(np.ones(2**12 + 1, dtype=complex), 0.0, 0.5)
@@ -180,6 +185,21 @@ class TestSpectrumTable:
 
 
 class TestProp1:
+    def test_windowed_transform_equals_the_periodic_table(self, rng):
+        # The periodic table prop1 used before, kept as the oracle: node k at
+        # position k, the argument wrapped into [0, 1) and scaled by q.  The
+        # nodes k/q differ from it by a power of two only, so bits must match.
+        g = rng.standard_normal(64) + 1j * rng.standard_normal(64)
+        f = np.concatenate([np.linspace(-0.6, 1.0, 1601), [-1e-20, 0.5, 1.0 - 2**-53]])
+        q = DEFAULT_GRID_SIZE
+        for tau in (-5, 0, 3):
+            w = g[: 64 - tau] if tau >= 0 else g[-tau:]
+            values = np.fft.fft(w, q)
+            values = np.append(values, values[0])
+            pos, nodes = (f % 1.0) * q, np.arange(q + 1, dtype=float)
+            expected = np.interp(pos, nodes, values.real) + 1j * np.interp(pos, nodes, values.imag)
+            np.testing.assert_array_equal(_windowed_transform(g, tau).at(f % 1.0), expected)
+
     def test_zero_signal_even_lag_mean_vanishes(self):
         g = np.zeros(64, dtype=complex)
         trip = prop1_moments(g, 0.5, 0.0, 2, 64)

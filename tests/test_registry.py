@@ -1,16 +1,19 @@
 """The process registry: every per-process fact is read from sigcore.PROCESSES."""
 
 import dataclasses
+import importlib
 import json
+import pkgutil
 from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
 import pytest
 
+import afkit
 from afkit import gridio, sigcore
 from afkit.bench import ESTIMATORS, MCConfig, run_bench
-from afkit.cli import _build_parser, main
+from afkit.cli import _build_parser, _flags, main
 from afkit.emaf import compute_emaf
 from afkit.moments import naf_for_process, naf_noise
 from afkit.sigcore import PROCESSES, generate
@@ -125,3 +128,49 @@ def test_settable_fields_follow_the_flag_convention(cls):
         assert items and {type(item) for item in items} in ({int}, {float}, {str}), f.name
         if f.type in ("float", float):
             assert type(f.default) is float, f.name
+
+
+def _float_flags(cls) -> list:
+    """The flags of the fields of cls whose default is a float or a tuple of floats."""
+    return [flag for flag, default in _flags(cls).items()
+            if type(default if not isinstance(default, tuple) else default[0]) is float]
+
+
+_NON_FINITE_CASES = [
+    *[(command, name, flag) for name, cls in PROCESSES.items() for flag in _float_flags(cls)
+      for command in ("gen", "bench")],
+    *[(command, "ma", flag) for flag in _float_flags(ThresholdConfig)
+      for command in ("threshold", "bench")],
+]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("command, name, flag", _NON_FINITE_CASES,
+                         ids=["-".join(case) for case in _NON_FINITE_CASES])
+def test_non_finite_parameter_exits_2(tmp_path, capsys, command, name, flag, value):
+    # gen --process chirp --noise-psd nan used to write a noise-free chirp, and
+    # bench --c nan to report a teaf spread of 0
+    out, meta = tmp_path / "out", tmp_path / "meta.json"
+    setting = f"--{flag.replace('_', '-')}={value}"
+    if command == "threshold":
+        sig, raw = str(tmp_path / "s.csv"), str(tmp_path / "raw.csv")
+        assert main(["gen", "--process", name, "--n", "16", "-o", sig]) == 0
+        assert main(["emaf", "-i", sig, "-o", raw]) == 0
+        argv = ["threshold", "-i", raw, setting, "--meta", str(meta)]
+    else:
+        argv = [command, "--process", name, "--n", "16", setting]
+        argv += ["--trials", "2"] if command == "bench" else []
+    capsys.readouterr()
+    assert main(argv + ["-o", str(out)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1, err
+    assert not out.exists() and not meta.exists()
+
+
+def test_every_exported_name_resolves():
+    modules = [m.name for m in pkgutil.iter_modules(afkit.__path__) if m.name != "__main__"]
+    for module in modules:
+        mod = importlib.import_module(f"afkit.{module}")
+        assert hasattr(mod, "__all__"), module
+        missing = [name for name in mod.__all__ if not hasattr(mod, name)]
+        assert not missing, (module, missing)

@@ -10,9 +10,7 @@ from afkit.sigcore import (
     UniformlyModulated,
     analytic_signal,
     dirichlet,
-    gaussian_noise,
     generate,
-    normalized_sinc,
 )
 
 
@@ -45,34 +43,6 @@ class TestDirichlet:
     def test_rejects_bad_order(self):
         with pytest.raises(ValueError):
             dirichlet(0, 0.1)
-
-
-class TestSinc:
-    def test_values(self):
-        assert normalized_sinc(0.0) == pytest.approx(1.0)
-        assert normalized_sinc(1.0) == pytest.approx(0.0, abs=1e-15)
-        assert normalized_sinc(0.5) == pytest.approx(0.636620, abs=1e-6)
-
-
-class TestGaussianNoise:
-    def test_deterministic(self):
-        a = gaussian_noise(4, 1.0, 7)
-        b = gaussian_noise(4, 1.0, 7)
-        np.testing.assert_array_equal(a, b)
-
-    def test_sample_variance(self):
-        x = gaussian_noise(10**5, 2.0, 42)
-        assert 1.94 <= x.var() <= 2.06
-
-    def test_sample_mean(self):
-        x = gaussian_noise(10**5, 2.0, 42)
-        assert abs(x.mean()) <= 0.014
-
-    def test_rejects_bad_variance(self):
-        with pytest.raises(ValueError):
-            gaussian_noise(10, 0.0, 1)
-        with pytest.raises(ValueError):
-            gaussian_noise(10, -1.0, 1)
 
 
 class TestAnalyticSignal:

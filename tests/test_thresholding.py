@@ -17,8 +17,8 @@ from afkit.thresholding import (
     RegionPartition,
     ThresholdConfig,
     _median,
+    _sigma4,
     bias_correct,
-    estimate_sigma4,
     lbteaf,
     lteaf,
     make_partition,
@@ -104,32 +104,16 @@ class TestRimRegion:
 
 
 class TestEstimateSigma4:
-    def _constant_std_grid(self, n, value):
-        vals = np.full((2 * n - 1, 2 * n), np.sqrt(value), dtype=complex)
-        return AmbiguityGrid(vals, n, "standardized")
+    """_sigma4, the variance rule of every estimator, on squared standardized cells."""
 
     def test_constant_grid(self):
-        n = 8
-        g = self._constant_std_grid(n, 3.0)
-        got = estimate_sigma4(g, np.ones(g.shape, bool))
-        assert got == pytest.approx(3.0 / math.log(2.0), rel=1e-12)
+        assert _sigma4(np.full(15 * 16, 3.0)) == pytest.approx(3.0 / math.log(2.0), rel=1e-12)
 
     def test_single_cell_mask(self):
-        n = 8
-        g = self._constant_std_grid(n, 1.0)
-        g.values[3, 4] = 2.0 + 0j
-        mask = np.zeros(g.shape, bool)
-        mask[3, 4] = True
-        assert estimate_sigma4(g, mask) == pytest.approx(4.0 / math.log(2.0), rel=1e-12)
+        assert _sigma4(np.array([4.0])) == pytest.approx(4.0 / math.log(2.0), rel=1e-12)
 
     def test_even_count_median(self):
-        n = 8
-        g = self._constant_std_grid(n, 1.0)
-        mask = np.zeros(g.shape, bool)
-        mask[0, 0] = mask[0, 1] = True
-        g.values[0, 0] = 1.0
-        g.values[0, 1] = np.sqrt(3.0)
-        assert estimate_sigma4(g, mask) == pytest.approx(2.0 / math.log(2.0), rel=1e-12)
+        assert _sigma4(np.array([1.0, 3.0])) == pytest.approx(2.0 / math.log(2.0), rel=1e-12)
 
     def test_noise_population_value(self):
         # squared standardized noise cells ~ sigma^4 * (1/2)chi^2_2;
@@ -139,18 +123,12 @@ class TestEstimateSigma4:
         for s in range(50):
             x = generate(AnalyticWhiteNoise(psd), n, 1000 + s)
             std = standardize(compute_emaf(x))
-            est.append(estimate_sigma4(std, np.ones(std.shape, bool)))
+            est.append(_sigma4(np.abs(std.values.ravel()) ** 2))
         assert np.mean(est) == pytest.approx(psd**2, rel=0.10)
 
     def test_empty_mask(self):
-        g = self._constant_std_grid(4, 1.0)
-        with pytest.raises(ValueError):
-            estimate_sigma4(g, np.zeros(g.shape, bool))
-
-    def test_requires_standardized(self):
-        g = compute_emaf(np.ones(8, dtype=complex))
-        with pytest.raises(ValueError):
-            estimate_sigma4(g, np.ones(g.shape, bool))
+        with pytest.raises(ValueError, match="empty region"):
+            _sigma4(np.empty(0))
 
 
 class TestMedian:
