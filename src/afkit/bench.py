@@ -118,13 +118,14 @@ class _TrialPass:
     """run_bench's fused trial pass, allocated once per process: one
     SurvivorKernel for the thresholded estimators, whose workspace also
     receives the EMAF, and the scoring, which borrows the kernel's scratch
-    grids between its passes.  A thresholded estimate is scored from its
-    keep mask, never built: its error is |raw - ref|^2 where kept and
+    grids between its passes.  Off the reference's nonzero cells the error
+    |v - ref|^2 is the |v|^2 the kernel's pass left in scratch[0]; only the
+    reference cells are recomputed.  A thresholded estimate is scored from
+    its keep mask, never built: its error is |raw - ref|^2 where kept and
     |ref|^2 elsewhere, its spread the kept fraction (same bits)."""
 
     def __init__(self, cfg: MCConfig, naf: NAFReference):
         self.cfg, self.ref = cfg, naf.grid.values
-        # a rejected cell scores |ref|^2, which is zero off the reference's nonzero cells
         self.ref_cells = np.flatnonzero(self.ref)
         self.ref_power = np.abs(self.ref.flat[self.ref_cells]) ** 2
         self.kernel = SurvivorKernel(
@@ -142,14 +143,14 @@ class _TrialPass:
             yield from self._errors(kernel.corrected(raw), ["lbteaf"])
 
     def _errors(self, values, names):
-        err, masked = self.kernel.real, self.kernel.scratch[0]
-        np.abs(np.subtract(values, self.ref, out=self.kernel.ws[1]), out=err)
-        np.square(err, out=err)
+        err, masked, cells = self.kernel.scratch[0], self.kernel.real, self.ref_cells
+        err.flat[cells] = np.square(np.abs(values.flat[cells] - self.ref.flat[cells]))
         for name in names:
-            if name == "emaf":
-                yield name, err, np.count_nonzero(values) / values.size
+            if name == "emaf":  # off the reference err is |v|^2, and |v|^2 > 0 implies v != 0
+                whole = err.all() and values.flat[cells].all()
+                yield name, err, 1.0 if whole else np.count_nonzero(values) / values.size
             else:
-                keep, cells = self.kernel.keep[name], self.ref_cells
+                keep = self.kernel.keep[name]
                 np.copyto(masked, 0.0)
                 np.copyto(masked, err, where=keep)
                 masked.flat[cells] = np.where(keep.flat[cells], err.flat[cells], self.ref_power)

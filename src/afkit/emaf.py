@@ -123,10 +123,15 @@ class Lattice:
         w[0] = 1.0 / (4.0 * self.n)
         return _frozen(w)
 
-    @cached_property
+    @property
     def base(self) -> np.ndarray:
-        """Variance profile (N-|tau|) * w(nu) of the flat-spectrum reference."""
+        """Variance profile (N-|tau|) * w(nu) of the flat-spectrum reference, built
+        per access: the lattice keeps inv_sqrt_base, 1 / sqrt(base), for standardize."""
         return _frozen(np.outer(self.n - np.abs(self.taus), self.w))
+
+    @cached_property
+    def inv_sqrt_base(self) -> np.ndarray:
+        return _frozen(1.0 / np.sqrt(self.base))
 
     def maxnorm_ratio(self, eps: float = 0.0) -> np.ndarray:
         """max(|tau|/(N-1), |nu|/(1/2)) per cell, the denominators widened by eps."""
@@ -213,8 +218,7 @@ def compute_emaf(x, workspace: np.ndarray | None = None) -> AmbiguityGrid:
     """
     x = np.asarray(x, dtype=complex)
     n = x.size
-    lat = lattice(n)
-    shape = lat.shape
+    shape = lattice(n).shape
     if workspace is None:
         rows, spectrum = np.zeros(shape, dtype=complex), np.empty(shape, dtype=complex)
     elif workspace.shape != (2,) + shape or workspace.dtype != complex:
@@ -222,12 +226,10 @@ def compute_emaf(x, workspace: np.ndarray | None = None) -> AmbiguityGrid:
     else:
         rows, spectrum = workspace
         rows.fill(0)
-    conj = np.conj(x)
-    for m, tau in enumerate(lat.taus.tolist()):
-        if tau >= 0:
-            rows[m, tau:n] = x[tau:] * conj[: n - tau]
-        else:
-            rows[m, : n + tau] = x[: n + tau] * conj[-tau:]
+    # window m, reversed, holds x*[t - tau] for tau = m - (N-1); the mask keeps +0 off the record
+    windows = np.lib.stride_tricks.sliding_window_view(np.pad(np.conj(x), n - 1), n)[::-1]
+    inside = np.lib.stride_tricks.sliding_window_view(np.pad(np.ones(n, bool), n - 1), n)[::-1]
+    np.multiply(x, windows, out=rows[:, :n], where=inside)
     np.fft.fft(rows, axis=1, out=spectrum)
     # fftshift by a half-swap: bins q >= N hold the negative frequencies
     rows[:, :n] = spectrum[:, n:]
@@ -241,11 +243,12 @@ def standardize(grid: AmbiguityGrid, out: np.ndarray | None = None) -> Ambiguity
     Under a flat one-sided spectrum the standardized cells have constant
     variance, which is what the median-based variance estimators rely on.
     Accepts raw or bias-corrected grids; out, a complex array of the grid's
-    shape, receives the values (default: a new array).
+    shape, receives the values (default: a new array).  Multiplying by
+    1 / sqrt(base) gives numpy's division bits but for the sign of a zero part.
     """
     if grid.kind not in ("raw", "bias_corrected"):
         raise ValueError("standardize expects a raw or bias-corrected grid")
-    values = np.divide(grid.values, np.sqrt(lattice(grid.n).base), out=out)
+    values = np.multiply(grid.values, lattice(grid.n).inv_sqrt_base, out=out)
     return AmbiguityGrid(values, grid.n, "standardized")
 
 

@@ -80,19 +80,22 @@ def make_partition(n: int, k: int = 8) -> RegionPartition:
     return lattice(n).partition(k)
 
 
-def _median(a: np.ndarray, scratch: np.ndarray | None = None):
+def _median(a: np.ndarray, scratch: np.ndarray | None = None, finite: bool = False):
     """np.median of a 1-D float array, bit for bit, from one partition pivot
     and a max over the lower half (np.median partitions on two or three).
     a is copied into scratch (default: a new array) and keeps its order for
     np.median itself, which decides a zero or NaN result: its partition
-    order picks the sign of a zero and the payload of a NaN."""
+    order picks the sign of a zero and the payload of a NaN.  With finite, a
+    NaN or inf anywhere (in the upper half's max) makes the result NaN."""
     part = np.empty_like(a) if scratch is None else scratch[: a.size]
     np.copyto(part, a)
     if a.size:
         k = a.size // 2
         part.partition(k)
+        if not np.isfinite(top := part[k:].max()) and finite:
+            return np.nan
         mid = part[k] if a.size % 2 else (part[:k].max() + part[k]) / 2
-        if mid != 0 and not np.isnan(part[k:].max()):
+        if mid != 0 and not np.isnan(top):
             return mid
     return np.median(a)
 
@@ -107,10 +110,10 @@ def _sigma4(power: np.ndarray, scratch: np.ndarray | None = None) -> float:
     """The variance rule of every estimator: the median of power, squared
     standardized cells, / ln 2 (the median of a 1/2 chi^2_2 variable).  The
     median of an even cell count is the mean of the two central order
-    statistics (numpy convention)."""
+    statistics (numpy convention).  Any NaN or inf cell is rejected."""
     if power.size == 0:
         raise ValueError("cannot estimate a variance from an empty region")
-    sigma4 = float(_median(power, scratch) / LN2)
+    sigma4 = float(_median(power, scratch, finite=True) / LN2)
     if not math.isfinite(sigma4):
         raise ValueError("variance estimate is not finite: the grid holds NaN or inf")
     return sigma4
@@ -141,7 +144,7 @@ class SurvivorKernel:
     ws[0], sets lbteaf's sigma4 and keep from it and returns it.
 
     ws is two complex grids, real one real grid; scratch views ws[1] as
-    two real grids.  Between calls ws[1] and real are free for the caller.
+    two real grids; a pass leaves |v|^2 in scratch[0], scratch[1] and real free.
     """
 
     def __init__(self, n: int, cfg: ThresholdConfig, methods, part: RegionPartition | None = None):
@@ -159,16 +162,16 @@ class SurvivorKernel:
         # their temporaries do not add to the peak memory.
         for p in self.parts.values():
             p.merged
-        self.base, self.basis = lat.base, lat.bias_basis if self.rim is not None else None
+        lat.inv_sqrt_base
+        self.lags, self.w = (n - np.abs(lat.taus))[:, None], lat.w  # base = lags * w, per pass
+        self.basis = lat.bias_basis if self.rim is not None else None
         self.ws, self.real = np.empty((2,) + lat.shape, dtype=complex), np.empty(lat.shape)
         self.scratch = self.ws[1].view(float).reshape((2,) + lat.shape)
         self.keep = {m: np.empty(lat.shape, dtype=bool) for m in methods}
         self.sigma4, self.sigma2_w = {}, None
 
     def survive(self, values: np.ndarray) -> None:
-        std_power = self._keep(values, "raw", [m for m in self.keep if m != "lbteaf"])
-        if self.rim is not None:
-            self.sigma2_w = math.sqrt(_sigma4(std_power[self.rim], self.scratch[0].ravel()))
+        self._keep(values, "raw", [m for m in self.keep if m != "lbteaf"], self.rim)
 
     def corrected(self, values: np.ndarray) -> np.ndarray:
         basis = np.multiply(self.sigma2_w, self.basis, out=self.ws[1])
@@ -176,25 +179,28 @@ class SurvivorKernel:
         self._keep(out, "bias_corrected", ["lbteaf"])
         return out
 
-    def _keep(self, values, kind, methods) -> np.ndarray:
-        """Set sigma4 and keep of methods from values; return |standardized values|^2."""
+    def _keep(self, values, kind, methods, rim=None) -> None:
+        """Set sigma4 and keep of methods, sigma2_w given a rim; leave |values|^2 in scratch[0]."""
         std = standardize(AmbiguityGrid(values, self.n, kind), out=self.ws[1]).values
         std_power = _power(std, out=self.real)
+        power, thr = self.scratch
         for m in methods:
             _, _, order, bounds = self.parts[m].merged
             flat = std_power.ravel()
             if order is not None:
-                flat = np.take(flat, order, out=self.scratch[0].ravel(), mode="clip")
-            median_scratch = self.scratch[1].ravel()
+                flat = np.take(flat, order, out=power.ravel(), mode="clip")
             self.sigma4[m] = np.array(
-                [_sigma4(flat[lo:hi], median_scratch) for lo, hi in zip(bounds, bounds[1:])]
+                [_sigma4(flat[lo:hi], thr.ravel()) for lo, hi in zip(bounds, bounds[1:])]
             )
-        power, thr = self.scratch
+        if rim is not None:
+            self.sigma2_w = math.sqrt(_sigma4(std_power[rim], thr.ravel()))
         _power(values, out=power)
+        base = np.multiply(self.lags, self.w, out=self.real) if methods else None
         for m in methods:
-            np.take(self.lam2 * self.sigma4[m], self.parts[m].merged[1], out=thr, mode="clip")
-            np.greater(power, np.multiply(thr, self.base, out=thr), out=self.keep[m])
-        return std_power
+            level = self.lam2 * self.sigma4[m]
+            if level.size > 1:  # per cell; one region multiplies base by a scalar
+                level = np.take(level, self.parts[m].merged[1], out=thr, mode="clip")
+            np.greater(power, np.multiply(base, level, out=thr), out=self.keep[m])
 
 
 def threshold_with_details(

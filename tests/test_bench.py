@@ -4,6 +4,7 @@ import pytest
 from afkit.bench import (
     ACCUMULATION_BLOCK,
     MCConfig,
+    _TrialPass,
     _worker_count,
     derive_trial_seed,
     mse_against_naf,
@@ -201,6 +202,22 @@ class TestRunBench:
             for name, (stats, mse_grid) in public_path_report(cfg).items():
                 assert rep.per_estimator[name].to_dict() == stats, (process, name)
                 np.testing.assert_array_equal(rep.per_estimator[name].mse_grid, mse_grid)
+
+    def test_emaf_spread_counts_when_a_cell_is_zero(self):
+        # |v|^2 > 0 everywhere gives spread 1 without a count; a unit
+        # impulse's EMAF is zero off the tau = 0 row, so the count runs
+        n = 32
+        cfg = MCConfig(MovingAverage(), n=n, trials=1, estimators=("emaf", "teaf"))
+        trial_pass = _TrialPass(cfg, naf_for_process(cfg.process, n))
+        impulse = np.zeros(n, dtype=complex)
+        impulse[0] = 1.0
+        for x in (impulse, generate(cfg.process, n, 5)):
+            raw = compute_emaf(x).values
+            spread = {name: s for name, _, s in trial_pass.scores(x)}["emaf"]
+            assert spread == np.count_nonzero(raw) / raw.size
+        assert spread == 1.0
+        raw = compute_emaf(impulse).values
+        assert np.count_nonzero(raw) == 2 * n  # the count path was the one taken above
 
     def test_threads_below_one_rejected(self, monkeypatch):
         cfg = MCConfig(MovingAverage(), n=16, trials=2, estimators=("emaf",))

@@ -168,6 +168,60 @@ class TestStandardize:
     def test_base_grid_cached_readonly(self):
         base = lattice(32).base
         assert not base.flags.writeable
+        assert not lattice(32).inv_sqrt_base.flags.writeable
+
+    @pytest.mark.parametrize("n", [2, 3, 16, 128])
+    def test_equals_the_division_bit_for_bit(self, n, rng):
+        # numpy divides v by a real s as (re + im*0) * (1/s)
+        lat = lattice(n)
+        values = rng.standard_normal(lat.shape) + 1j * rng.standard_normal(lat.shape)
+        got = standardize(AmbiguityGrid(values, n)).values
+        want = np.divide(values, np.sqrt(lat.base))
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+        # the nu = -1/2 column, whose weight is floored
+        column = [np.ascontiguousarray(v[:, 0]).view(np.uint64) for v in (got, want)]
+        np.testing.assert_array_equal(*column)
+
+    def test_zero_parts_differ_at_most_in_sign(self):
+        n = 4
+        values = np.zeros(lattice(n).shape, dtype=complex)
+        values[0, :4] = [complex(-0.0, 1.0), complex(1.0, -0.0), complex(-1.0, -0.0), complex(-0.0, -0.0)]
+        got = standardize(AmbiguityGrid(values, n)).values
+        want = np.divide(values, np.sqrt(lattice(n).base))
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal((np.abs(got) ** 2).view(np.uint64),
+                                      (np.abs(want) ** 2).view(np.uint64))
+
+
+def _emaf_per_lag_loop(x):
+    """compute_emaf as it was written before the one-call lag products: one
+    slice product per lag into zeroed rows, the FFT and the half-swap."""
+    n = x.size
+    rows = np.zeros((2 * n - 1, 2 * n), dtype=complex)
+    conj = np.conj(x)
+    for m in range(2 * n - 1):
+        tau = m - (n - 1)
+        if tau >= 0:
+            rows[m, tau:n] = x[tau:] * conj[: n - tau]
+        else:
+            rows[m, : n + tau] = x[: n + tau] * conj[-tau:]
+    spectrum = np.fft.fft(rows, axis=1)
+    rows[:, :n] = spectrum[:, n:]
+    rows[:, n:] = spectrum[:, :n]
+    return rows
+
+
+@pytest.mark.parametrize("n", [2, 3, 16, 127, 128])
+def test_lag_products_match_the_per_lag_loop(n, rng):
+    x = random_complex_signal(rng, n)
+    sparse = x.copy()
+    sparse[::3] = 0.0  # exact zeros inside the record
+    sparse[1::4] = complex(-0.0, 1.0)
+    ws = np.empty((2, 2 * n - 1, 2 * n), dtype=complex)
+    for signal in (x, sparse, -x):
+        want = _emaf_per_lag_loop(signal).view(np.uint64)
+        np.testing.assert_array_equal(compute_emaf(signal).values.view(np.uint64), want)
+        np.testing.assert_array_equal(compute_emaf(signal, ws).values.view(np.uint64), want)
 
 
 class TestToDb:

@@ -13,6 +13,7 @@ from afkit.sigcore import (
     generate,
 )
 from afkit.thresholding import (
+    METHODS,
     MIN_REGION_CELLS,
     RegionPartition,
     ThresholdConfig,
@@ -426,17 +427,16 @@ class TestThresholdWithDetails:
             lteaf(g, part, ThresholdConfig(region_count=2))
 
     def test_non_finite_grid_rejected(self):
-        # one NaN cell used to make every threshold NaN: no survivors, spread 0
+        # one NaN cell used to make every threshold NaN: no survivors, spread
+        # 0; one inf + 0j cell used to pass every estimator and survive
         g = compute_emaf(generate(ChirpInNoise(), 32, 2))
-        center = g.values.copy()
-        center[31, 32] = np.nan  # tau = 0, nu = 0
-        rim = g.values.copy()
-        rim[0, 0] = np.nan
-        for method, values in (("teaf", center), ("lteaf", center),
-                               ("lbteaf", center), ("lbteaf", rim)):
-            bad = AmbiguityGrid(values, 32)
-            with pytest.raises(ValueError, match="not finite"):
-                threshold_with_details(bad, ThresholdConfig(method=method))
+        for cell in ((31, 32), (0, 0)):  # tau = 0, nu = 0 and a rim corner
+            for bad in (np.nan, np.inf, -np.inf, complex(1, np.inf), complex(np.inf, np.inf)):
+                values = g.values.copy()
+                values[cell] = bad
+                for method in METHODS:
+                    with pytest.raises(ValueError, match="not finite"):
+                        threshold_with_details(AmbiguityGrid(values, 32), ThresholdConfig(method=method))
 
     def test_lbteaf_metadata_has_noise_level(self):
         x = generate(ChirpInNoise(), 64, 1)
