@@ -2,13 +2,14 @@
 
 Signal CSV    header `# afkit-signal v1, n=<N>[, process=<name>]`,
               rows `t,re,im` at 17 significant digits.
-Grid CSV      header `# afkit-grid v1, n=<N>, kind=<kind>[, process=<name>]`,
-              rows `tau,nu,re,im`, row-major over the lattice.
+Grid CSV      header `# afkit-grid v2, n=<N>, kind=<kind>, cells=<count>[, process=<name>]`,
+              rows `tau,nu,re,im`, row-major, for the cells that are not +0+0j
+              (absent cells load as +0+0j).  v1 (no cells=, every cell) still loads.
 Mask CSV      header `# afkit-mask v1, n=<N>`, rows `tau,nu,indicator`.
 
-The optional process field carries provenance so downstream commands can
-enforce estimator/process pairings; 17 significant digits make CSV round
-trips lossless for doubles.
+A header's version must match exactly and its fields be the version's, each once.
+The optional process field carries provenance so downstream commands can enforce
+estimator/process pairings; 17 significant digits make CSV round trips lossless.
 """
 
 from __future__ import annotations
@@ -56,29 +57,38 @@ def _write_rows(path, header: str, heads: list, cells: list, rows) -> None:
             fh.write((head + head.join(cells)) % tuple(row.tolist()))
 
 
+# The header fields each (tag, version) defines; the loaders reject any other.
+_FIELDS = {
+    ("afkit-signal", "v1"): ("n", "process"),
+    ("afkit-grid", "v1"): ("n", "kind", "process"),
+    ("afkit-grid", "v2"): ("n", "kind", "cells", "process"),
+}
+
+
 def _parse_header(line: str, tag: str) -> dict:
-    """Header fields; fields["n"] is the checked integer sample count."""
-    line = line.strip()
-    prefix = f"# {tag} v1"
-    if not line.startswith(prefix):
-        raise FileFormatError(f"not a {tag} v1 file")
+    """Header fields; fields["n"] (and fields["cells"] in v2) are checked integers."""
+    first, *parts = line.strip().split(",")
+    junk, _, version = first.partition(f"# {tag} ")
+    if junk or (tag, version) not in _FIELDS:
+        raise FileFormatError(f"not an {tag} file of a known version")
     fields = {}
-    for part in line[len(prefix) :].split(","):
-        part = part.strip()
-        if not part:
-            continue
-        key, _, value = part.partition("=")
-        fields[key.strip()] = value.strip()
+    for part in filter(None, map(str.strip, parts)):
+        key, _, value = (s.strip() for s in part.partition("="))
+        if key in fields or key not in _FIELDS[tag, version]:
+            why = "twice" if key in fields else f"but {version} defines no such field"
+            raise FileFormatError(f"the {tag} header gives {key!r} {why}")
+        fields[key] = value
     if "process" in fields and fields["process"] not in PROCESSES:
         raise FileFormatError(f"unknown process={fields['process']!r} in the {tag} header")
-    if "n" not in fields:
-        raise FileFormatError(f"the {tag} header has no n= field")
-    try:
-        fields["n"] = int(fields["n"])
-    except ValueError:
-        raise FileFormatError(f"the {tag} header has a non-integer n={fields['n']!r}") from None
-    if fields["n"] < 2:
-        raise FileFormatError(f"the {tag} header declares n={fields['n']}, need n >= 2")
+    for key, least in (("n", 2), ("cells", 0)) if version == "v2" else (("n", 2),):
+        if key not in fields:
+            raise FileFormatError(f"the {tag} header has no {key}= field")
+        try:
+            fields[key] = int(fields[key])
+        except ValueError:
+            raise FileFormatError(f"the {tag} header has a non-integer {key}={fields[key]!r}") from None
+        if fields[key] < least:
+            raise FileFormatError(f"the {tag} header declares {key}={fields[key]}, need {key} >= {least}")
     return fields
 
 
@@ -114,40 +124,55 @@ def load_signal(path):
     data = data[order]
     if (data[:, 0] != np.arange(n)).any():
         raise FileFormatError(f"signal CSV t column does not hold each of 0..{n - 1} exactly once")
-    return data[:, 1] + 1j * data[:, 2], fields.get("process")
+    return data[:, 1:].copy().view(complex)[:, 0], fields.get("process")  # keeps a -0.0 imag
 
 
 def write_grid(path, grid: AmbiguityGrid, process: str | None = None) -> None:
-    header = f"# afkit-grid v1, n={grid.n}, kind={grid.kind}"
+    """Grid CSV v2: one row per cell unless both its parts are the bit pattern +0.0."""
+    values = np.ascontiguousarray(grid.values, dtype=complex)
+    bits = values.view(np.uint64)
+    keep = (bits[:, 0::2] | bits[:, 1::2]) != 0
+    counts = np.count_nonzero(keep, axis=1).tolist()
+    header = f"# afkit-grid v2, n={grid.n}, kind={grid.kind}, cells={sum(counts)}"
     if process:
         header += f", process={process}"
-    values = np.ascontiguousarray(grid.values, dtype=complex).view(np.float64)
-    _write_rows(path, header, *_lattice_text(grid.n, "%.17g,%.17g"), values)
+    heads, cells = _lattice_text(grid.n, "%.17g,%.17g")
+    parts = values.view(np.float64).reshape(*values.shape, 2)
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for m, count in enumerate(counts):
+            if count == len(cells):  # a dense row: one fill of the whole row's template
+                fh.write((heads[m] + heads[m].join(cells)) % tuple(parts[m].ravel().tolist()))
+            elif count:
+                kept = [cells[k] for k in np.flatnonzero(keep[m]).tolist()]
+                fh.write((heads[m] + heads[m].join(kept)) % tuple(parts[m, keep[m]].ravel().tolist()))
 
 
 def load_grid(path):
     """Returns (AmbiguityGrid, process-or-None)."""
     fields, data = _read_csv(path, "afkit-grid")
-    n = fields["n"]
     kind = fields.get("kind", "raw")
     if kind not in GRID_KINDS:
         raise FileFormatError(f"cannot load a grid of kind {kind!r}")
-    lat = lattice(n)
+    lat = lattice(fields["n"])
     rows, cols = lat.shape
-    if data.shape != (rows * cols, 4):
+    count = fields.get("cells", rows * cols)  # v1 lists every cell
+    if data.shape != (count, 4) and data.size + count:  # an empty body loads as shape (0, 1)
         raise FileFormatError("grid CSV has the wrong number of rows")
+    data = data.reshape(count, 4)
     _check_finite(data, "grid CSV")
     m, k = lat.cell(data[:, 0], data[:, 1])
-    if m.min() < 0 or m.max() >= rows or k.min() < 0 or k.max() >= cols:
+    if ((m < 0) | (m >= rows) | (k < 0) | (k >= cols)).any():
         raise FileFormatError("grid CSV indices out of range")
     # tau must be an integer and nu the lattice value (k - n) / (2n) exactly, as written
     if (data[:, 0] != lat.taus[m]).any() or (data[:, 1] != lat.nus[k]).any():
         raise FileFormatError("grid CSV holds a (tau, nu) pair off the lattice")
-    if (np.bincount(m * cols + k, minlength=rows * cols) != 1).any():
-        raise FileFormatError("grid CSV does not cover every (tau, nu) cell exactly once")
+    # with no cell twice, the rows * cols rows of a v1 file cover every cell once
+    if (np.bincount(m * cols + k, minlength=rows * cols) > 1).any():
+        raise FileFormatError("grid CSV holds a (tau, nu) cell more than once")
     values = np.zeros(lat.shape, dtype=complex)
-    values[m, k] = data[:, 2] + 1j * data[:, 3]
-    return AmbiguityGrid(values, n, kind), fields.get("process")
+    values.view(np.float64).reshape(rows, cols, 2)[m, k] = data[:, 2:]  # bit for bit, -0.0 too
+    return AmbiguityGrid(values, lat.n, kind), fields.get("process")
 
 
 def write_real_grid(path, values: np.ndarray, n: int, kind: str = "reference") -> None:

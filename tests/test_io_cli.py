@@ -1,4 +1,5 @@
 import json
+import math
 import warnings
 from pathlib import Path
 
@@ -23,6 +24,14 @@ class TestSignalCsv:
         back, process = gridio.load_signal(path)
         np.testing.assert_array_equal(back, x)
         assert process == "ma"
+
+    def test_round_trip_keeps_signed_zeros(self, tmp_path, rng):
+        # the loader used to build re + 1j * im, which turns an imaginary -0.0 into +0.0
+        x = _finite_special_values(rng, 64)
+        path = tmp_path / "sig.csv"
+        gridio.write_signal(path, x)
+        back, _ = gridio.load_signal(path)
+        np.testing.assert_array_equal(_bits(back), _bits(x))
 
     def test_header_format(self, tmp_path):
         path = tmp_path / "sig.csv"
@@ -52,7 +61,7 @@ class TestGridCsv:
         path = tmp_path / "grid.csv"
         gridio.write_grid(path, teaf(g))
         first = path.read_text().splitlines()[0]
-        assert first.startswith("# afkit-grid v1, n=8, kind=thresholded")
+        assert first == "# afkit-grid v2, n=8, kind=thresholded, cells=2"
 
     def test_rejects_duplicated_row(self, tmp_path):
         path = tmp_path / "grid.csv"
@@ -62,6 +71,46 @@ class TestGridCsv:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(gridio.FileFormatError):
             gridio.load_grid(path)
+
+    @pytest.mark.parametrize("values", ["random", "special", "zero", "one-cell", "raw-emaf"])
+    @pytest.mark.parametrize("n", [2, 3, 16])
+    def test_v2_round_trip_bit_for_bit(self, tmp_path, rng, values, n):
+        shape = lattice(n).shape
+        kind = "thresholded"
+        if values == "random":
+            v = np.where(rng.random(shape) < 0.7, 0, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        elif values == "special":  # -0.0 parts, subnormals and extremes in both parts
+            v = _finite_special_values(rng, shape)
+        elif values == "zero":
+            v = np.zeros(shape, dtype=complex)
+        elif values == "one-cell":
+            v = np.zeros(shape, dtype=complex)
+            v[n - 1, n] = complex(-0.0, 0.0)  # the centre, kept because its real part is -0.0
+        else:
+            v, kind = compute_emaf(rng.standard_normal(n) + 1j * rng.standard_normal(n)).values, "raw"
+        grid = AmbiguityGrid(v, n, kind)
+        path = tmp_path / "grid.csv"
+        gridio.write_grid(path, grid, process="um")
+        lines = path.read_text().splitlines()
+        cells = int(np.count_nonzero(_bits(v).reshape(*shape, 2).any(axis=2)))
+        assert lines[0] == f"# afkit-grid v2, n={n}, kind={kind}, cells={cells}, process=um"
+        assert len(lines) == 1 + cells
+        assert cells == {"zero": 0, "one-cell": 1, "raw-emaf": v.size}.get(values, cells)
+        back, process = gridio.load_grid(path)
+        np.testing.assert_array_equal(_bits(back.values), _bits(v))
+        assert (back.n, back.kind, process) == (n, kind, "um")
+
+    @pytest.mark.parametrize("n", [2, 3, 16])
+    def test_v1_files_still_load_bit_for_bit(self, tmp_path, rng, n):
+        # a file as every earlier afkit version wrote it: no cells= field, every cell once
+        v = _finite_special_values(rng, lattice(n).shape)
+        path = tmp_path / "grid.csv"
+        for kind, process in (("raw", "chirp"), ("thresholded", None)):
+            _oracle_grid(path, AmbiguityGrid(v, n, kind), process=process)
+            assert path.read_text().startswith(f"# afkit-grid v1, n={n}, kind={kind}")
+            back, got = gridio.load_grid(path)
+            np.testing.assert_array_equal(_bits(back.values), _bits(v))
+            assert (back.n, back.kind, got) == (n, kind, process)
 
     def test_rejects_non_finite_values(self, tmp_path):
         g = compute_emaf(np.ones(8, dtype=complex))
@@ -80,6 +129,15 @@ class TestGridCsv:
         assert len(lines) - 1 == 15 * 16
         ones = [ln for ln in lines[1:] if ln.endswith(",1")]
         assert len(ones) == ref.cells_nonzero
+
+
+def _bits(values):
+    """uint64 view of the parts: an equality on it tells -0.0 from +0.0."""
+    return np.ascontiguousarray(values).view(np.uint64)
+
+
+def _is_plus_zero(x):
+    return x == 0 and math.copysign(1.0, x) > 0
 
 
 # The per-cell writers the row-template writers replaced: the byte oracle.
@@ -106,6 +164,22 @@ def _oracle_grid(path, grid, process=None):
                 fh.write(f"{tau},{nu:.17g},{row[k].real:.17g},{row[k].imag:.17g}\n")
 
 
+def _oracle_grid_v2(path, grid, process=None):
+    """Per-cell v2 writer: every cell but those whose parts are both +0.0."""
+    lat = lattice(grid.n)
+    lines = [
+        f"{tau},{nu:.17g},{v.real:.17g},{v.imag:.17g}\n"
+        for tau, row in zip(lat.taus, grid.values)
+        for nu, v in zip(lat.nus, row)
+        if not (_is_plus_zero(v.real) and _is_plus_zero(v.imag))
+    ]
+    header = f"# afkit-grid v2, n={grid.n}, kind={grid.kind}, cells={len(lines)}"
+    if process:
+        header += f", process={process}"
+    with open(path, "w") as fh:
+        fh.write(header + "\n" + "".join(lines))
+
+
 def _oracle_mask(path, mask, n):
     taus = np.arange(-(n - 1), n)
     nus = (np.arange(2 * n) - n) / (2.0 * n)
@@ -130,6 +204,14 @@ def _special_values(rng, shape, dtype=complex):
     return v
 
 
+def _finite_special_values(rng, shape):
+    """_special_values with every NaN or infinite part set to -0.0."""
+    v = _special_values(rng, shape)
+    for part in (v.real, v.imag):
+        part[~np.isfinite(part)] = -0.0
+    return v
+
+
 class TestCsvWriterBytes:
     @pytest.mark.parametrize("n", [2, 3, 16, 64])
     def test_signal_matches_per_cell_writer(self, tmp_path, rng, n):
@@ -145,15 +227,21 @@ class TestCsvWriterBytes:
         shape = (2 * n - 1, 2 * n)
         raw = _special_values(rng, shape)
         thresholded = np.where(rng.random(shape) < 0.9, 0, raw)
+        half_zero, z = raw.copy(), rng.random(shape)  # one part +0.0, both, or a -0.0 part
+        half_zero.real[z < 0.3] = 0.0
+        half_zero.imag[(z > 0.2) & (z < 0.5)] = 0.0
+        half_zero.real[(z > 0.5) & (z < 0.6)], half_zero.imag[(z > 0.5) & (z < 0.6)] = -0.0, 0.0
+        half_zero.imag[z > 0.8] = -0.0
         new, old = tmp_path / "new.csv", tmp_path / "old.csv"
-        for values, kind in ((raw, "raw"), (thresholded, "thresholded")):
+        for values, kind in ((raw, "raw"), (thresholded, "thresholded"), (half_zero, "thresholded"),
+                             (np.zeros(shape, dtype=complex), "reference")):
             grid = AmbiguityGrid(values, n, kind)
             gridio.write_grid(new, grid, process="ma")
-            _oracle_grid(old, grid, process="ma")
+            _oracle_grid_v2(old, grid, process="ma")
             assert new.read_bytes() == old.read_bytes()
         real = _special_values(rng, shape, float)
         gridio.write_real_grid(new, real, n)
-        _oracle_grid(old, AmbiguityGrid(real + 0j, n, "reference"))
+        _oracle_grid_v2(old, AmbiguityGrid(real + 0j, n, "reference"))
         assert new.read_bytes() == old.read_bytes()
 
     @pytest.mark.parametrize("n", [2, 3, 16, 64])
@@ -175,11 +263,18 @@ def _run_cli(argv, capsys):
 
 
 def _csv_lines(kind, n, tmp_path):
-    """Lines of a valid signal or raw grid CSV file of size n."""
+    """Lines of a valid signal, raw grid (v2 or, as earlier versions wrote it, v1)
+    or sparse thresholded grid CSV file of size n."""
     path = tmp_path / "valid.csv"
     x = np.exp(2j * np.pi * 0.1 * np.arange(n)) + 0.5
     if kind == "signal":
         gridio.write_signal(path, x, process="chirp")
+    elif kind == "sparse":  # four cells in three lattice rows
+        grid = AmbiguityGrid(np.zeros(lattice(n).shape, dtype=complex), n, "thresholded")
+        grid.values[[0, n - 1, n - 1, 2 * n - 2], [0, n, n + 1, 2 * n - 1]] = [1 + 2j, 3, -0.5j, 4]
+        gridio.write_grid(path, grid, process="chirp")
+    elif kind == "v1":
+        _oracle_grid(path, compute_emaf(x), process="chirp")
     else:
         gridio.write_grid(path, compute_emaf(x), process="chirp")
     lines = path.read_text().splitlines()
@@ -191,6 +286,8 @@ def _command(kind, path, tmp_path):
     out = str(tmp_path / "out.csv")
     if kind == "signal":
         return ["emaf", "-i", str(path), "-o", out, "--db", str(tmp_path / "db.csv")]
+    if kind == "sparse":
+        return ["spread", "-i", str(path), "-o", str(tmp_path / "out.json")]
     return ["threshold", "-i", str(path), "-o", out, "--meta", str(tmp_path / "out.json")]
 
 
@@ -251,6 +348,60 @@ class TestCsvLoaderRejects:
         self._assert_rejected("grid", lines, tmp_path, capsys, "off the lattice")
 
 
+    @pytest.mark.parametrize("delta", [-1, 1])
+    def test_sparse_cells_count_must_match_the_body(self, tmp_path, capsys, delta):
+        lines = _csv_lines("sparse", 4, tmp_path)
+        assert len(lines) == 5 and ", cells=4," in lines[0]
+        lines[0] = lines[0].replace("cells=4", f"cells={4 + delta}")
+        self._assert_rejected("sparse", lines, tmp_path, capsys, "wrong number of rows")
+
+    def test_sparse_row_repeated(self, tmp_path, capsys):
+        lines = _csv_lines("sparse", 4, tmp_path)
+        lines[3] = lines[2]
+        self._assert_rejected("sparse", lines, tmp_path, capsys, "more than once")
+
+    @pytest.mark.parametrize(
+        "tau, nu, cause",
+        [("0.5", "0", "off the lattice"), ("0", "0.0625", "off the lattice"),
+         ("4", "0", "out of range"), ("0", "0.5", "out of range")],
+        ids=["tau", "nu", "tau-beyond", "nu-beyond"],
+    )
+    def test_sparse_row_off_the_lattice(self, tmp_path, capsys, tau, nu, cause):
+        lines = _csv_lines("sparse", 4, tmp_path)
+        assert lines[2].startswith("0,0,")
+        lines[2] = ",".join([tau, nu] + lines[2].split(",")[2:])
+        self._assert_rejected("sparse", lines, tmp_path, capsys, cause)
+
+    @pytest.mark.parametrize(
+        "kind, old, new, cause",
+        [("v1", "v1,", "v12,", "known version"), ("v1", "v1,", "v1x,", "known version"),
+         ("grid", "v2,", "v21,", "known version"), ("grid", "v2,", "v2 ,", "known version"),
+         ("signal", "v1,", "v19,", "known version"),
+         ("v1", "process=chirp", "process=chirp, process=ma", "'process' twice"),
+         ("grid", "process=chirp", "process=chirp, process=ma", "'process' twice"),
+         ("signal", "process=chirp", "process=chirp, process=ma", "'process' twice"),
+         ("v1", "kind=raw", "kind=raw, kind=thresholded", "'kind' twice"),
+         ("grid", "kind=raw", "kind=raw, kind=thresholded", "'kind' twice"),
+         ("grid", "n=4,", "n=4, n=4,", "'n' twice"),
+         ("v1", "kind=raw", "kind=raw, cells=56", "v1 defines no such field"),
+         ("signal", "n=4", "n=4, kind=raw", "v1 defines no such field"),
+         ("grid", "kind=raw", "kind=raw, color=red", "v2 defines no such field"),
+         ("grid", ", cells=56", "", "no cells= field"),
+         ("grid", "cells=56", "cells=many", "non-integer cells"),
+         ("grid", "cells=56", "cells=-1", "cells >= 0")],
+        ids=["v12", "v1x", "v21", "v2-space", "signal-v19", "v1-process-twice", "v2-process-twice",
+             "signal-process-twice", "v1-kind-twice", "v2-kind-twice", "n-twice", "v1-cells",
+             "signal-kind", "unknown-field", "v2-no-cells", "non-integer-cells", "negative-cells"],
+    )
+    def test_strict_header(self, tmp_path, capsys, kind, old, new, cause):
+        # Every v1 case here used to load: the version was a prefix match, a repeated
+        # field kept its last value and a field the version does not define was ignored.
+        lines = _csv_lines(kind, 4, tmp_path)
+        assert old in lines[0]
+        lines[0] = lines[0].replace(old, new)
+        self._assert_rejected("signal" if kind == "signal" else "grid", lines, tmp_path, capsys, cause)
+
+
 _FUZZ_TOKENS = ("x", "", "nan", "-inf", "1e999", "0x10", "1.0.0", "--1", "1,2", "\u00e9")
 
 
@@ -258,12 +409,16 @@ def _corrupt(lines, rng):
     """One random change that makes a valid CSV file invalid."""
     header, body = lines[0], lines[1:]
     n = int(header.split("n=")[1].split(",")[0])
-    what = rng.integers(6)
+    # A sparse grid lists only some cells, so another n may hold all of them (an empty
+    # body fits every n): it gets only an n= that no file may carry.
+    sparse = "cells=" in header and len(body) < (2 * n - 1) * 2 * n
+    what = rng.integers(7) if body else (0, 1, 6)[rng.integers(3)]  # 2-5 need a row
     if what == 0:  # a wrong, non-integer, too small or missing n= field
-        bad = [f"n={n + d}" for d in (-2, -1, 1, 3)] + ["n=abc", "n=", "n=2.5", "n=1", "n=-3", "n=0", ""]
+        bad = [] if sparse else [f"n={n + d}" for d in (-2, -1, 1, 3)]
+        bad += ["n=abc", "n=", "n=2.5", "n=1", "n=-3", "n=0", ""]
         header = header.replace(f"n={n}", bad[rng.integers(len(bad))])
     elif what == 1:  # a wrong tag, version, kind or provenance
-        bad = [("v1", "v2"), ("afkit-", "afkit_"), ("process=chirp", "process=bogus"),
+        bad = [("v1", "v2"), ("v2", "v1"), ("afkit-", "afkit_"), ("process=chirp", "process=bogus"),
                ("kind=raw", "kind=bogus"), ("signal", "grid"), ("grid", "signal")]
         old, new = bad[rng.integers(len(bad))]
         header = header.replace(old, new) if old in header else "# " + header
@@ -271,31 +426,48 @@ def _corrupt(lines, rng):
         k = int(rng.integers(1, len(body) + 1))
         body = body[:-k] if rng.random() < 0.5 else list(np.delete(body, rng.permutation(len(body))[:k]))
     elif what == 3:  # a row duplicated over another row, or appended
-        i, j = rng.permutation(len(body))[:2]
-        if rng.random() < 0.5:
+        if len(body) > 1 and rng.random() < 0.5:
+            i, j = rng.permutation(len(body))[:2]
             body[j] = body[i]
         else:
-            body.append(body[i])
+            body.append(body[rng.integers(len(body))])
     elif what == 4:  # a bad token in one cell
         i = rng.integers(len(body))
         cells = body[i].split(",")
         cells[rng.integers(len(cells))] = _FUZZ_TOKENS[rng.integers(len(_FUZZ_TOKENS))]
         body[i] = ",".join(cells)
-    else:  # a cell dropped from one row
+    elif what == 5:  # a cell dropped from one row
         i = rng.integers(len(body))
         body[i] = ",".join(np.delete(body[i].split(","), rng.integers(3)))
+    elif "cells=" in header:  # a cells= count one off
+        cells = int(header.split("cells=")[1].split(",")[0])
+        header = header.replace(f"cells={cells}", f"cells={cells + (-1, 1)[rng.integers(2)]}")
+    else:  # a cells= field where the version defines none
+        header += f", cells={len(body)}"
     return [header] + body
+
+
+def _sparse_grid(rng, n, kind):
+    """A grid of the kind with 0, 1 or 2 nonzero cells at random places."""
+    values = np.zeros(lattice(n).shape, dtype=complex)
+    cells = rng.permutation(values.size)[: rng.integers(3)]
+    values.reshape(-1)[cells] = rng.standard_normal(cells.size) + 1j
+    return AmbiguityGrid(values, n, kind)
 
 
 class TestCsvFuzz:
     def test_corrupted_round_trips_rejected(self, tmp_path, capsys):
-        """Seeded fuzz over signal, grid and mask files: every corrupted file
-        exits 1 or 2 with a one-line cause, no traceback and no output."""
+        """Seeded fuzz over signal, grid (v2, dense and sparse, and v1) and mask
+        files: every corrupted file exits 1 or 2 with a one-line cause, no
+        traceback and no output."""
         rng = np.random.default_rng(20261018)
         work = tmp_path / "work"
-        for case in range(200):
+        kinds = ("signal", "raw", "thresholded", "mask", "sparse-thresholded", "reference", "v1")
+        drawn = {kind: 0 for kind in kinds}
+        bodies = set()
+        for case in range(300):
             n = int(rng.integers(2, 25))
-            kind = ("signal", "raw", "thresholded", "mask")[rng.integers(4)]
+            kind = kinds[rng.integers(len(kinds))]
             x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
             work.mkdir()
             path = work / "in.csv"
@@ -305,11 +477,19 @@ class TestCsvFuzz:
                 gridio.write_grid(path, compute_emaf(x), process="chirp")
             elif kind == "thresholded":
                 gridio.write_grid(path, teaf(compute_emaf(x)), process="chirp")
+            elif kind == "sparse-thresholded":
+                gridio.write_grid(path, _sparse_grid(rng, n, "thresholded"), process="chirp")
+            elif kind == "reference":
+                ref = naf_um(0.09, n).grid if rng.random() < 0.5 else _sparse_grid(rng, n, "reference")
+                gridio.write_grid(path, ref, process="um")
+            elif kind == "v1":
+                _oracle_grid(path, compute_emaf(x), process="chirp")
             else:
                 gridio.write_mask(path, rng.random((2 * n - 1, 2 * n)) < 0.5, n)
-            lines = _corrupt(path.read_text().splitlines(), rng)
+            valid = path.read_text().splitlines()
+            lines = _corrupt(valid, rng)
             path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-            if kind in ("signal", "raw"):
+            if kind in ("signal", "raw", "v1"):
                 argv = _command("signal" if kind == "signal" else "grid", path, work)
             else:
                 argv = ["spread", "-i", str(path), "-o", str(work / "out.json")]
@@ -319,8 +499,12 @@ class TestCsvFuzz:
             assert len(err) == 1 and "Traceback" not in err[0], context
             assert not caught, context
             assert [p.name for p in work.iterdir()] == ["in.csv"], context
+            drawn[kind] += 1
+            bodies.add(len(valid) - 1)
             path.unlink()
             work.rmdir()
+        assert min(drawn.values()) >= 20, drawn
+        assert {0, 1, 2} <= bodies  # sparse files with an empty, one-row and two-row body
 
 
 class TestCliPipeline:
@@ -549,7 +733,7 @@ class TestCliPipeline:
         db = tmp_path / "db.csv"
         main(["gen", "--process", "noise", "--n", "32", "--seed", "2", "-o", str(sig)])
         assert main(["emaf", "-i", str(sig), "-o", str(grid), "--db", str(db)]) == 0
-        assert db.read_text().splitlines()[0].startswith("# afkit-grid v1, n=32")
+        assert db.read_text().splitlines()[0].startswith("# afkit-grid v2, n=32, kind=reference, cells=")
 
 
 class TestCliBench:
