@@ -13,11 +13,14 @@ bit-identical for a given config regardless of worker count.
 
 from __future__ import annotations
 
+import functools
 import multiprocessing
 import os
+import platform
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -187,6 +190,36 @@ def _worker_run(block):
     return _run_block(_WORKER_PASS, block)
 
 
+@functools.cache
+def _git_revision() -> str | None:
+    """HEAD of the git work tree that holds this source file, else None."""
+    git = Path(__file__).resolve().parents[2] / ".git"
+    try:
+        head = (git / "HEAD").read_text().strip()
+        if not head.startswith("ref: "):
+            return head  # a detached HEAD
+        ref = head[5:]
+        if (git / ref).is_file():
+            return (git / ref).read_text().strip()
+        for line in (git / "packed-refs").read_text().splitlines():
+            if line.endswith(" " + ref):
+                return line.split()[0]
+    except OSError:
+        pass
+    return None
+
+
+def _environment(workers: int) -> dict:
+    """What a report's numbers were measured with; metadata only."""
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "cpu_count": os.cpu_count(),
+        "workers": workers,
+        "git_revision": _git_revision(),
+    }
+
+
 def _worker_count(threads: int, blocks: int) -> int:
     """Worker processes worth starting: no more than the blocks or the CPUs."""
     return max(1, min(threads, blocks, os.cpu_count() or 1))
@@ -269,5 +302,6 @@ def run_bench(cfg: MCConfig, threads: int | None = None) -> MCReport:
         "threshold": vars(cfg.threshold).copy(),
         "wall_time_s": wall,
         "single_trial_std_degenerate": cfg.trials == 1,
+        "environment": _environment(workers),
     }
     return MCReport(per_estimator, metadata)

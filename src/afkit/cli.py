@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -331,9 +332,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=1)
+def _parser(processes: tuple) -> argparse.ArgumentParser:
+    """_build_parser's tree, built once per state of the process registry:
+    processes is tuple(PROCESSES.items()), which a registration changes."""
+    return _build_parser()
+
+
 def main(argv=None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
+        args = _parser(tuple(PROCESSES.items())).parse_args(argv)
         return args.func(args)
     except SystemExit as exc:  # --help
         return int(exc.code or 0)

@@ -8,7 +8,13 @@ evaluated on a fixed (nu, tau) lattice: rows index the time lag
 tau = m - (N-1) for m = 0..2N-2, columns index the local frequency
 nu = (k - N) / (2N) for k = 0..2N-1, i.e. nu covers [-1/2, 1/2) and the grid
 has shape (2N-1, 2N) -- 511 x 512 for N = 256.  Lag products are zero-padded
-(no circular extension) and each row is evaluated with one length-2N FFT.
+(no circular extension) and each row with tau >= 0 is evaluated with one
+length-2N FFT.  The tau < 0 rows follow from the conjugation symmetry
+
+    A(nu, -tau] = e^{j 2 pi nu tau} conj(A(-nu, tau])
+
+(Hlawatsch & Boudreaux-Bartels, IEEE SP Magazine 1992), which _mirror_lags
+applies for compute_emaf and for the grid loader alike.
 """
 
 from __future__ import annotations
@@ -88,6 +94,15 @@ class RegionPartition:
             order = _frozen(np.argsort(cell_region.ravel(), kind="stable").astype(np.int32))
         return tuple(remaining), cell_region, order, bounds
 
+    @cached_property
+    def folded(self) -> dict:
+        """Merged label -> the other annuli whose cells merged folded into it
+        (an empty list where none was)."""
+        labels, cell_region = self.merged[:2]
+        label_of = np.full(self.region_count, -1)
+        label_of[self.region_index.ravel()] = np.asarray(labels)[cell_region.ravel()]
+        return {r: [a for a in np.flatnonzero(label_of == r).tolist() if a != r] for r in labels}
+
 
 class Lattice:
     """The (nu, tau) lattice of a length-n record and the tables built on it.
@@ -114,6 +129,12 @@ class Lattice:
         """(row, column) of the lattice cell nearest (tau, nu), elementwise
         over arrays; a point beyond the plane maps beyond its shape."""
         return np.rint(tau).astype(int) + self.n - 1, np.rint(nu * 2 * self.n).astype(int) + self.n
+
+    @cached_property
+    def roots(self) -> np.ndarray:
+        """e^{j pi i / n} for i = 0..2n-1, so that e^{j 2 pi nu tau} on column k
+        is roots[((k - n) * tau) mod 2n]."""
+        return _frozen(np.exp(1j * np.pi * np.arange(2 * self.n) / self.n))
 
     @cached_property
     def w(self) -> np.ndarray:
@@ -205,10 +226,11 @@ class AmbiguityGrid:
 def compute_emaf(x, workspace: np.ndarray | None = None) -> AmbiguityGrid:
     """Empirical ambiguity function of a complex sample, kind="raw".
 
-    For each lag tau the product sequence m_tau[t] = x[t] x*[t-tau] is laid
-    out on t = 0..N-1 (zero outside the valid range), zero-padded to length
-    2N and transformed; FFT bin q lands in column k = (q + N) mod 2N so that
-    columns run over nu = (k-N)/(2N) in increasing order.
+    For each lag tau >= 0 the product sequence m_tau[t] = x[t] x*[t-tau] is
+    laid out on t = 0..N-1 (zero outside the valid range), zero-padded to
+    length 2N and transformed; FFT bin q lands in column k = (q + N) mod 2N
+    so that columns run over nu = (k-N)/(2N) in increasing order.  The
+    tau < 0 rows are the _mirror_lags of the tau > 0 rows.
 
     workspace, a complex (2, 2N-1, 2N) array, lends the two buffers the
     computation needs so that repeated calls allocate nothing: the result
@@ -220,21 +242,47 @@ def compute_emaf(x, workspace: np.ndarray | None = None) -> AmbiguityGrid:
     n = x.size
     shape = lattice(n).shape
     if workspace is None:
-        rows, spectrum = np.zeros(shape, dtype=complex), np.empty(shape, dtype=complex)
+        workspace = np.empty((2,) + shape, dtype=complex)
     elif workspace.shape != (2,) + shape or workspace.dtype != complex:
         raise ValueError(f"EMAF workspace must be complex with shape {(2,) + shape}")
-    else:
-        rows, spectrum = workspace
-        rows.fill(0)
-    # window m, reversed, holds x*[t - tau] for tau = m - (N-1); the mask keeps +0 off the record
-    windows = np.lib.stride_tricks.sliding_window_view(np.pad(np.conj(x), n - 1), n)[::-1]
-    inside = np.lib.stride_tricks.sliding_window_view(np.pad(np.ones(n, bool), n - 1), n)[::-1]
-    np.multiply(x, windows, out=rows[:, :n], where=inside)
-    np.fft.fft(rows, axis=1, out=spectrum)
+    rows, spectrum = workspace
+    upper = rows[n - 1 :]  # tau >= 0
+    upper.fill(0)
+    # window tau, reversed, holds x*[t - tau] for tau = 0..N-1; the mask keeps +0 off the record
+    windows = np.lib.stride_tricks.sliding_window_view(np.pad(np.conj(x), (n - 1, 0)), n)[::-1]
+    inside = np.lib.stride_tricks.sliding_window_view(np.pad(np.ones(n, bool), (n - 1, 0)), n)[::-1]
+    np.multiply(x, windows, out=upper[:, :n], where=inside)
+    np.fft.fft(upper, axis=1, out=spectrum[n - 1 :])
     # fftshift by a half-swap: bins q >= N hold the negative frequencies
-    rows[:, :n] = spectrum[:, n:]
-    rows[:, n:] = spectrum[:, :n]
+    upper[:, :n] = spectrum[n - 1 :, n:]
+    upper[:, n:] = spectrum[n - 1 :, :n]
+    _mirror_lags(rows, rows[: n - 1], spectrum[: n - 1])
     return AmbiguityGrid(rows, n, "raw")
+
+
+def _mirror_lags(values: np.ndarray, out: np.ndarray, phases: np.ndarray | None = None) -> np.ndarray:
+    """The tau < 0 rows of a (2N-1, 2N) grid from its tau > 0 rows, into out,
+    a C-contiguous complex (N-1, 2N) array: A(nu, -tau] = e^{j 2 pi nu tau}
+    conj(A(-nu, tau]).  -nu is column (2N - k) mod 2N, so nu = -1/2 is its own
+    mirror (the EMAF has period 1 in nu), and the phase is Lattice.roots
+    indexed by ((k - N) tau) mod 2N, gathered into phases (an (N-1, 2N)
+    complex buffer; default a new one).  The grid loader rebuilds a mirrored
+    file with this same function, so its round trip is exact.
+    """
+    n = values.shape[1] // 2
+    # out holds the phase indices, in the first half of its bytes, until they are gathered
+    index = out.reshape(-1).view(np.int64)[: out.size].reshape(out.shape)
+    np.multiply(np.arange(n - 1, 0, -1)[:, None], np.arange(-n, n), out=index)
+    if n & (n - 1):
+        np.remainder(index, 2 * n, out=index)
+    else:  # 2N is a power of two
+        np.bitwise_and(index, 2 * n - 1, out=index)
+    phases = np.take(lattice(n).roots, index, out=phases, mode="clip")
+    source = values[: n - 1 : -1]  # tau = N-1 .. 1, the mirrors of out's rows tau = -(N-1) .. -1
+    out[:, 0] = source[:, 0]
+    out[:, 1:] = source[:, :0:-1]
+    np.conjugate(out, out=out)
+    return np.multiply(out, phases, out=out)
 
 
 def standardize(grid: AmbiguityGrid, out: np.ndarray | None = None) -> AmbiguityGrid:

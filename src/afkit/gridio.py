@@ -2,9 +2,13 @@
 
 Signal CSV    header `# afkit-signal v1, n=<N>[, process=<name>]`,
               rows `t,re,im` at 17 significant digits.
-Grid CSV      header `# afkit-grid v2, n=<N>, kind=<kind>, cells=<count>[, process=<name>]`,
+Grid CSV      header `# afkit-grid v3, n=<N>, kind=<kind>, cells=<count>, mirror=<0|1>[, process=<name>]`,
               rows `tau,nu,re,im`, row-major, for the cells that are not +0+0j
-              (absent cells load as +0+0j).  v1 (no cells=, every cell) still loads.
+              (absent cells load as +0+0j).  mirror=1 when the tau < 0 rows are,
+              bit for bit, emaf._mirror_lags of the tau > 0 rows, as in every
+              EMAF: the body then holds only tau >= 0 cells and the loader
+              rebuilds the rest with that same function.  v2 (no mirror=, both
+              halves) and v1 (no cells=, every cell) still load.
 Mask CSV      header `# afkit-mask v1, n=<N>`, rows `tau,nu,indicator`.
 
 A header's version must match exactly and its fields be the version's, each once.
@@ -14,11 +18,12 @@ estimator/process pairings; 17 significant digits make CSV round trips lossless.
 
 from __future__ import annotations
 
+import math
 import warnings
 
 import numpy as np
 
-from .emaf import GRID_KINDS, AmbiguityGrid, lattice
+from .emaf import GRID_KINDS, AmbiguityGrid, _mirror_lags, lattice
 from .sigcore import PROCESSES
 
 __all__ = [
@@ -62,11 +67,15 @@ _FIELDS = {
     ("afkit-signal", "v1"): ("n", "process"),
     ("afkit-grid", "v1"): ("n", "kind", "process"),
     ("afkit-grid", "v2"): ("n", "kind", "cells", "process"),
+    ("afkit-grid", "v3"): ("n", "kind", "cells", "mirror", "process"),
 }
+# The integer fields, with their least and greatest values; each is required
+# wherever its version defines it.
+_INTEGERS = {"n": (2, math.inf), "cells": (0, math.inf), "mirror": (0, 1)}
 
 
 def _parse_header(line: str, tag: str) -> dict:
-    """Header fields; fields["n"] (and fields["cells"] in v2) are checked integers."""
+    """Header fields; those named in _INTEGERS are checked integers."""
     first, *parts = line.strip().split(",")
     junk, _, version = first.partition(f"# {tag} ")
     if junk or (tag, version) not in _FIELDS:
@@ -80,15 +89,17 @@ def _parse_header(line: str, tag: str) -> dict:
         fields[key] = value
     if "process" in fields and fields["process"] not in PROCESSES:
         raise FileFormatError(f"unknown process={fields['process']!r} in the {tag} header")
-    for key, least in (("n", 2), ("cells", 0)) if version == "v2" else (("n", 2),):
+    for key in (key for key in _FIELDS[tag, version] if key in _INTEGERS):
         if key not in fields:
             raise FileFormatError(f"the {tag} header has no {key}= field")
         try:
             fields[key] = int(fields[key])
         except ValueError:
             raise FileFormatError(f"the {tag} header has a non-integer {key}={fields[key]!r}") from None
-        if fields[key] < least:
-            raise FileFormatError(f"the {tag} header declares {key}={fields[key]}, need {key} >= {least}")
+        least, most = _INTEGERS[key]
+        if not least <= fields[key] <= most:
+            need = f"{key} >= {least}" if most == math.inf else f"{least} <= {key} <= {most}"
+            raise FileFormatError(f"the {tag} header declares {key}={fields[key]}, need {need}")
     return fields
 
 
@@ -128,15 +139,23 @@ def load_signal(path):
 
 
 def write_grid(path, grid: AmbiguityGrid, process: str | None = None) -> None:
-    """Grid CSV v2: one row per cell unless both its parts are the bit pattern +0.0."""
+    """Grid CSV v3: one row per cell unless both its parts are the bit pattern
+    +0.0, of the tau >= 0 rows only when the grid's tau < 0 rows are, bit for
+    bit, the _mirror_lags of its tau > 0 rows (mirror=1)."""
     values = np.ascontiguousarray(grid.values, dtype=complex)
+    n = grid.n
+    with np.errstate(all="ignore"):  # an inf or NaN cell just makes the grid unmirrored
+        mirrored = _mirror_lags(values, np.empty((n - 1, 2 * n), dtype=complex))
+    mirror = np.array_equal(mirrored.view(np.uint64), values[: n - 1].view(np.uint64))
     bits = values.view(np.uint64)
     keep = (bits[:, 0::2] | bits[:, 1::2]) != 0
+    if mirror:  # written as its tau >= 0 rows
+        keep[: n - 1] = False
     counts = np.count_nonzero(keep, axis=1).tolist()
-    header = f"# afkit-grid v2, n={grid.n}, kind={grid.kind}, cells={sum(counts)}"
+    header = f"# afkit-grid v3, n={n}, kind={grid.kind}, cells={sum(counts)}, mirror={int(mirror)}"
     if process:
         header += f", process={process}"
-    heads, cells = _lattice_text(grid.n, "%.17g,%.17g")
+    heads, cells = _lattice_text(n, "%.17g,%.17g")
     parts = values.view(np.float64).reshape(*values.shape, 2)
     with open(path, "w") as fh:
         fh.write(header + "\n")
@@ -170,8 +189,13 @@ def load_grid(path):
     # with no cell twice, the rows * cols rows of a v1 file cover every cell once
     if (np.bincount(m * cols + k, minlength=rows * cols) > 1).any():
         raise FileFormatError("grid CSV holds a (tau, nu) cell more than once")
+    mirror = fields.get("mirror", 0)
+    if mirror and (m < lat.n - 1).any():
+        raise FileFormatError("grid CSV with mirror=1 holds a tau < 0 cell")
     values = np.zeros(lat.shape, dtype=complex)
     values.view(np.float64).reshape(rows, cols, 2)[m, k] = data[:, 2:]  # bit for bit, -0.0 too
+    if mirror:
+        _mirror_lags(values, values[: lat.n - 1])
     return AmbiguityGrid(values, lat.n, kind), fields.get("process")
 
 

@@ -215,8 +215,8 @@ def threshold_with_details(
     region_count)).  Metadata records the method, C, region count, rim
     fraction, the squared threshold level, the rim noise level sigma2_w
     (lbteaf only) and, per merged region, the sigma4 estimate used, the
-    cell count and the survivor count, ready for a JSON sidecar.  The
-    input grid is never written.
+    cell count, the survivor count and the annuli folded into it, ready
+    for a JSON sidecar.  The input grid is never written.
     """
     if grid.kind != "raw":
         raise ValueError(f"{cfg.method} expects a raw grid")
@@ -233,6 +233,7 @@ def threshold_with_details(
         sigma4={str(r): float(s) for r, s in zip(labels, kernel.sigma4[method])},
         cells={str(r): hi - lo for r, lo, hi in zip(labels, bounds, bounds[1:])},
         survivors={str(r): int(c) for r, c in zip(labels, survivors)},
+        merged={str(r): folded for r, folded in kernel.parts[method].folded.items()},
     )
     del kernel  # its buffers go before the output grid is allocated
     return AmbiguityGrid(np.where(keep, values, 0.0), grid.n, "thresholded"), meta

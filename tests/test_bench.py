@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -151,6 +153,23 @@ class TestRunBench:
             assert a.total_mse_std == b.total_mse_std
             assert a.spread_mean == b.spread_mean
             np.testing.assert_array_equal(a.mse_grid, b.mse_grid)
+
+    def test_environment_is_metadata_only(self):
+        # the environment a report was measured in goes to metadata; results
+        # stay equal at 1 and 2 workers and gain no key
+        cfg = MCConfig(UniformlyModulated(), n=16, trials=2 * ACCUMULATION_BLOCK, base_seed=3,
+                       estimators=("emaf", "teaf", "lteaf"))
+        reports = [run_bench(cfg, threads=t).to_dict() for t in (1, 2)]
+        assert reports[0]["results"] == reports[1]["results"]
+        for report, workers in zip(reports, (1, 2)):
+            env = report["metadata"]["environment"]
+            assert set(env) == {"python", "numpy", "cpu_count", "workers", "git_revision"}
+            assert env["numpy"] == np.__version__ and env["cpu_count"] == os.cpu_count()
+            assert env["workers"] == min(workers, os.cpu_count())
+            assert env["git_revision"] is None or len(env["git_revision"]) == 40
+            assert set(report["results"]) == set(cfg.estimators)
+            for stats in report["results"].values():
+                assert set(stats) == {"total_mse_mean", "total_mse_std", "spread_mean", "spread_std"}
 
     def test_reproducible_across_calls(self):
         cfg = MCConfig(UniformlyModulated(), n=48, trials=6, base_seed=4,

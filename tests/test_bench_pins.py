@@ -3,9 +3,11 @@
 tests/data/bench_pins.json records, for one small config per registered
 process run with every estimator the process allows, the exact `results`
 of run_bench (floats as repr strings) and a sha256 of each per-cell MSE
-grid.  The pins were written by the tree before the trial engine scored
-from the survivor pass, so they catch a drift that moves the fused pass
-and the public path together.  Rewrite them only on purpose:
+grid.  They were last written when compute_emaf began to fill its tau < 0
+rows by the conjugation mirror (a rounding-only re-baseline: no survivor
+moved and only five repr strings, four of them standard deviations, moved
+in their last digit), so they catch a drift that moves the fused pass and
+the public path together.  Rewrite them only on purpose:
 
     PYTHONPATH=src python tests/test_bench_pins.py > tests/data/bench_pins.json
 """

@@ -3,6 +3,7 @@ import pytest
 
 from afkit.emaf import (
     AmbiguityGrid,
+    _mirror_lags,
     compute_emaf,
     lattice,
     standardize,
@@ -211,17 +212,67 @@ def _emaf_per_lag_loop(x):
     return rows
 
 
-@pytest.mark.parametrize("n", [2, 3, 16, 127, 128])
-def test_lag_products_match_the_per_lag_loop(n, rng):
+def _loop_inputs(n, rng):
+    """A random record, one with exact zeros and -0.0 parts inside, and its negation."""
     x = random_complex_signal(rng, n)
     sparse = x.copy()
     sparse[::3] = 0.0  # exact zeros inside the record
     sparse[1::4] = complex(-0.0, 1.0)
+    return x, sparse, -x
+
+
+@pytest.mark.parametrize("n", [2, 3, 16, 127, 128])
+def test_lag_products_match_the_per_lag_loop(n, rng):
+    # the tau >= 0 rows: lag products, FFT and half-swap, bit for bit
     ws = np.empty((2, 2 * n - 1, 2 * n), dtype=complex)
-    for signal in (x, sparse, -x):
-        want = _emaf_per_lag_loop(signal).view(np.uint64)
-        np.testing.assert_array_equal(compute_emaf(signal).values.view(np.uint64), want)
-        np.testing.assert_array_equal(compute_emaf(signal, ws).values.view(np.uint64), want)
+    for signal in _loop_inputs(n, rng):
+        want = _emaf_per_lag_loop(signal)[n - 1 :].view(np.uint64)
+        np.testing.assert_array_equal(compute_emaf(signal).values[n - 1 :].view(np.uint64), want)
+        np.testing.assert_array_equal(compute_emaf(signal, ws).values[n - 1 :].view(np.uint64), want)
+
+
+U = 2.0**-53  # unit roundoff
+
+
+def _mirror_bound(n: int) -> float:
+    """Bound on ||new row - loop row||_2 / ||loop row||_2 over the tau < 0 rows.
+
+    Both rows are length-L FFTs, L = 2N a power of two, of inputs of one norm
+    (the lag -tau products are the conjugated, shifted lag tau products), so
+    by Higham, Accuracy and Stability of Numerical Algorithms, Thm 24.2, each
+    is within eps_f ||y||_2 of the exact row y, eps_f = t eta / (1 - t eta),
+    t = log2 L, eta = mu + gamma_4 (sqrt 2 + mu) (a radix-4 pass is two
+    radix-2 stages, its +-j rotation exact).  mu bounds a root's error: the
+    angle fl(fl(pi) i) / N is off by 2u |angle| <= 4 pi u and each part of
+    exp by 1 ulp (2u), so mu = (4 pi + 2 sqrt 2) u.  The mirror adds to the
+    FFT error of its tau > 0 row a complex product (sqrt 5 u |a||b|, Brent,
+    Percival and Zimmermann 2007) with a root off by mu: per row
+        ||new - loop|| <= (2 eps_f + (sqrt5 u (1 + mu) + mu)(1 + eps_f)) ||y||,
+    and ||y|| <= ||loop|| / (1 - eps_f).
+    """
+    t = np.log2(2 * n)
+    mu = (4 * np.pi + 2 * np.sqrt(2)) * U
+    gamma4 = 4 * U / (1 - 4 * U)
+    eta = mu + gamma4 * (np.sqrt(2) + mu)
+    eps_f = t * eta / (1 - t * eta)
+    return (2 * eps_f + (np.sqrt(5) * U * (1 + mu) + mu) * (1 + eps_f)) / (1 - eps_f)
+
+
+@pytest.mark.parametrize("n", [2, 3, 16, 127, 128, 512])
+def test_negative_lags_are_the_mirror_of_the_positive_lags(n, rng):
+    # the tau < 0 rows are _mirror_lags of the tau > 0 rows exactly, with or
+    # without a workspace, and A(nu, -tau] = e^{j 2 pi nu tau} conj(A(-nu, tau])
+    # holds for them to rounding against the per-lag loop
+    ws = np.empty((2, 2 * n - 1, 2 * n), dtype=complex)
+    for signal in _loop_inputs(n, rng):
+        got = compute_emaf(signal).values
+        mirror = _mirror_lags(got, np.empty((n - 1, 2 * n), dtype=complex))
+        np.testing.assert_array_equal(got[: n - 1].view(np.uint64), mirror.view(np.uint64))
+        np.testing.assert_array_equal(compute_emaf(signal, ws).values.view(np.uint64), got.view(np.uint64))
+        if n & (n - 1) == 0:  # the FFT error bound is derived for power-of-two lengths
+            loop = _emaf_per_lag_loop(signal)[: n - 1]
+            gap = np.linalg.norm(got[: n - 1] - loop, axis=1)
+            assert (gap <= _mirror_bound(n) * np.linalg.norm(loop, axis=1)).all()
 
 
 class TestToDb:

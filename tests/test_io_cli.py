@@ -7,13 +7,14 @@ import numpy as np
 import pytest
 
 from afkit import gridio
-from afkit.cli import main
-from afkit.emaf import AmbiguityGrid, compute_emaf, lattice
+from afkit.cli import _parser, main
+from afkit.emaf import AmbiguityGrid, _mirror_lags, compute_emaf, lattice
 from afkit.moments import naf_um
-from afkit.sigcore import MovingAverage, generate
+from afkit.sigcore import MovingAverage, UniformlyModulated, generate
 from afkit.thresholding import ThresholdConfig, teaf, threshold_with_details
 
 BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
+DATA = Path(__file__).resolve().parent / "data"
 
 
 class TestSignalCsv:
@@ -61,7 +62,7 @@ class TestGridCsv:
         path = tmp_path / "grid.csv"
         gridio.write_grid(path, teaf(g))
         first = path.read_text().splitlines()[0]
-        assert first == "# afkit-grid v2, n=8, kind=thresholded, cells=2"
+        assert first == "# afkit-grid v3, n=8, kind=thresholded, cells=2, mirror=0"
 
     def test_rejects_duplicated_row(self, tmp_path):
         path = tmp_path / "grid.csv"
@@ -75,6 +76,8 @@ class TestGridCsv:
     @pytest.mark.parametrize("values", ["random", "special", "zero", "one-cell", "raw-emaf"])
     @pytest.mark.parametrize("n", [2, 3, 16])
     def test_v2_round_trip_bit_for_bit(self, tmp_path, rng, values, n):
+        # the sparse rows of v2, as v3 writes them: every cell that is not +0+0j
+        # of the rows written, which are the tau >= 0 rows of a mirrored grid only
         shape = lattice(n).shape
         kind = "thresholded"
         if values == "random":
@@ -92,13 +95,68 @@ class TestGridCsv:
         path = tmp_path / "grid.csv"
         gridio.write_grid(path, grid, process="um")
         lines = path.read_text().splitlines()
-        cells = sum(not (_is_plus_zero(c.real) and _is_plus_zero(c.imag)) for c in v.ravel())
-        assert lines[0] == f"# afkit-grid v2, n={n}, kind={kind}, cells={cells}, process=um"
+        mirror = _is_mirrored(v)
+        assert mirror == (values == "raw-emaf") or values in ("zero", "one-cell")
+        first = n - 1 if mirror else 0
+        cells = sum(not (_is_plus_zero(c.real) and _is_plus_zero(c.imag)) for c in v[first:].ravel())
+        assert lines[0] == f"# afkit-grid v3, n={n}, kind={kind}, cells={cells}, mirror={int(mirror)}, process=um"
         assert len(lines) == 1 + cells
-        assert cells == {"zero": 0, "one-cell": 1, "raw-emaf": v.size}.get(values, cells)
+        assert cells == {"zero": 0, "one-cell": 1, "raw-emaf": n * 2 * n}.get(values, cells)
         back, process = gridio.load_grid(path)
         np.testing.assert_array_equal(_bits(back.values), _bits(v))
         assert (back.n, back.kind, process) == (n, kind, "um")
+
+    @pytest.mark.parametrize("n", [2, 3, 16, 128])
+    def test_v3_mirrored_round_trip_bit_for_bit(self, tmp_path, rng, n):
+        # an EMAF is written as its tau >= 0 rows, and the loader rebuilds the rest exactly
+        grid = compute_emaf(rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        path = tmp_path / "grid.csv"
+        gridio.write_grid(path, grid, process="tvma")
+        lines = path.read_text().splitlines()
+        assert lines[0] == f"# afkit-grid v3, n={n}, kind=raw, cells={n * 2 * n}, mirror=1, process=tvma"
+        assert all(int(line.split(",")[0]) >= 0 for line in lines[1:])
+        back, process = gridio.load_grid(path)
+        np.testing.assert_array_equal(_bits(back.values), _bits(grid.values))
+        assert (back.kind, process) == ("raw", "tvma")
+
+    def test_one_edited_negative_lag_cell_is_written_whole(self, tmp_path, rng):
+        n = 16
+        grid = compute_emaf(rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        grid.values.view(np.uint64)[n - 3, 7] ^= 1  # one bit of one tau < 0 cell
+        path = tmp_path / "grid.csv"
+        gridio.write_grid(path, grid)
+        lines = path.read_text().splitlines()
+        assert lines[0] == f"# afkit-grid v3, n={n}, kind=raw, cells={grid.values.size}, mirror=0"
+        np.testing.assert_array_equal(_bits(gridio.load_grid(path)[0].values), _bits(grid.values))
+
+    @pytest.mark.parametrize("n", [2, 3, 16])
+    def test_v2_files_still_load_bit_for_bit(self, tmp_path, rng, n):
+        # a file as the v2 writer wrote it: both halves, no mirror= field
+        v = _finite_special_values(rng, lattice(n).shape)
+        v[rng.random(v.shape) < 0.5] = 0
+        path = tmp_path / "grid.csv"
+        for kind, process in (("raw", "chirp"), ("thresholded", None)):
+            _oracle_grid_v2(path, AmbiguityGrid(v, n, kind), process=process)
+            assert path.read_text().startswith(f"# afkit-grid v2, n={n}, kind={kind}, cells=")
+            back, got = gridio.load_grid(path)
+            np.testing.assert_array_equal(_bits(back.values), _bits(v))
+            assert (back.n, back.kind, got) == (n, kind, process)
+
+    @pytest.mark.parametrize("method", ["teaf", "lteaf"])
+    def test_committed_v2_raw_grid_thresholds_to_its_recorded_bits(self, tmp_path, method):
+        # tests/data/raw_v2_n16.csv and its thresholded grids were written by the
+        # v2 writer: `afkit gen --process um --n 16 --seed 3`, `afkit emaf`, then
+        # `afkit threshold --method <method>`
+        raw = DATA / "raw_v2_n16.csv"
+        assert raw.read_text().startswith("# afkit-grid v2, n=16, kind=raw, cells=992, process=um")
+        grid, process = gridio.load_grid(raw)
+        rows = np.loadtxt(raw, delimiter=",", skiprows=1)
+        np.testing.assert_array_equal(_bits(grid.values.ravel()), _bits(rows[:, 2:].copy().view(complex)[:, 0]))
+        assert process == "um"
+        out = tmp_path / "est.csv"
+        assert main(["threshold", "-i", str(raw), "--method", method, "-o", str(out)]) == 0
+        want, _ = gridio.load_grid(DATA / f"raw_v2_n16_{method}.csv")
+        np.testing.assert_array_equal(_bits(gridio.load_grid(out)[0].values), _bits(want.values))
 
     @pytest.mark.parametrize("n", [2, 3, 16])
     def test_v1_files_still_load_bit_for_bit(self, tmp_path, rng, n):
@@ -140,6 +198,14 @@ def _is_plus_zero(x):
     return x == 0 and math.copysign(1.0, x) > 0
 
 
+def _is_mirrored(values):
+    """Whether the tau < 0 rows are, bit for bit, the mirror of the tau > 0 rows."""
+    n = values.shape[1] // 2
+    with np.errstate(all="ignore"):
+        mirrored = _mirror_lags(values, np.empty((n - 1, 2 * n), dtype=complex))
+    return np.array_equal(_bits(mirrored), _bits(values[: n - 1]))
+
+
 # Per-cell writers, the byte oracles of the row-template writers.  _oracle_grid
 # writes grid CSV v1, as earlier afkit versions did: the compatibility fixture.
 def _oracle_signal(path, x, process=None):
@@ -165,16 +231,21 @@ def _oracle_grid(path, grid, process=None):
                 fh.write(f"{tau},{nu:.17g},{row[k].real:.17g},{row[k].imag:.17g}\n")
 
 
-def _oracle_grid_v2(path, grid, process=None):
-    """Per-cell v2 writer: every cell but those whose parts are both +0.0."""
+def _oracle_grid_v2(path, grid, process=None, version="v2"):
+    """Per-cell v2 writer: every cell but those whose parts are both +0.0.
+    With version="v3", the v3 writer: the same rows, of the tau >= 0 rows
+    only when the grid is mirrored, and the mirror= field."""
     lat = lattice(grid.n)
+    mirror = version == "v3" and _is_mirrored(grid.values)
     lines = [
         f"{tau},{nu:.17g},{v.real:.17g},{v.imag:.17g}\n"
         for tau, row in zip(lat.taus, grid.values)
         for nu, v in zip(lat.nus, row)
-        if not (_is_plus_zero(v.real) and _is_plus_zero(v.imag))
+        if not (_is_plus_zero(v.real) and _is_plus_zero(v.imag)) and (tau >= 0 or not mirror)
     ]
-    header = f"# afkit-grid v2, n={grid.n}, kind={grid.kind}, cells={len(lines)}"
+    header = f"# afkit-grid {version}, n={grid.n}, kind={grid.kind}, cells={len(lines)}"
+    if version == "v3":
+        header += f", mirror={int(mirror)}"
     if process:
         header += f", process={process}"
     with open(path, "w") as fh:
@@ -233,16 +304,18 @@ class TestCsvWriterBytes:
         half_zero.imag[(z > 0.2) & (z < 0.5)] = 0.0
         half_zero.real[(z > 0.5) & (z < 0.6)], half_zero.imag[(z > 0.5) & (z < 0.6)] = -0.0, 0.0
         half_zero.imag[z > 0.8] = -0.0
+        emaf = compute_emaf(rng.standard_normal(n) + 1j * rng.standard_normal(n)).values
         new, old = tmp_path / "new.csv", tmp_path / "old.csv"
         for values, kind in ((raw, "raw"), (thresholded, "thresholded"), (half_zero, "thresholded"),
-                             (np.zeros(shape, dtype=complex), "reference")):
+                             (np.zeros(shape, dtype=complex), "reference"), (emaf, "raw")):
             grid = AmbiguityGrid(values, n, kind)
             gridio.write_grid(new, grid, process="ma")
-            _oracle_grid_v2(old, grid, process="ma")
+            _oracle_grid_v2(old, grid, process="ma", version="v3")
             assert new.read_bytes() == old.read_bytes()
+        assert ", mirror=1," in new.read_text().splitlines()[0]  # the EMAF, written last
         real = _special_values(rng, shape, float)
         gridio.write_real_grid(new, real, n)
-        _oracle_grid_v2(old, AmbiguityGrid(real + 0j, n, "reference"))
+        _oracle_grid_v2(old, AmbiguityGrid(real + 0j, n, "reference"), version="v3")
         assert new.read_bytes() == old.read_bytes()
 
     @pytest.mark.parametrize("n", [2, 3, 16, 64])
@@ -264,8 +337,8 @@ def _run_cli(argv, capsys):
 
 
 def _csv_lines(kind, n, tmp_path):
-    """Lines of a valid signal, raw grid (v2 or, as earlier versions wrote it, v1)
-    or sparse thresholded grid CSV file of size n."""
+    """Lines of a valid signal, raw grid (v3, mirrored, or as earlier versions
+    wrote it, v2 or v1) or sparse thresholded grid CSV file of size n."""
     path = tmp_path / "valid.csv"
     x = np.exp(2j * np.pi * 0.1 * np.arange(n)) + 0.5
     if kind == "signal":
@@ -276,6 +349,8 @@ def _csv_lines(kind, n, tmp_path):
         gridio.write_grid(path, grid, process="chirp")
     elif kind == "v1":
         _oracle_grid(path, compute_emaf(x), process="chirp")
+    elif kind == "v2":
+        _oracle_grid_v2(path, compute_emaf(x), process="chirp")
     else:
         gridio.write_grid(path, compute_emaf(x), process="chirp")
     lines = path.read_text().splitlines()
@@ -343,7 +418,7 @@ class TestCsvLoaderRejects:
     )
     def test_grid_coordinates_on_the_lattice(self, tmp_path, capsys, tau, nu):
         # an off-lattice first row used to be rounded to cell (-3, -0.5) with exit 0
-        lines = _csv_lines("grid", 4, tmp_path)
+        lines = _csv_lines("v2", 4, tmp_path)
         assert lines[1].startswith("-3,-0.5,")
         lines[1] = ",".join([tau, nu] + lines[1].split(",")[2:])
         self._assert_rejected("grid", lines, tmp_path, capsys, "off the lattice")
@@ -376,23 +451,33 @@ class TestCsvLoaderRejects:
     @pytest.mark.parametrize(
         "kind, old, new, cause",
         [("v1", "v1,", "v12,", "known version"), ("v1", "v1,", "v1x,", "known version"),
-         ("grid", "v2,", "v21,", "known version"), ("grid", "v2,", "v2 ,", "known version"),
+         ("v2", "v2,", "v21,", "known version"), ("v2", "v2,", "v2 ,", "known version"),
          ("signal", "v1,", "v19,", "known version"),
          ("v1", "process=chirp", "process=chirp, process=ma", "'process' twice"),
-         ("grid", "process=chirp", "process=chirp, process=ma", "'process' twice"),
+         ("v2", "process=chirp", "process=chirp, process=ma", "'process' twice"),
          ("signal", "process=chirp", "process=chirp, process=ma", "'process' twice"),
          ("v1", "kind=raw", "kind=raw, kind=thresholded", "'kind' twice"),
-         ("grid", "kind=raw", "kind=raw, kind=thresholded", "'kind' twice"),
-         ("grid", "n=4,", "n=4, n=4,", "'n' twice"),
+         ("v2", "kind=raw", "kind=raw, kind=thresholded", "'kind' twice"),
+         ("v2", "n=4,", "n=4, n=4,", "'n' twice"),
          ("v1", "kind=raw", "kind=raw, cells=56", "v1 defines no such field"),
          ("signal", "n=4", "n=4, kind=raw", "v1 defines no such field"),
-         ("grid", "kind=raw", "kind=raw, color=red", "v2 defines no such field"),
-         ("grid", ", cells=56", "", "no cells= field"),
-         ("grid", "cells=56", "cells=many", "non-integer cells"),
-         ("grid", "cells=56", "cells=-1", "cells >= 0")],
+         ("v2", "kind=raw", "kind=raw, color=red", "v2 defines no such field"),
+         ("v2", ", cells=56", "", "no cells= field"),
+         ("v2", "cells=56", "cells=many", "non-integer cells"),
+         ("v2", "cells=56", "cells=-1", "cells >= 0"),
+         ("grid", "v3,", "v4,", "known version"),
+         ("grid", "mirror=1", "mirror=2", "0 <= mirror <= 1"),
+         ("grid", "mirror=1", "mirror=-1", "0 <= mirror <= 1"),
+         ("grid", "mirror=1", "mirror=1, mirror=1", "'mirror' twice"),
+         ("grid", "mirror=1", "mirror=yes", "non-integer mirror"),
+         ("grid", ", mirror=1", "", "no mirror= field"),
+         ("v2", "cells=56", "cells=56, mirror=0", "v2 defines no such field"),
+         ("grid", "kind=raw", "kind=raw, color=red", "v3 defines no such field")],
         ids=["v12", "v1x", "v21", "v2-space", "signal-v19", "v1-process-twice", "v2-process-twice",
              "signal-process-twice", "v1-kind-twice", "v2-kind-twice", "n-twice", "v1-cells",
-             "signal-kind", "unknown-field", "v2-no-cells", "non-integer-cells", "negative-cells"],
+             "signal-kind", "unknown-field", "v2-no-cells", "non-integer-cells", "negative-cells",
+             "v4", "mirror-2", "mirror-negative", "mirror-twice", "non-integer-mirror",
+             "v3-no-mirror", "v2-mirror", "v3-unknown-field"],
     )
     def test_strict_header(self, tmp_path, capsys, kind, old, new, cause):
         # Every v1 case here used to load: the version was a prefix match, a repeated
@@ -401,6 +486,19 @@ class TestCsvLoaderRejects:
         assert old in lines[0]
         lines[0] = lines[0].replace(old, new)
         self._assert_rejected("signal" if kind == "signal" else "grid", lines, tmp_path, capsys, cause)
+
+
+    @pytest.mark.parametrize("extra", [False, True], ids=["in-place-of-a-row", "added"])
+    def test_mirrored_body_holds_no_negative_lag(self, tmp_path, capsys, extra):
+        # a tau < 0 row in a mirror=1 body would be overwritten by the mirror
+        lines = _csv_lines("grid", 4, tmp_path)
+        assert ", cells=32, mirror=1," in lines[0]
+        row = ",".join(["-1"] + lines[-1].split(",")[1:])
+        if extra:
+            lines = [lines[0].replace("cells=32", "cells=33")] + lines[1:] + [row]
+        else:
+            lines[-1] = row
+        self._assert_rejected("grid", lines, tmp_path, capsys, "mirror=1 holds a tau < 0 cell")
 
 
 _FUZZ_TOKENS = ("x", "", "nan", "-inf", "1e999", "0x10", "1.0.0", "--1", "1,2", "\u00e9")
@@ -535,6 +633,21 @@ class TestCliPipeline:
         side = json.loads(meta.read_text())
         assert side["method"] == "teaf"
         assert side["lambda2"] == pytest.approx(details["lambda2"])
+
+    def test_commands_back_to_back_through_one_parser(self, tmp_path):
+        # main builds its argparse tree once per registry state; no flag value or
+        # default of one command leaks into the next
+        _parser.cache_clear()
+        sig, sig2, grid = tmp_path / "s.csv", tmp_path / "s2.csv", tmp_path / "g.csv"
+        assert main(["gen", "--process", "um", "--f0", "0.1", "--n", "32", "--seed", "2",
+                     "-o", str(sig)]) == 0
+        assert main(["emaf", "-i", str(sig), "-o", str(grid)]) == 0
+        assert main(["gen", "--n", "32", "-o", str(sig2)]) == 0
+        assert (_parser.cache_info().misses, _parser.cache_info().hits) == (1, 2)
+        x = generate(UniformlyModulated(0.1), 32, 2)
+        np.testing.assert_array_equal(gridio.load_grid(grid)[0].values, compute_emaf(x).values)
+        np.testing.assert_array_equal(gridio.load_signal(sig2)[0], generate(MovingAverage(), 32, 0))
+        assert gridio.load_signal(sig2)[1] == "ma"
 
     def test_naf_spread_um(self, tmp_path, capsys):
         naf = tmp_path / "naf.csv"
@@ -734,7 +847,7 @@ class TestCliPipeline:
         db = tmp_path / "db.csv"
         main(["gen", "--process", "noise", "--n", "32", "--seed", "2", "-o", str(sig)])
         assert main(["emaf", "-i", str(sig), "-o", str(grid), "--db", str(db)]) == 0
-        assert db.read_text().splitlines()[0].startswith("# afkit-grid v2, n=32, kind=reference, cells=")
+        assert db.read_text().splitlines()[0].startswith("# afkit-grid v3, n=32, kind=reference, cells=")
 
 
 class TestCliBench:

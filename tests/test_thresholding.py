@@ -290,6 +290,25 @@ class TestLteaf:
             )
         assert part.merged is make_partition(8, 8).merged
 
+    def test_merge_map_in_the_sidecar(self):
+        # the sidecar's merged field names the annuli folded into each merged
+        # label; with them, each label's cell count is the sum of its annuli's
+        x = generate(MovingAverage((1.0, 0.5), 1.0), 8, 1)
+        part = make_partition(8, 8)
+        _, meta = threshold_with_details(compute_emaf(x), ThresholdConfig(method="lteaf"), part)
+        sidecar = json.dumps(meta, allow_nan=False)  # strict JSON, as `afkit threshold --meta` writes it
+        merged = json.loads(sidecar)["merged"]
+        assert set(merged) == set(meta["cells"])
+        assert any(merged.values())  # this grid does merge
+        annuli = [int(label) for label in merged] + [a for folded in merged.values() for a in folded]
+        sizes = np.bincount(part.region_index.ravel(), minlength=8)
+        assert sorted(annuli) == np.flatnonzero(sizes).tolist()  # each annulus with cells once
+        for label, folded in merged.items():
+            assert int(label) not in folded
+            assert meta["cells"][label] == sizes[[int(label), *folded]].sum()
+        _, single = threshold_with_details(compute_emaf(x), ThresholdConfig(method="teaf"))
+        assert single["merged"] == {"0": []}
+
     def test_partition_shape_checked(self):
         g = compute_emaf(np.ones(16, dtype=complex))
         with pytest.raises(ValueError):
