@@ -192,21 +192,16 @@ def _worker_run(block):
 
 @functools.cache
 def _git_revision() -> str | None:
-    """HEAD of the git work tree that holds this source file, else None."""
+    """HEAD of the git work tree that holds this source file, read as
+    perfbench/child.py reads it: HEAD, then its loose ref, else None."""
     git = Path(__file__).resolve().parents[2] / ".git"
     try:
         head = (git / "HEAD").read_text().strip()
-        if not head.startswith("ref: "):
-            return head  # a detached HEAD
-        ref = head[5:]
-        if (git / ref).is_file():
-            return (git / ref).read_text().strip()
-        for line in (git / "packed-refs").read_text().splitlines():
-            if line.endswith(" " + ref):
-                return line.split()[0]
+        if head.startswith("ref: "):
+            return (git / head[5:]).read_text().strip()
+        return head
     except OSError:
-        pass
-    return None
+        return None
 
 
 def _environment(workers: int) -> dict:

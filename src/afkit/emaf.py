@@ -242,10 +242,11 @@ def compute_emaf(x, workspace: np.ndarray | None = None) -> AmbiguityGrid:
     n = x.size
     shape = lattice(n).shape
     if workspace is None:
-        workspace = np.empty((2,) + shape, dtype=complex)
+        rows, spectrum = np.empty(shape, dtype=complex), np.empty(shape, dtype=complex)
     elif workspace.shape != (2,) + shape or workspace.dtype != complex:
         raise ValueError(f"EMAF workspace must be complex with shape {(2,) + shape}")
-    rows, spectrum = workspace
+    else:
+        rows, spectrum = workspace
     upper = rows[n - 1 :]  # tau >= 0
     upper.fill(0)
     # window tau, reversed, holds x*[t - tau] for tau = 0..N-1; the mask keeps +0 off the record
@@ -262,7 +263,7 @@ def compute_emaf(x, workspace: np.ndarray | None = None) -> AmbiguityGrid:
 
 def _mirror_lags(values: np.ndarray, out: np.ndarray, phases: np.ndarray | None = None) -> np.ndarray:
     """The tau < 0 rows of a (2N-1, 2N) grid from its tau > 0 rows, into out,
-    a C-contiguous complex (N-1, 2N) array: A(nu, -tau] = e^{j 2 pi nu tau}
+    a complex (N-1, 2N) array: A(nu, -tau] = e^{j 2 pi nu tau}
     conj(A(-nu, tau]).  -nu is column (2N - k) mod 2N, so nu = -1/2 is its own
     mirror (the EMAF has period 1 in nu), and the phase is Lattice.roots
     indexed by ((k - N) tau) mod 2N, gathered into phases (an (N-1, 2N)
@@ -270,9 +271,7 @@ def _mirror_lags(values: np.ndarray, out: np.ndarray, phases: np.ndarray | None 
     file with this same function, so its round trip is exact.
     """
     n = values.shape[1] // 2
-    # out holds the phase indices, in the first half of its bytes, until they are gathered
-    index = out.reshape(-1).view(np.int64)[: out.size].reshape(out.shape)
-    np.multiply(np.arange(n - 1, 0, -1)[:, None], np.arange(-n, n), out=index)
+    index = np.multiply.outer(np.arange(n - 1, 0, -1), np.arange(-n, n))
     if n & (n - 1):
         np.remainder(index, 2 * n, out=index)
     else:  # 2N is a power of two

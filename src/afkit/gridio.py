@@ -195,7 +195,10 @@ def load_grid(path):
     values = np.zeros(lat.shape, dtype=complex)
     values.view(np.float64).reshape(rows, cols, 2)[m, k] = data[:, 2:]  # bit for bit, -0.0 too
     if mirror:
-        _mirror_lags(values, values[: lat.n - 1])
+        with np.errstate(all="ignore"):  # a product that overflows is rejected below
+            lower = _mirror_lags(values, values[: lat.n - 1])
+        if not np.isfinite(lower).all():
+            raise FileFormatError("grid CSV with mirror=1 rebuilds a non-finite tau < 0 cell")
     return AmbiguityGrid(values, lat.n, kind), fields.get("process")
 
 

@@ -234,6 +234,23 @@ def test_lag_products_match_the_per_lag_loop(n, rng):
 U = 2.0**-53  # unit roundoff
 
 
+def _gamma(k: int) -> float:
+    return k * U / (1 - k * U)
+
+
+def _root_error(angle, roundings: int):
+    """Bound on |computed e^{j angle} - exact| when the computed angle carries
+    roundings relative roundings: |e^{j(a + d)} - e^{ja}| <= |d| <= g |exact|
+    <= g |angle| / (1 - g), g = gamma_roundings, and exp puts each part within
+    1 ulp of a value of modulus <= 1 (2u)."""
+    g = _gamma(roundings)
+    return g * np.abs(angle) / (1 - g) + 2 * np.sqrt(2) * U
+
+
+# Lattice.roots: the angle fl(fl(pi) i) / N, three roundings, |angle| < 2 pi
+ROOT_ERROR = _root_error(2 * np.pi, 3)
+
+
 def _mirror_bound(n: int) -> float:
     """Bound on ||new row - loop row||_2 / ||loop row||_2 over the tau < 0 rows.
 
@@ -242,18 +259,16 @@ def _mirror_bound(n: int) -> float:
     by Higham, Accuracy and Stability of Numerical Algorithms, Thm 24.2, each
     is within eps_f ||y||_2 of the exact row y, eps_f = t eta / (1 - t eta),
     t = log2 L, eta = mu + gamma_4 (sqrt 2 + mu) (a radix-4 pass is two
-    radix-2 stages, its +-j rotation exact).  mu bounds a root's error: the
-    angle fl(fl(pi) i) / N is off by 2u |angle| <= 4 pi u and each part of
-    exp by 1 ulp (2u), so mu = (4 pi + 2 sqrt 2) u.  The mirror adds to the
-    FFT error of its tau > 0 row a complex product (sqrt 5 u |a||b|, Brent,
-    Percival and Zimmermann 2007) with a root off by mu: per row
+    radix-2 stages, its +-j rotation exact), with mu = ROOT_ERROR, which
+    also bounds the FFT's twiddles.  The mirror adds to the FFT error of its
+    tau > 0 row a complex product (sqrt 5 u |a||b|, Brent, Percival and
+    Zimmermann 2007) with a root off by mu: per row
         ||new - loop|| <= (2 eps_f + (sqrt5 u (1 + mu) + mu)(1 + eps_f)) ||y||,
     and ||y|| <= ||loop|| / (1 - eps_f).
     """
     t = np.log2(2 * n)
-    mu = (4 * np.pi + 2 * np.sqrt(2)) * U
-    gamma4 = 4 * U / (1 - 4 * U)
-    eta = mu + gamma4 * (np.sqrt(2) + mu)
+    mu = ROOT_ERROR
+    eta = mu + _gamma(4) * (np.sqrt(2) + mu)
     eps_f = t * eta / (1 - t * eta)
     return (2 * eps_f + (np.sqrt(5) * U * (1 + mu) + mu) * (1 + eps_f)) / (1 - eps_f)
 
@@ -261,18 +276,30 @@ def _mirror_bound(n: int) -> float:
 @pytest.mark.parametrize("n", [2, 3, 16, 127, 128, 512])
 def test_negative_lags_are_the_mirror_of_the_positive_lags(n, rng):
     # the tau < 0 rows are _mirror_lags of the tau > 0 rows exactly, with or
-    # without a workspace, and A(nu, -tau] = e^{j 2 pi nu tau} conj(A(-nu, tau])
-    # holds for them to rounding against the per-lag loop
+    # without a workspace.  Two references built without _mirror_lags bound
+    # them: at every n, cell by cell, the loop's tau > 0 rows mirrored by
+    # A(nu, -tau] = e^{j 2 pi nu tau} conj(A(-nu, tau]) with the phase from
+    # np.exp; where the FFT bound holds, row by row, the per-lag loop itself
     ws = np.empty((2, 2 * n - 1, 2 * n), dtype=complex)
+    lags = np.arange(n - 1, 0, -1)[:, None]  # tau of the row mirrored into rows tau = -(N-1) .. -1
+    columns = (2 * n - np.arange(2 * n)) % (2 * n)  # -nu; nu = -1/2, column 0, is its own mirror
+    angle = 2 * np.pi * lattice(n).nus * lags  # four roundings: pi, nu and two products
+    phase = np.exp(1j * angle)
+    # both sides are one complex product (sqrt 5 u) of the same cell with a root
+    # off by ROOT_ERROR and _root_error(angle, 4) respectively
+    mu = _root_error(angle, 4)
+    cell_bound = ROOT_ERROR + mu + np.sqrt(5) * U * (2 + ROOT_ERROR + mu)
     for signal in _loop_inputs(n, rng):
         got = compute_emaf(signal).values
         mirror = _mirror_lags(got, np.empty((n - 1, 2 * n), dtype=complex))
         np.testing.assert_array_equal(got[: n - 1].view(np.uint64), mirror.view(np.uint64))
         np.testing.assert_array_equal(compute_emaf(signal, ws).values.view(np.uint64), got.view(np.uint64))
+        loop = _emaf_per_lag_loop(signal)
+        source = loop[n - 1 + lags, columns]
+        assert (np.abs(got[: n - 1] - phase * np.conj(source)) <= cell_bound * np.abs(source)).all()
         if n & (n - 1) == 0:  # the FFT error bound is derived for power-of-two lengths
-            loop = _emaf_per_lag_loop(signal)[: n - 1]
-            gap = np.linalg.norm(got[: n - 1] - loop, axis=1)
-            assert (gap <= _mirror_bound(n) * np.linalg.norm(loop, axis=1)).all()
+            gap = np.linalg.norm(got[: n - 1] - loop[: n - 1], axis=1)
+            assert (gap <= _mirror_bound(n) * np.linalg.norm(loop[: n - 1], axis=1)).all()
 
 
 class TestToDb:

@@ -500,6 +500,14 @@ class TestCsvLoaderRejects:
             lines[-1] = row
         self._assert_rejected("grid", lines, tmp_path, capsys, "mirror=1 holds a tau < 0 cell")
 
+    def test_mirrored_body_whose_mirror_overflows(self, tmp_path, capsys):
+        # every value in the file is finite, but the cell (tau, nu) = (-1, 1/8) it
+        # rebuilds is e^{j pi/4} conj(1.5e308 - 1.5e308j), whose imaginary part overflows
+        lines = _csv_lines("grid", 4, tmp_path)
+        row = next(i for i, line in enumerate(lines) if line.startswith("1,-0.125,"))
+        lines[row] = "1,-0.125,1.5e308,-1.5e308"
+        self._assert_rejected("grid", lines, tmp_path, capsys, "rebuilds a non-finite tau < 0 cell")
+
 
 _FUZZ_TOKENS = ("x", "", "nan", "-inf", "1e999", "0x10", "1.0.0", "--1", "1,2", "\u00e9")
 
