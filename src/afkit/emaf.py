@@ -14,7 +14,10 @@ length-2N FFT.  The tau < 0 rows follow from the conjugation symmetry
     A(nu, -tau] = e^{j 2 pi nu tau} conj(A(-nu, tau])
 
 (Hlawatsch & Boudreaux-Bartels, IEEE SP Magazine 1992), which _mirror_lags
-applies for compute_emaf and for the grid loader alike.
+applies for compute_emaf and for the grid loader alike.  A grid whose tau < 0
+rows are that mirror (_conjugate_symmetric) holds no information outside its
+N rows with tau >= 0, so the estimators and the scoring take every plane-wide
+statistic from those rows, each tau > 0 cell standing for itself and its mirror.
 """
 
 from __future__ import annotations
@@ -102,6 +105,35 @@ class RegionPartition:
         label_of = np.full(self.region_count, -1)
         label_of[self.region_index.ravel()] = np.asarray(labels)[cell_region.ravel()]
         return {r: [a for a in np.flatnonzero(label_of == r).tolist() if a != r] for r in labels}
+
+    @property
+    def segments(self) -> tuple:
+        """merged's order and, per region, (first, first pair, end) of its
+        cells in it: over the whole plane no cell counts twice."""
+        order, bounds = self.merged[2:]
+        return order, [(lo, hi, hi) for lo, hi in zip(bounds, bounds[1:])]
+
+    @cached_property
+    def half(self) -> tuple | None:
+        """segments over the rows with tau >= 0 of a (2N-1, 2N) grid, whose
+        tau > 0 cells count twice (for their mirrors), or None when the labels
+        are not mirror-symmetric (cell (-tau, -nu) labelled as (tau, nu)).
+        The order gathers flat indices of those rows stably by (region,
+        tau > 0), so that region i's tau = 0 cells come before its tau > 0
+        cells (None for one region)."""
+        idx, n = self.region_index, (self.region_index.shape[0] + 1) // 2
+        if idx.shape != (2 * n - 1, 2 * n) or not np.array_equal(
+            _flip_lags(idx, np.empty_like(idx[: n - 1])), idx[: n - 1]
+        ):
+            return None
+        labels, cell_region = self.merged[:2]
+        key = 2 * cell_region[n - 1 :].astype(np.int32)
+        key[1:] += 1
+        bounds = np.cumsum([0, *np.bincount(key.ravel(), minlength=2 * len(labels))]).tolist()
+        order = None
+        if len(labels) > 1:
+            order = _frozen(np.argsort(key.ravel(), kind="stable").astype(np.int32))
+        return order, list(zip(bounds[0::2], bounds[1::2], bounds[2::2]))
 
 
 class Lattice:
@@ -277,11 +309,34 @@ def _mirror_lags(values: np.ndarray, out: np.ndarray, phases: np.ndarray | None 
     else:  # 2N is a power of two
         np.bitwise_and(index, 2 * n - 1, out=index)
     phases = np.take(lattice(n).roots, index, out=phases, mode="clip")
+    np.conjugate(_flip_lags(values, out), out=out)
+    return np.multiply(out, phases, out=out)
+
+
+def _flip_lags(values: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The tau > 0 rows of a (2N-1, 2N) array moved to their mirror cells
+    (-tau, -nu), into out, an (N-1, 2N) array: out's row tau = -t, column k
+    is row t, column (2N - k) mod 2N."""
+    n = values.shape[1] // 2
     source = values[: n - 1 : -1]  # tau = N-1 .. 1, the mirrors of out's rows tau = -(N-1) .. -1
     out[:, 0] = source[:, 0]
     out[:, 1:] = source[:, :0:-1]
-    np.conjugate(out, out=out)
-    return np.multiply(out, phases, out=out)
+    return out
+
+
+def _conjugate_symmetric(values: np.ndarray, exact: bool = False) -> bool:
+    """Whether the tau < 0 rows of a (2N-1, 2N) grid equal _mirror_lags of its
+    tau > 0 rows and every rebuilt cell is finite: by value (a zero matches
+    either sign), or bit for bit with exact.  Such a grid is conjugate-symmetric,
+    and its rows with tau >= 0 decide every plane-wide statistic."""
+    n = values.shape[1] // 2
+    with np.errstate(all="ignore"):  # an inf or NaN cell just makes the grid asymmetric
+        mirror = _mirror_lags(values, np.empty((n - 1, 2 * n), dtype=complex))
+    if not np.isfinite(mirror).all():
+        return False
+    if exact:
+        return np.array_equal(mirror.view(np.uint64), np.ascontiguousarray(values[: n - 1]).view(np.uint64))
+    return np.array_equal(mirror, values[: n - 1])
 
 
 def standardize(grid: AmbiguityGrid, out: np.ndarray | None = None) -> AmbiguityGrid:

@@ -23,7 +23,7 @@ import warnings
 
 import numpy as np
 
-from .emaf import GRID_KINDS, AmbiguityGrid, _mirror_lags, lattice
+from .emaf import GRID_KINDS, AmbiguityGrid, _conjugate_symmetric, _mirror_lags, lattice
 from .sigcore import PROCESSES
 
 __all__ = [
@@ -141,12 +141,10 @@ def load_signal(path):
 def write_grid(path, grid: AmbiguityGrid, process: str | None = None) -> None:
     """Grid CSV v3: one row per cell unless both its parts are the bit pattern
     +0.0, of the tau >= 0 rows only when the grid's tau < 0 rows are, bit for
-    bit, the _mirror_lags of its tau > 0 rows (mirror=1)."""
+    bit, the finite _mirror_lags of its tau > 0 rows (mirror=1)."""
     values = np.ascontiguousarray(grid.values, dtype=complex)
     n = grid.n
-    with np.errstate(all="ignore"):  # an inf or NaN cell just makes the grid unmirrored
-        mirrored = _mirror_lags(values, np.empty((n - 1, 2 * n), dtype=complex))
-    mirror = np.array_equal(mirrored.view(np.uint64), values[: n - 1].view(np.uint64))
+    mirror = _conjugate_symmetric(values, exact=True)
     bits = values.view(np.uint64)
     keep = (bits[:, 0::2] | bits[:, 1::2]) != 0
     if mirror:  # written as its tau >= 0 rows

@@ -27,6 +27,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .emaf import MIN_REGION_CELLS, AmbiguityGrid, RegionPartition, lattice, standardize
+from .emaf import _conjugate_symmetric, _flip_lags, _mirror_lags
 
 __all__ = [
     "METHODS",
@@ -80,24 +81,50 @@ def make_partition(n: int, k: int = 8) -> RegionPartition:
     return lattice(n).partition(k)
 
 
-def _median(a: np.ndarray, scratch: np.ndarray | None = None, finite: bool = False):
-    """np.median of a 1-D float array, bit for bit, from one partition pivot
-    and a max over the lower half (np.median partitions on two or three).
-    a is copied into scratch (default: a new array) and keeps its order for
-    np.median itself, which decides a zero or NaN result: its partition
-    order picks the sign of a zero and the payload of a NaN.  With finite, a
-    NaN or inf anywhere (in the upper half's max) makes the result NaN."""
-    part = np.empty_like(a) if scratch is None else scratch[: a.size]
-    np.copyto(part, a)
-    if a.size:
-        k = a.size // 2
-        part.partition(k)
-        if not np.isfinite(top := part[k:].max()) and finite:
+def _median(a: np.ndarray, scratch: np.ndarray | None = None, pairs: np.ndarray | None = None,
+            finite: bool = False):
+    """np.median of the multiset a + pairs + pairs (each cell of pairs
+    counted twice) of 1-D float arrays, bit for bit, without building it.
+    Without pairs this is one partition pivot and a max over the lower half
+    (np.median partitions on two or three).  With pairs, of size p, the
+    central ranks r1 <= r2 of the a.size + 2p cells lie between the pair
+    order statistics lo = (r1 - a.size) // 2 and hi = r2 // 2, found by two
+    single-pivot partitions; the pairs between them (twice) and the cells
+    of a between their values are sorted, and the ranks read off.  a and
+    pairs are copied into scratch (default: a new array) and keep their
+    order for np.median itself, which decides a zero or NaN result: its
+    partition order picks the sign of a zero and the payload of a NaN.
+    With finite, a NaN or inf anywhere makes the result NaN."""
+    pairs = a[:0] if pairs is None else pairs
+    size = a.size + 2 * pairs.size
+    part = np.empty(a.size + pairs.size) if scratch is None else scratch[: a.size + pairs.size]
+    once, twice = part[: a.size], part[a.size :]
+    np.copyto(once, a)
+    np.copyto(twice, pairs)
+    if size:
+        r1, r2 = (size - 1) // 2, size // 2
+        if not pairs.size:
+            once.partition(r2)
+            top = once[r2:].max()
+            low, high = once[:r2].max() if r1 < r2 else once[r2], once[r2]
+        else:
+            lo, hi = max((r1 - a.size) // 2, 0), min(r2 // 2, pairs.size - 1)
+            twice.partition(hi)
+            if lo < hi:
+                twice[:hi].partition(lo)
+            top = np.maximum(twice[hi:].max(), once.max(initial=-np.inf))
+            if not np.isnan(top):
+                floor = twice[lo] if lo else -np.inf  # cells of a below it rank below every candidate
+                ceil = twice[hi] if hi < pairs.size - 1 else np.inf
+                cand = np.sort(np.concatenate([twice[lo : hi + 1], twice[lo : hi + 1],
+                                               once[(once >= floor) & (once <= ceil)]]))
+                skipped = 2 * lo + np.count_nonzero(once < floor)
+                low, high = cand[r1 - skipped], cand[r2 - skipped]
+        if not np.isfinite(top) and finite:
             return np.nan
-        mid = part[k] if a.size % 2 else (part[:k].max() + part[k]) / 2
-        if mid != 0 and not np.isnan(top):
+        if not np.isnan(top) and (mid := high if r1 == r2 else (low + high) / 2) != 0:
             return mid
-    return np.median(a)
+    return np.median(np.concatenate([a, pairs, pairs]) if pairs.size else a)
 
 
 def _power(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -106,26 +133,32 @@ def _power(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return np.square(out, out=out)
 
 
-def _sigma4(power: np.ndarray, scratch: np.ndarray | None = None) -> float:
+def _sigma4(power: np.ndarray, scratch: np.ndarray | None = None, pairs: np.ndarray | None = None) -> float:
     """The variance rule of every estimator: the median of power, squared
-    standardized cells, / ln 2 (the median of a 1/2 chi^2_2 variable).  The
-    median of an even cell count is the mean of the two central order
-    statistics (numpy convention).  Any NaN or inf cell is rejected."""
-    if power.size == 0:
+    standardized cells, plus each cell of pairs twice, / ln 2 (the median of
+    a 1/2 chi^2_2 variable).  The median of an even cell count is the mean
+    of the two central order statistics (numpy convention).  Any NaN or inf
+    cell is rejected."""
+    if power.size == 0 and (pairs is None or pairs.size == 0):
         raise ValueError("cannot estimate a variance from an empty region")
-    sigma4 = float(_median(power, scratch, finite=True) / LN2)
+    sigma4 = float(_median(power, scratch, pairs, finite=True) / LN2)
     if not math.isfinite(sigma4):
         raise ValueError("variance estimate is not finite: the grid holds NaN or inf")
     return sigma4
 
 
 def bias_correct(grid: AmbiguityGrid, sigma2_w: float) -> AmbiguityGrid:
-    """Subtract the analytic-white-noise mean surface scaled by sigma2_w."""
+    """Subtract the analytic-white-noise mean surface scaled by sigma2_w.
+    The surface is conjugate-symmetric, so a conjugate-symmetric grid stays
+    so exactly: its corrected tau < 0 rows are the _mirror_lags of its
+    corrected tau > 0 rows, as SurvivorKernel.corrected builds them."""
     if grid.kind != "raw":
         raise ValueError("bias correction expects a raw grid")
     if sigma2_w < 0:
         raise ValueError("noise variance must be >= 0")
     values = grid.values - sigma2_w * lattice(grid.n).bias_basis
+    if _conjugate_symmetric(grid.values):
+        _mirror_lags(values, values[: grid.n - 1])
     return AmbiguityGrid(values, grid.n, "bias_corrected")
 
 
@@ -137,17 +170,25 @@ class SurvivorKernel:
     one-region partition for teaf, part (default: the lattice's
     region_count partition) for lteaf and lbteaf.
 
+    With half (for grids that are _conjugate_symmetric) and mirror-symmetric
+    partitions, a pass reads and writes only the rows with tau >= 0, `rows`:
+    each median counts a tau > 0 cell twice, once for its mirror, and keep
+    holds the decisions of those rows only (the tau < 0 cell (-tau, -nu)
+    shares the decision of (tau, nu)).  Otherwise rows is the whole plane.
+
     survive(values) takes a record's raw values and sets sigma2_w (the rim
     noise level sqrt(_sigma4 over the rim), lbteaf only), then sigma4[m]
     and keep[m] for teaf and lteaf.  corrected(values) writes values -
     sigma2_w * bias basis into ws[0], never into values unless they are
-    ws[0], sets lbteaf's sigma4 and keep from it and returns it.
+    ws[0], mirrors its tau < 0 rows when half, sets lbteaf's sigma4 and
+    keep from it and returns it.
 
     ws is two complex grids, real one real grid; scratch views ws[1] as
     two real grids; a pass leaves |v|^2 in scratch[0], scratch[1] and real free.
     """
 
-    def __init__(self, n: int, cfg: ThresholdConfig, methods, part: RegionPartition | None = None):
+    def __init__(self, n: int, cfg: ThresholdConfig, methods, part: RegionPartition | None = None,
+                 half: bool = True):
         cfg.validate()
         lat = lattice(n)
         self.n, self.lam2 = n, threshold_level(2 * n, cfg.c_exponent)
@@ -157,14 +198,18 @@ class SurvivorKernel:
         elif local and part.region_index.shape != lat.shape:
             raise ValueError("partition does not match the grid dimensions")
         self.parts = {m: part if m in local else lat.partition(1) for m in methods}
-        self.rim = lat.rim(cfg.rim_fraction) if "lbteaf" in methods else None
         # Tables are built here, before any buffer below is touched, so that
         # their temporaries do not add to the peak memory.
-        for p in self.parts.values():
-            p.merged
+        self.half = half and all(p.half is not None for p in self.parts.values())
+        self.rows = slice(n - 1 if self.half else 0, None)
+        # method -> gather order and (first, first pair, end) of each region's cells in it
+        self.segments = {m: p.half if self.half else p.segments for m, p in self.parts.items()}
+        self.rim = lat.rim(cfg.rim_fraction)[self.rows] if "lbteaf" in methods else None
+        if self.rim is not None:  # a row-major gather lists the tau = 0 cells, counted once, first
+            self.rim_once = np.count_nonzero(self.rim[0] if self.half else self.rim)
         lat.inv_sqrt_base
-        self.lags, self.w = (n - np.abs(lat.taus))[:, None], lat.w  # base = lags * w, per pass
-        self.basis = lat.bias_basis if self.rim is not None else None
+        self.lags, self.w = (n - np.abs(lat.taus))[self.rows, None], lat.w  # base = lags * w, per pass
+        self.basis = lat.bias_basis[self.rows] if self.rim is not None else None
         self.ws, self.real = np.empty((2,) + lat.shape, dtype=complex), np.empty(lat.shape)
         self.scratch = self.ws[1].view(float).reshape((2,) + lat.shape)
         self.keep = {m: np.empty(lat.shape, dtype=bool) for m in methods}
@@ -174,33 +219,36 @@ class SurvivorKernel:
         self._keep(values, "raw", [m for m in self.keep if m != "lbteaf"], self.rim)
 
     def corrected(self, values: np.ndarray) -> np.ndarray:
-        basis = np.multiply(self.sigma2_w, self.basis, out=self.ws[1])
-        out = np.subtract(values, basis, out=self.ws[0])
+        rows, out = self.rows, self.ws[0]
+        basis = np.multiply(self.sigma2_w, self.basis, out=self.ws[1][rows])
+        np.subtract(values[rows], basis, out=out[rows])
+        if self.half:
+            _mirror_lags(out, out[: self.n - 1], self.ws[1][: self.n - 1])
         self._keep(out, "bias_corrected", ["lbteaf"])
         return out
 
     def _keep(self, values, kind, methods, rim=None) -> None:
         """Set sigma4 and keep of methods, sigma2_w given a rim; leave |values|^2 in scratch[0]."""
         std = standardize(AmbiguityGrid(values, self.n, kind), out=self.ws[1]).values
-        std_power = _power(std, out=self.real)
-        power, thr = self.scratch
+        rows = self.rows
+        std_power = _power(std[rows], out=self.real[rows])
+        power, thr = self.scratch[0][rows], self.scratch[1].ravel()
         for m in methods:
-            _, _, order, bounds = self.parts[m].merged
+            order, segments = self.segments[m]
             flat = std_power.ravel()
             if order is not None:
                 flat = np.take(flat, order, out=power.ravel(), mode="clip")
-            self.sigma4[m] = np.array(
-                [_sigma4(flat[lo:hi], thr.ravel()) for lo, hi in zip(bounds, bounds[1:])]
-            )
+            self.sigma4[m] = np.array([_sigma4(flat[a:b], thr, flat[b:c]) for a, b, c in segments])
         if rim is not None:
-            self.sigma2_w = math.sqrt(_sigma4(std_power[rim], thr.ravel()))
-        _power(values, out=power)
-        base = np.multiply(self.lags, self.w, out=self.real) if methods else None
+            cells = std_power[rim]
+            self.sigma2_w = math.sqrt(_sigma4(cells[: self.rim_once], thr, cells[self.rim_once :]))
+        _power(values[rows], out=power)
+        base = np.multiply(self.lags, self.w, out=self.real[rows]) if methods else None
         for m in methods:
             level = self.lam2 * self.sigma4[m]
             if level.size > 1:  # per cell; one region multiplies base by a scalar
-                level = np.take(level, self.parts[m].merged[1], out=thr, mode="clip")
-            np.greater(power, np.multiply(base, level, out=thr), out=self.keep[m])
+                level = np.take(level, self.parts[m].merged[1][rows], out=self.scratch[1][rows], mode="clip")
+            np.greater(power, np.multiply(base, level, out=self.scratch[1][rows]), out=self.keep[m][rows])
 
 
 def threshold_with_details(
@@ -212,21 +260,26 @@ def threshold_with_details(
 
     teaf uses one region covering the plane and ignores part; lteaf and
     lbteaf use the merged regions of part (default: make_partition(N,
-    region_count)).  Metadata records the method, C, region count, rim
-    fraction, the squared threshold level, the rim noise level sigma2_w
+    region_count)).  A conjugate-symmetric grid is decided on its rows with
+    tau >= 0 (SurvivorKernel's half), each cell (-tau, -nu) sharing the
+    decision of (tau, nu).  Metadata records the method, C, region count,
+    rim fraction, the squared threshold level, the rim noise level sigma2_w
     (lbteaf only) and, per merged region, the sigma4 estimate used, the
     cell count, the survivor count and the annuli folded into it, ready
     for a JSON sidecar.  The input grid is never written.
     """
     if grid.kind != "raw":
         raise ValueError(f"{cfg.method} expects a raw grid")
-    method, kernel = cfg.method, SurvivorKernel(grid.n, cfg, (cfg.method,), part)
+    method, n = cfg.method, grid.n
+    kernel = SurvivorKernel(n, cfg, (method,), part, half=_conjugate_symmetric(grid.values))
     kernel.survive(grid.values)
     values = kernel.corrected(grid.values) if method == "lbteaf" else grid.values
-    meta = {"method": method, **vars(cfg), "lambda2": kernel.lam2, "n": grid.n}
+    meta = {"method": method, **vars(cfg), "lambda2": kernel.lam2, "n": n}
     if method == "lbteaf":
         meta["sigma2_w"] = kernel.sigma2_w
     keep = kernel.keep[method]
+    if kernel.half:
+        _flip_lags(keep, keep[: n - 1])
     labels, cell_region, _, bounds = kernel.parts[method].merged
     survivors = np.bincount(cell_region[keep], minlength=len(labels))
     meta.update(

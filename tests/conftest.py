@@ -40,3 +40,27 @@ def random_complex_signal(rng, n):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240917)
+
+
+U = 2.0**-53  # unit roundoff
+
+
+def gamma(k: int) -> float:
+    """Higham's gamma_k: the relative error bound of k roundings."""
+    return k * U / (1 - k * U)
+
+
+def mirror_power_error() -> float:
+    """Bound on p'/p - 1 and p/p' - 1, where p = fl(|fl(v s)|)^2 is a cell's
+    power (s > 0 a real scale: 1 for raw cells, 1/sqrt(base) standardized)
+    and p' that of its mirror cell, v' = fl(r conj(v)) with r a root of
+    Lattice.roots.  |r| is within 2 sqrt2 u of 1 (np.exp puts each part
+    within 1 ulp of a point on the unit circle) and the complex product
+    adds sqrt5 u |r||v| (Brent, Percival and Zimmermann 2007).  Each power
+    then takes one rounding per part for the scale (u), at most five for
+    |z| (hypot, or numpy's SIMD l sqrt(1 + (s/l)^2)) and one for the square."""
+    modulus = 2 * np.sqrt(2) * U
+    pipe = (1 + U) ** 2 * (1 + gamma(5)) ** 2 * (1 + U), (1 - U) ** 2 * (1 - gamma(5)) ** 2 * (1 - U)
+    hi = ((1 + modulus) * (1 + np.sqrt(5) * U)) ** 2 * pipe[0]
+    lo = ((1 - modulus) * (1 - np.sqrt(5) * U)) ** 2 * pipe[1]
+    return hi / lo - 1

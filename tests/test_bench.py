@@ -5,15 +5,18 @@ import pytest
 
 from afkit.bench import (
     ACCUMULATION_BLOCK,
+    STAGES,
     MCConfig,
+    _run_block,
+    _scored_cells,
     _TrialPass,
     _worker_count,
     derive_trial_seed,
     mse_against_naf,
     run_bench,
 )
-from afkit.emaf import AmbiguityGrid, compute_emaf
-from afkit.moments import naf_for_process, naf_um
+from afkit.emaf import AmbiguityGrid, _flip_lags, compute_emaf
+from afkit.moments import NAFReference, naf_for_process, naf_um
 from afkit.sigcore import (
     DEFAULT_MA_WEIGHTS,
     AnalyticWhiteNoise,
@@ -25,6 +28,8 @@ from afkit.sigcore import (
 )
 from afkit.spread import indicator, total_spread
 from afkit.thresholding import ThresholdConfig, lbteaf, lteaf, make_partition, teaf
+
+from conftest import gamma, mirror_power_error
 
 
 def public_path_report(cfg):
@@ -109,6 +114,66 @@ class TestMseAgainstNaf:
             mse_against_naf(est, ref)
 
 
+class TestHalfPlaneScoring:
+    @pytest.mark.parametrize("n", [16, 64])
+    def test_folded_total_matches_the_full_plane_sum(self, n):
+        # Off the reference cells and their mirrors the error is |v|^2, and a
+        # tau < 0 cell's is its mirror's within mirror_power_error (delta):
+        # the exact folded sum H is within delta H of the exact full sum F, and
+        # each computed sum of m nonnegative terms within gamma(m) of its own.
+        process = TimeVaryingMA(DEFAULT_MA_WEIGHTS, 0.042)
+        naf = naf_for_process(process, n)
+        ref = naf.grid.values
+        cells = _scored_cells(ref)[0]
+        delta, m = mirror_power_error(), ref.size
+        own_lower = 0
+        for seed in range(5):
+            raw = compute_emaf(generate(process, n, seed))
+            err, total = mse_against_naf(raw, naf)
+            full = np.abs(raw.values - ref) ** 2
+            f = full.sum()
+            h = f / (1 - delta)
+            assert abs(total - f) <= delta * h + gamma(m) * (f + h)
+            # the reference cells and their mirrors score their own values; the
+            # other tau < 0 cells their mirrors' errors
+            np.testing.assert_array_equal(err.flat[cells], full.flat[cells])
+            mirrored = err.copy()
+            _flip_lags(mirrored, mirrored[: n - 1])
+            off = np.ones(err.shape, dtype=bool)
+            off.flat[cells] = False
+            np.testing.assert_array_equal(err[off], mirrored[off])
+            own_lower += np.count_nonzero((err != mirrored)[: n - 1])
+        assert own_lower  # tvma's reference is not conjugate-symmetric: the own values count
+
+    def test_support_without_its_mirror(self):
+        # a one-cell reference at tau = 2: its mirror cell (-2, -nu) is not on
+        # the support, yet it is scored from the estimate's own value there
+        n = 16
+        values = np.zeros((2 * n - 1, 2 * n), dtype=complex)
+        values[n + 1, 5] = 4.0 - 1.0j
+        naf = NAFReference(AmbiguityGrid(values, n, "reference"), values != 0, 1)
+        raw = compute_emaf(generate(UniformlyModulated(), n, 7))
+        err, _ = mse_against_naf(raw, naf)
+        full = np.abs(raw.values - values) ** 2
+        for cell in ((n + 1, 5), (n - 3, 2 * n - 5)):
+            assert err[cell] == full[cell]
+
+    def test_block_results_hold_the_tau_nonnegative_rows(self):
+        n = 16
+        cfg = MCConfig(TimeVaryingMA(DEFAULT_MA_WEIGHTS, 0.042), n=n, trials=3, estimators=("emaf", "teaf"))
+        trial_pass = _TrialPass(cfg, naf_for_process(cfg.process, n))
+        out, clock = _run_block(trial_pass, (0, 3))
+        for slot in out.values():
+            assert slot["sq"].shape == (n, 2 * n) and slot["cells"].shape == trial_pass.cells.shape
+        assert tuple(clock) == STAGES and clock["pool_start"] == 0.0
+        mse = run_bench(cfg).per_estimator["emaf"].mse_grid
+        mirrored = mse.copy()
+        _flip_lags(mirrored, mirrored[: n - 1])
+        off = np.ones(mse.shape, dtype=bool)
+        off.flat[trial_pass.cells] = False
+        np.testing.assert_array_equal(mse[off], mirrored[off])
+
+
 class TestMCConfigValidation:
     def test_pairing_rules(self):
         with pytest.raises(ValueError):
@@ -168,6 +233,26 @@ class TestRunBench:
             assert env["workers"] == min(workers, os.cpu_count())
             assert env["git_revision"] is None or len(env["git_revision"]) == 40
             assert set(report["results"]) == set(cfg.estimators)
+            for stats in report["results"].values():
+                assert set(stats) == {"total_mse_mean", "total_mse_std", "spread_mean", "spread_std"}
+
+    def test_timing_is_metadata_only(self):
+        # seconds per stage go to metadata; results stay equal at 1 and 2
+        # workers and gain no key
+        cfg = MCConfig(AnalyticWhiteNoise(0.6), n=16, trials=2 * ACCUMULATION_BLOCK, base_seed=3,
+                       estimators=("emaf", "teaf", "lteaf", "lbteaf"))
+        reports = [run_bench(cfg, threads=t) for t in (1, 2)]
+        dicts = [r.to_dict() for r in reports]
+        assert dicts[0]["results"] == dicts[1]["results"]
+        for name in cfg.estimators:
+            np.testing.assert_array_equal(reports[0].per_estimator[name].mse_grid,
+                                          reports[1].per_estimator[name].mse_grid)
+        for report in dicts:
+            timing, workers = report["metadata"]["timing"], report["metadata"]["environment"]["workers"]
+            assert tuple(timing) == STAGES
+            assert all(timing[stage] > 0 for stage in STAGES if stage != "pool_start")
+            assert (timing["pool_start"] > 0) == (workers > 1)
+            assert "timing" not in report["results"]
             for stats in report["results"].values():
                 assert set(stats) == {"total_mse_mean", "total_mse_std", "spread_mean", "spread_std"}
 

@@ -3,11 +3,12 @@
 tests/data/bench_pins.json records, for one small config per registered
 process run with every estimator the process allows, the exact `results`
 of run_bench (floats as repr strings) and a sha256 of each per-cell MSE
-grid.  They were last written when compute_emaf began to fill its tau < 0
-rows by the conjugation mirror (a rounding-only re-baseline: no survivor
-moved and only five repr strings, four of them standard deviations, moved
-in their last digit), so they catch a drift that moves the fused pass and
-the public path together.  Rewrite them only on purpose:
+grid.  They were last written when the survivor pass and the scoring
+began to read only the tau >= 0 rows of a conjugate-symmetric grid (a
+rounding-only re-baseline: no survivor and no spread moved, and twelve
+repr strings of totals and their standard deviations moved in their last
+digit), so they catch a drift that moves the fused pass and the public
+path together.  Rewrite them only on purpose:
 
     PYTHONPATH=src python tests/test_bench_pins.py > tests/data/bench_pins.json
 """

@@ -11,7 +11,7 @@ from afkit.emaf import (
 )
 from afkit.sigcore import generate, MovingAverage
 
-from conftest import emaf_direct, random_complex_signal
+from conftest import U, emaf_direct, gamma, random_complex_signal
 
 
 class TestGridType:
@@ -231,19 +231,12 @@ def test_lag_products_match_the_per_lag_loop(n, rng):
         np.testing.assert_array_equal(compute_emaf(signal, ws).values[n - 1 :].view(np.uint64), want)
 
 
-U = 2.0**-53  # unit roundoff
-
-
-def _gamma(k: int) -> float:
-    return k * U / (1 - k * U)
-
-
 def _root_error(angle, roundings: int):
     """Bound on |computed e^{j angle} - exact| when the computed angle carries
     roundings relative roundings: |e^{j(a + d)} - e^{ja}| <= |d| <= g |exact|
     <= g |angle| / (1 - g), g = gamma_roundings, and exp puts each part within
     1 ulp of a value of modulus <= 1 (2u)."""
-    g = _gamma(roundings)
+    g = gamma(roundings)
     return g * np.abs(angle) / (1 - g) + 2 * np.sqrt(2) * U
 
 
@@ -268,7 +261,7 @@ def _mirror_bound(n: int) -> float:
     """
     t = np.log2(2 * n)
     mu = ROOT_ERROR
-    eta = mu + _gamma(4) * (np.sqrt(2) + mu)
+    eta = mu + gamma(4) * (np.sqrt(2) + mu)
     eps_f = t * eta / (1 - t * eta)
     return (2 * eps_f + (np.sqrt(5) * U * (1 + mu) + mu) * (1 + eps_f)) / (1 - eps_f)
 

@@ -8,7 +8,7 @@ import pytest
 
 from afkit import gridio
 from afkit.cli import _parser, main
-from afkit.emaf import AmbiguityGrid, _mirror_lags, compute_emaf, lattice
+from afkit.emaf import AmbiguityGrid, _conjugate_symmetric, _mirror_lags, compute_emaf, lattice
 from afkit.moments import naf_um
 from afkit.sigcore import MovingAverage, UniformlyModulated, generate
 from afkit.thresholding import ThresholdConfig, teaf, threshold_with_details
@@ -157,6 +157,15 @@ class TestGridCsv:
         assert main(["threshold", "-i", str(raw), "--method", method, "-o", str(out)]) == 0
         want, _ = gridio.load_grid(DATA / f"raw_v2_n16_{method}.csv")
         np.testing.assert_array_equal(_bits(gridio.load_grid(out)[0].values), _bits(want.values))
+
+    def test_committed_v2_raw_grid_takes_the_full_plane(self):
+        # written by the full-plane EMAF, its tau < 0 rows are within rounding
+        # of their mirrors but not equal, so every estimator decides on all
+        # 2N - 1 rows, as when it was written
+        grid, _ = gridio.load_grid(DATA / "raw_v2_n16.csv")
+        mirror = _mirror_lags(grid.values, np.empty((15, 32), dtype=complex))
+        assert not np.array_equal(mirror, grid.values[:15])
+        assert not _conjugate_symmetric(grid.values)
 
     @pytest.mark.parametrize("n", [2, 3, 16])
     def test_v1_files_still_load_bit_for_bit(self, tmp_path, rng, n):

@@ -4,11 +4,21 @@ import math
 import numpy as np
 import pytest
 
-from afkit.emaf import AmbiguityGrid, compute_emaf, lattice, standardize
+from afkit.emaf import (
+    AmbiguityGrid,
+    _conjugate_symmetric,
+    _flip_lags,
+    _mirror_lags,
+    compute_emaf,
+    lattice,
+    standardize,
+)
 from afkit.sigcore import (
+    DEFAULT_MA_WEIGHTS,
     AnalyticWhiteNoise,
     ChirpInNoise,
     MovingAverage,
+    TimeVaryingMA,
     UniformlyModulated,
     generate,
 )
@@ -16,6 +26,7 @@ from afkit.thresholding import (
     METHODS,
     MIN_REGION_CELLS,
     RegionPartition,
+    SurvivorKernel,
     ThresholdConfig,
     _median,
     _sigma4,
@@ -27,6 +38,8 @@ from afkit.thresholding import (
     threshold_level,
     threshold_with_details,
 )
+
+from conftest import U, mirror_power_error
 
 
 class TestThresholdLevel:
@@ -164,9 +177,127 @@ class TestMedian:
                 assert self._bits(got) == self._bits(np.median(a)), a
             np.testing.assert_array_equal(a, before)  # a keeps its order
 
+    def test_pairs_bit_identical_to_numpy(self, rng):
+        # the weighted median, each cell of pairs counted twice, is np.median
+        # of the explicit multiset a + pairs + pairs bit for bit: every case as
+        # a with no pairs and split into a and pairs, an empty a included
+        payload = np.array([0x7FF80000000ABCDE], dtype=np.uint64).view(float)[0]  # a NaN payload
+        cases = [np.array(c) for c in self.CASES] + [np.array([1.0, payload, 2.0]), np.array([0.5, -payload])]
+        cases += [rng.standard_exponential(size) for size in (1, 2, 7, 8, 255, 256, 4097)]
+        cases += [rng.integers(0, 3, size).astype(float) for size in (9, 10, 101, 1000, 4097)]
+        for c in cases:
+            cuts = range(c.size + 1) if c.size <= 16 else (0, 1, c.size // 3, c.size // 2, c.size - 1, c.size)
+            for cut in cuts:
+                a, pairs = c[:cut], c[cut:]
+                before = c.copy()
+                with np.errstate(invalid="ignore"):
+                    want = np.median(np.concatenate([a, pairs, pairs]))
+                    scratch = np.full(c.size + 3, 42.0)
+                    for got in (_median(a, pairs=pairs), _median(a, scratch, pairs)):
+                        assert self._bits(got) == self._bits(want), (a, pairs)
+                np.testing.assert_array_equal(c, before)  # a and pairs keep their order
+
+    def test_non_finite_anywhere_is_nan_with_finite(self):
+        for a, pairs in (([1.0], [np.inf, 1.0, 1.0]), ([np.nan, 1.0], [1.0, 2.0]), ([], [1.0, np.nan]),
+                         ([np.inf, 1.0, 2.0], [3.0]), ([1.0], [2.0, np.inf])):
+            assert np.isnan(_median(np.array(a), pairs=np.array(pairs), finite=True))
+
     def test_empty_is_nan_like_numpy(self):
         with pytest.warns(RuntimeWarning):
             assert np.isnan(_median(np.array([])))
+
+
+class TestHalfPlane:
+    """SurvivorKernel on the rows with tau >= 0 of a conjugate-symmetric grid
+    against the same kernel over the whole plane."""
+
+    @staticmethod
+    def _flip(mask):
+        full = mask.copy()
+        _flip_lags(full, full[: (mask.shape[0] - 1) // 2])
+        return full
+
+    def test_half_order_of_a_partition(self):
+        for n, k in ((8, 8), (32, 5), (64, 8)):
+            part = make_partition(n, k)
+            order, segments = part.half
+            labels, cell_region, _, full_bounds = part.merged
+            region = cell_region[n - 1 :].ravel()
+            positive = np.arange(region.size) >= 2 * n  # the tau > 0 rows
+            assert len(segments) == len(labels) and segments[-1][2] == region.size
+            for i, (first, pair, end) in enumerate(segments):
+                np.testing.assert_array_equal(order[first:pair], np.flatnonzero((region == i) & ~positive))
+                np.testing.assert_array_equal(order[pair:end], np.flatnonzero((region == i) & positive))
+                assert pair - first + 2 * (end - pair) == full_bounds[i + 1] - full_bounds[i]
+        assert make_partition(16, 1).half == (None, [(0, 32, 16 * 32)])
+        idx = np.zeros((31, 32), dtype=int)
+        idx[16:] = 1  # tau > 0 apart from tau < 0: not mirror-symmetric
+        assert RegionPartition(2, idx).half is None
+
+    def test_sigma4_is_the_full_plane_median_of_the_mirrored_plane(self):
+        # bit for bit: replacing every tau < 0 power by its mirror's gives the
+        # full plane whose per-region medians the half-plane kernel takes
+        n = 64
+        kernel = SurvivorKernel(n, ThresholdConfig(), ("teaf", "lteaf", "lbteaf"))
+        assert kernel.half
+        for seed in range(3):
+            raw = compute_emaf(generate(TimeVaryingMA(DEFAULT_MA_WEIGHTS, 0.042), n, seed)).values
+            kernel.survive(raw)
+            power = np.abs(standardize(AmbiguityGrid(raw, n)).values) ** 2
+            _flip_lags(power, power[: n - 1])
+            for m in ("teaf", "lteaf"):
+                cell_region = kernel.parts[m].merged[1]
+                want = [_sigma4(power[cell_region == i]) for i in range(len(kernel.sigma4[m]))]
+                np.testing.assert_array_equal(np.array(want).view(np.uint64), kernel.sigma4[m].view(np.uint64))
+            assert kernel.sigma2_w == math.sqrt(_sigma4(power[lattice(n).rim(0.1)]))
+
+    @pytest.mark.parametrize("n", [16, 64, 128])
+    def test_half_plane_agrees_with_the_full_plane(self, n):
+        # Every cell of the half-plane multiset is the full plane's cell or its
+        # mirror's, whose power is within delta (mirror_power_error) of it, so
+        # each order statistic, and sigma4, is within the rounding of the mean
+        # of two and of / ln 2 of that.  The level adds two products; a
+        # survivor may flip only where |v|^2 lies within that of the level.
+        delta, r = mirror_power_error(), (1 + U) / (1 - U)
+        sigma_bound = (1 + delta) * r**2 - 1
+        level_bound = (1 + sigma_bound) * r**2 - 1
+        flip_bound = (1 + delta) * (1 + level_bound) - 1
+        lat = lattice(n)
+        half, full = (SurvivorKernel(n, ThresholdConfig(), ("teaf", "lteaf", "lbteaf"), half=h) for h in (True, False))
+        assert half.half and not full.half
+        processes = (MovingAverage(), UniformlyModulated(0.09), TimeVaryingMA(DEFAULT_MA_WEIGHTS, 0.042),
+                     AnalyticWhiteNoise(0.6))
+        for process in processes:
+            for seed in range(3):
+                raw = compute_emaf(generate(process, n, seed)).values
+                half.survive(raw)
+                full.survive(raw)
+                assert abs(half.sigma2_w - full.sigma2_w) <= (math.sqrt(1 + sigma_bound) * r - 1) * full.sigma2_w
+                for m in ("teaf", "lteaf"):
+                    assert (np.abs(half.sigma4[m] - full.sigma4[m]) <= sigma_bound * full.sigma4[m]).all()
+                    flips = self._flip(half.keep[m]) != full.keep[m]
+                    level = lat.base * (full.lam2 * full.sigma4[m])[full.parts[m].merged[1]]
+                    power = np.abs(raw) ** 2
+                    assert (np.abs(power - level)[flips] <= flip_bound * level[flips]).all()
+
+    def test_keep_of_a_cell_is_the_keep_of_its_mirror(self):
+        n = 64
+        g = compute_emaf(generate(UniformlyModulated(0.09), n, 4))
+        for method in METHODS:
+            est, meta = threshold_with_details(g, ThresholdConfig(method=method))
+            alive = est.values != 0
+            np.testing.assert_array_equal(alive, self._flip(alive))
+            assert sum(meta["survivors"].values()) == np.count_nonzero(alive)
+
+    def test_bias_correction_keeps_the_symmetry(self):
+        n = 32
+        g = compute_emaf(generate(ChirpInNoise(), n, 1))
+        assert _conjugate_symmetric(bias_correct(g, 0.4).values, exact=True)
+        values = g.values.copy()
+        values[3, 7] += 1e-9  # no longer the mirror: corrected cell by cell
+        np.testing.assert_array_equal(
+            bias_correct(AmbiguityGrid(values, n), 0.4).values, values - 0.4 * lattice(n).bias_basis
+        )
 
 
 class TestTeaf:
@@ -448,14 +579,30 @@ class TestThresholdWithDetails:
     def test_non_finite_grid_rejected(self):
         # one NaN cell used to make every threshold NaN: no survivors, spread
         # 0; one inf + 0j cell used to pass every estimator and survive
-        g = compute_emaf(generate(ChirpInNoise(), 32, 2))
-        for cell in ((31, 32), (0, 0)):  # tau = 0, nu = 0 and a rim corner
+        n = 32
+        g = compute_emaf(generate(ChirpInNoise(), n, 2))
+        # tau = 0, nu = 0; a rim corner; tau = 9 with its tau < 0 mirror set to match
+        for cell, mirrored in (((31, 32), False), ((0, 0), False), ((40, 20), True)):
             for bad in (np.nan, np.inf, -np.inf, complex(1, np.inf), complex(np.inf, np.inf)):
                 values = g.values.copy()
                 values[cell] = bad
+                if mirrored:
+                    with np.errstate(all="ignore"):
+                        _mirror_lags(values, values[: n - 1])
                 for method in METHODS:
                     with pytest.raises(ValueError, match="not finite"):
                         threshold_with_details(AmbiguityGrid(values, 32), ThresholdConfig(method=method))
+        # a tau = 1 cell whose square overflows: at nu = 0 its mirror is finite
+        # and the grid stays conjugate-symmetric; elsewhere the mirror overflows
+        for k in (n, 5):
+            values = g.values.copy()
+            values[n, k] = 1.5e308 - 1.5e308j
+            with np.errstate(all="ignore"):
+                _mirror_lags(values, values[: n - 1])
+            assert _conjugate_symmetric(values) == (k == n)
+            for method in METHODS:
+                with pytest.raises(ValueError, match="not finite"), np.errstate(over="ignore"):
+                    threshold_with_details(AmbiguityGrid(values, 32), ThresholdConfig(method=method))
 
     def test_lbteaf_metadata_has_noise_level(self):
         x = generate(ChirpInNoise(), 64, 1)
