@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .emaf import AmbiguityGrid, _conjugate_symmetric, _flip_lags, compute_emaf
+from .emaf import AmbiguityGrid, _conjugate_symmetric, _flip_lags, _phase_index, compute_emaf, lattice
 from .moments import NAFReference, naf_for_process
 from .sigcore import ProcessSpec, generate
 from .thresholding import METHODS, SurvivorKernel, ThresholdConfig
@@ -187,7 +187,9 @@ class _TrialPass:
     mse_against_naf's half-plane rule: a trial's error is an (N, 2N) grid of
     those rows, zero on the reference cells and their mirrors (`cells`),
     plus the error of each of `cells`.  Off `cells` the error |v - ref|^2 is
-    the |v|^2 the kernel's pass left in scratch[0].  A thresholded estimate
+    the |v|^2 the kernel's pass left in scratch[0].  A trial never computes
+    a tau < 0 row: each tau < 0 cell of `cells` is its decider mirrored by
+    _mirror_lags' operation with its `phases` entry.  A thresholded estimate
     is scored from its keep mask, never built: its error is |raw - ref|^2
     where kept and |ref|^2 elsewhere, its spread the kept fraction (same
     bits as mse_against_naf and total_spread of the built estimate)."""
@@ -199,6 +201,8 @@ class _TrialPass:
         self.kernel = SurvivorKernel(
             cfg.n, cfg.threshold, [name for name in cfg.estimators if name != "emaf"]
         )
+        m, k = np.divmod(self.cells[: self.cells.size - self.upper.size], 2 * cfg.n)  # the tau < 0 cells
+        self.phases = lattice(cfg.n).roots[_phase_index(cfg.n - 1 - m, k, cfg.n)]
 
     def scores(self, x, clock: dict | None = None):
         """Yield (estimator, (error grid, cell errors), spread) of one record;
@@ -208,7 +212,7 @@ class _TrialPass:
         clock = dict.fromkeys(STAGES, 0.0) if clock is None else clock
         kernel = self.kernel
         t = time.perf_counter()
-        raw = compute_emaf(x, kernel.ws).values
+        raw = compute_emaf(x, kernel.ws, half=kernel.half).values
         t = _lap(clock, "emaf", t)
         kernel.survive(raw)
         t = _lap(clock, "survivor_pass", t)
@@ -223,7 +227,9 @@ class _TrialPass:
     def _errors(self, values, names):
         n, kernel = self.cfg.n, self.kernel
         err, masked = kernel.scratch[0][n - 1 :], kernel.real[n - 1 :]
-        cell_err = np.square(np.abs(values.flat[self.cells] - self.ref.flat[self.cells]))
+        own, lower = values[n - 1 :].flat[self.deciders], self.phases.size
+        np.multiply(np.conjugate(own[:lower], out=own[:lower]), self.phases, out=own[:lower])
+        cell_err = np.square(np.abs(own - self.ref.flat[self.cells]))
         whole = "emaf" in names and err.all()  # |v|^2 > 0 implies v != 0
         err.flat[self.upper] = 0.0
         for name in names:

@@ -18,6 +18,8 @@ applies for compute_emaf and for the grid loader alike.  A grid whose tau < 0
 rows are that mirror (_conjugate_symmetric) holds no information outside its
 N rows with tau >= 0, so the estimators and the scoring take every plane-wide
 statistic from those rows, each tau > 0 cell standing for itself and its mirror.
+With half, compute_emaf and standardize work on those rows alone, which is how
+a Monte Carlo trial runs: it never computes a tau < 0 row.
 """
 
 from __future__ import annotations
@@ -255,24 +257,27 @@ class AmbiguityGrid:
         return self.values.shape
 
 
-def compute_emaf(x, workspace: np.ndarray | None = None) -> AmbiguityGrid:
+def compute_emaf(x, workspace: np.ndarray | None = None, half: bool = False) -> AmbiguityGrid:
     """Empirical ambiguity function of a complex sample, kind="raw".
 
     For each lag tau >= 0 the product sequence m_tau[t] = x[t] x*[t-tau] is
     laid out on t = 0..N-1 (zero outside the valid range), zero-padded to
     length 2N and transformed; FFT bin q lands in column k = (q + N) mod 2N
     so that columns run over nu = (k-N)/(2N) in increasing order.  The
-    tau < 0 rows are the _mirror_lags of the tau > 0 rows.
+    tau < 0 rows are the _mirror_lags of the tau > 0 rows; with half they
+    are skipped and the workspace's tau < 0 rows are left as they were.
 
     workspace, a complex (2, 2N-1, 2N) array, lends the two buffers the
     computation needs so that repeated calls allocate nothing: the result
     views workspace[0] and is overwritten by the next call, and
     workspace[1] is left free as scratch.  Without one, fresh buffers are
-    allocated.
+    allocated; half needs one.
     """
     x = np.asarray(x, dtype=complex)
     n = x.size
     shape = lattice(n).shape
+    if half and workspace is None:
+        raise ValueError("a half EMAF needs a workspace")
     if workspace is None:
         rows, spectrum = np.empty(shape, dtype=complex), np.empty(shape, dtype=complex)
     elif workspace.shape != (2,) + shape or workspace.dtype != complex:
@@ -289,7 +294,8 @@ def compute_emaf(x, workspace: np.ndarray | None = None) -> AmbiguityGrid:
     # fftshift by a half-swap: bins q >= N hold the negative frequencies
     upper[:, :n] = spectrum[n - 1 :, n:]
     upper[:, n:] = spectrum[n - 1 :, :n]
-    _mirror_lags(rows, rows[: n - 1], spectrum[: n - 1])
+    if not half:
+        _mirror_lags(rows, rows[: n - 1], spectrum[: n - 1])
     return AmbiguityGrid(rows, n, "raw")
 
 
@@ -298,19 +304,24 @@ def _mirror_lags(values: np.ndarray, out: np.ndarray, phases: np.ndarray | None 
     a complex (N-1, 2N) array: A(nu, -tau] = e^{j 2 pi nu tau}
     conj(A(-nu, tau]).  -nu is column (2N - k) mod 2N, so nu = -1/2 is its own
     mirror (the EMAF has period 1 in nu), and the phase is Lattice.roots
-    indexed by ((k - N) tau) mod 2N, gathered into phases (an (N-1, 2N)
-    complex buffer; default a new one).  The grid loader rebuilds a mirrored
-    file with this same function, so its round trip is exact.
+    at _phase_index, gathered into phases (an (N-1, 2N) complex buffer;
+    default a new one).  The grid loader rebuilds a mirrored file with this
+    same function, so its round trip is exact.
     """
     n = values.shape[1] // 2
-    index = np.multiply.outer(np.arange(n - 1, 0, -1), np.arange(-n, n))
-    if n & (n - 1):
-        np.remainder(index, 2 * n, out=index)
-    else:  # 2N is a power of two
-        np.bitwise_and(index, 2 * n - 1, out=index)
+    index = _phase_index(np.arange(n - 1, 0, -1)[:, None], np.arange(2 * n), n)
     phases = np.take(lattice(n).roots, index, out=phases, mode="clip")
     np.conjugate(_flip_lags(values, out), out=out)
     return np.multiply(out, phases, out=out)
+
+
+def _phase_index(lags: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
+    """((k - N) tau) mod 2N for lags tau > 0 and columns k, broadcast together:
+    where Lattice.roots holds e^{j 2 pi nu tau} on column k."""
+    index = np.multiply(lags, cols - n)
+    if n & (n - 1):
+        return np.remainder(index, 2 * n, out=index)
+    return np.bitwise_and(index, 2 * n - 1, out=index)  # 2N is a power of two
 
 
 def _flip_lags(values: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -339,19 +350,25 @@ def _conjugate_symmetric(values: np.ndarray, exact: bool = False) -> bool:
     return np.array_equal(mirror, values[: n - 1])
 
 
-def standardize(grid: AmbiguityGrid, out: np.ndarray | None = None) -> AmbiguityGrid:
+def standardize(grid: AmbiguityGrid, out: np.ndarray | None = None, half: bool = False) -> AmbiguityGrid:
     """Divide each cell by sqrt((N-|tau|) * w(nu)), kind="standardized".
 
     Under a flat one-sided spectrum the standardized cells have constant
     variance, which is what the median-based variance estimators rely on.
     Accepts raw or bias-corrected grids; out, a complex array of the grid's
-    shape, receives the values (default: a new array).  Multiplying by
-    1 / sqrt(base) gives numpy's division bits but for the sign of a zero part.
+    shape, receives the values (default: a new array).  With half only the
+    rows with tau >= 0 are standardized, and out's tau < 0 rows are left as
+    they were; half needs out.  Multiplying by 1 / sqrt(base) gives numpy's
+    division bits but for the sign of a zero part.
     """
     if grid.kind not in ("raw", "bias_corrected"):
         raise ValueError("standardize expects a raw or bias-corrected grid")
-    values = np.multiply(grid.values, lattice(grid.n).inv_sqrt_base, out=out)
-    return AmbiguityGrid(values, grid.n, "standardized")
+    if half and out is None:
+        raise ValueError("a half standardization needs out")
+    rows = slice(grid.n - 1 if half else 0, None)
+    values = np.multiply(grid.values[rows], lattice(grid.n).inv_sqrt_base[rows],
+                         out=None if out is None else out[rows])
+    return AmbiguityGrid(values if out is None else out, grid.n, "standardized")
 
 
 def to_db(grid) -> np.ndarray:

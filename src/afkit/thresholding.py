@@ -151,7 +151,7 @@ def bias_correct(grid: AmbiguityGrid, sigma2_w: float) -> AmbiguityGrid:
     """Subtract the analytic-white-noise mean surface scaled by sigma2_w.
     The surface is conjugate-symmetric, so a conjugate-symmetric grid stays
     so exactly: its corrected tau < 0 rows are the _mirror_lags of its
-    corrected tau > 0 rows, as SurvivorKernel.corrected builds them."""
+    corrected tau > 0 rows, as threshold_with_details builds lbteaf's."""
     if grid.kind != "raw":
         raise ValueError("bias correction expects a raw grid")
     if sigma2_w < 0:
@@ -171,17 +171,18 @@ class SurvivorKernel:
     region_count partition) for lteaf and lbteaf.
 
     With half (for grids that are _conjugate_symmetric) and mirror-symmetric
-    partitions, a pass reads and writes only the rows with tau >= 0, `rows`:
-    each median counts a tau > 0 cell twice, once for its mirror, and keep
+    partitions, a pass reads and writes only the rows with tau >= 0, `rows`,
+    and never computes a tau < 0 row: it standardizes those rows alone, each
+    median counts a tau > 0 cell twice, once for its mirror, and keep
     holds the decisions of those rows only (the tau < 0 cell (-tau, -nu)
     shares the decision of (tau, nu)).  Otherwise rows is the whole plane.
 
     survive(values) takes a record's raw values and sets sigma2_w (the rim
     noise level sqrt(_sigma4 over the rim), lbteaf only), then sigma4[m]
-    and keep[m] for teaf and lteaf.  corrected(values) writes values -
-    sigma2_w * bias basis into ws[0], never into values unless they are
-    ws[0], mirrors its tau < 0 rows when half, sets lbteaf's sigma4 and
-    keep from it and returns it.
+    and keep[m] for teaf and lteaf.  corrected(values) writes the rows of
+    values - sigma2_w * bias basis into ws[0], never into values unless
+    they are ws[0], sets lbteaf's sigma4 and keep from it and returns it;
+    when half, its tau < 0 rows are left as they were.
 
     ws is two complex grids, real one real grid; scratch views ws[1] as
     two real grids; a pass leaves |v|^2 in scratch[0], scratch[1] and real free.
@@ -222,14 +223,12 @@ class SurvivorKernel:
         rows, out = self.rows, self.ws[0]
         basis = np.multiply(self.sigma2_w, self.basis, out=self.ws[1][rows])
         np.subtract(values[rows], basis, out=out[rows])
-        if self.half:
-            _mirror_lags(out, out[: self.n - 1], self.ws[1][: self.n - 1])
         self._keep(out, "bias_corrected", ["lbteaf"])
         return out
 
     def _keep(self, values, kind, methods, rim=None) -> None:
         """Set sigma4 and keep of methods, sigma2_w given a rim; leave |values|^2 in scratch[0]."""
-        std = standardize(AmbiguityGrid(values, self.n, kind), out=self.ws[1]).values
+        std = standardize(AmbiguityGrid(values, self.n, kind), out=self.ws[1], half=self.half).values
         rows = self.rows
         std_power = _power(std[rows], out=self.real[rows])
         power, thr = self.scratch[0][rows], self.scratch[1].ravel()
@@ -274,6 +273,8 @@ def threshold_with_details(
     kernel = SurvivorKernel(n, cfg, (method,), part, half=_conjugate_symmetric(grid.values))
     kernel.survive(grid.values)
     values = kernel.corrected(grid.values) if method == "lbteaf" else grid.values
+    if method == "lbteaf" and kernel.half:  # the corrected grid stays exactly conjugate-symmetric
+        _mirror_lags(values, values[: n - 1], kernel.ws[1][: n - 1])
     meta = {"method": method, **vars(cfg), "lambda2": kernel.lam2, "n": n}
     if method == "lbteaf":
         meta["sigma2_w"] = kernel.sigma2_w

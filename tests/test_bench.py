@@ -174,6 +174,32 @@ class TestHalfPlaneScoring:
         np.testing.assert_array_equal(mse[off], mirrored[off])
 
 
+    def test_a_trial_never_reads_a_tau_negative_row(self):
+        # NaN in the EMAF buffer's tau < 0 rows reaches no sum, and nothing
+        # writes those rows: the trial neither reads nor mirrors them
+        n = 64
+        configs = [
+            (TimeVaryingMA(DEFAULT_MA_WEIGHTS, 0.042), ("emaf", "teaf", "lteaf")),
+            (ChirpInNoise(0.1, 9.0196e-4 * 255 / (n - 1), 1.2), ("emaf", "teaf", "lbteaf")),
+        ]
+        for process, estimators in configs:
+            cfg = MCConfig(process, n=n, trials=5, base_seed=3, estimators=estimators)
+            naf = naf_for_process(process, n)
+            clean = _run_block(_TrialPass(cfg, naf), (0, 5))[0]
+            trial_pass = _TrialPass(cfg, naf)
+            lower = trial_pass.kernel.ws[0][: n - 1]
+            lower.fill(np.nan)
+            assert trial_pass.phases.size  # some support cells have tau < 0
+            got = _run_block(trial_pass, (0, 5))[0]
+            for name in estimators:
+                for key in ("sq", "cells"):
+                    np.testing.assert_array_equal(got[name][key].view(np.uint64), clean[name][key].view(np.uint64))
+                assert got[name]["totals"] == clean[name]["totals"]
+                assert got[name]["spreads"] == clean[name]["spreads"]
+            nan_bits = np.full(lower.shape, np.nan, dtype=complex).view(np.uint64)
+            np.testing.assert_array_equal(lower.view(np.uint64), nan_bits, err_msg=str(process))
+
+
 class TestMCConfigValidation:
     def test_pairing_rules(self):
         with pytest.raises(ValueError):
@@ -306,6 +332,26 @@ class TestRunBench:
             for name, (stats, mse_grid) in public_path_report(cfg).items():
                 assert rep.per_estimator[name].to_dict() == stats, (process, name)
                 np.testing.assert_array_equal(rep.per_estimator[name].mse_grid, mse_grid)
+
+    @pytest.mark.parametrize("n", [24, 33])
+    def test_fused_pass_matches_public_path_off_powers_of_two(self, n):
+        # 2N is not a power of two: the tau < 0 cells' phases take the
+        # np.remainder branch of _phase_index
+        configs = [
+            (ChirpInNoise(0.1, 9.0196e-4 * 255 / (n - 1), 1.2), ("emaf", "teaf", "lbteaf")),
+            (TimeVaryingMA(DEFAULT_MA_WEIGHTS, 0.042), ("emaf", "teaf", "lteaf")),
+            (AnalyticWhiteNoise(0.6), ("lbteaf", "lteaf", "emaf", "teaf")),
+        ]
+        mirrored = 0
+        for process, estimators in configs:
+            cfg = MCConfig(process, n=n, trials=30, base_seed=11, estimators=estimators,
+                           threshold=ThresholdConfig(region_count=3))
+            rep = run_bench(cfg)
+            mirrored += _TrialPass(cfg, naf_for_process(process, n)).phases.size
+            for name, (stats, mse_grid) in public_path_report(cfg).items():
+                assert rep.per_estimator[name].to_dict() == stats, (process, name)
+                np.testing.assert_array_equal(rep.per_estimator[name].mse_grid, mse_grid)
+        assert mirrored  # some support cells have tau < 0 and take a phase
 
     def test_emaf_spread_counts_when_a_cell_is_zero(self):
         # |v|^2 > 0 everywhere gives spread 1 without a count; a unit

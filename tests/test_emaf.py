@@ -194,6 +194,36 @@ class TestStandardize:
                                       (np.abs(want) ** 2).view(np.uint64))
 
 
+@pytest.mark.parametrize("n", [3, 16, 127, 128])
+class TestHalf:
+    # with half, the rows with tau >= 0 carry the full call's bits and the
+    # buffer's tau < 0 rows keep the sentinel they held
+    SENTINEL = complex(-7.25, np.nan)
+
+    def assert_half(self, got, want, n):
+        np.testing.assert_array_equal(got[n - 1 :].view(np.uint64), want[n - 1 :].view(np.uint64))
+        sentinel = np.full((n - 1, 2 * n), self.SENTINEL)
+        np.testing.assert_array_equal(got[: n - 1].view(np.uint64), sentinel.view(np.uint64))
+
+    def test_half_emaf(self, n, rng):
+        x = random_complex_signal(rng, n)
+        ws = np.full((2, 2 * n - 1, 2 * n), self.SENTINEL)
+        got = compute_emaf(x, ws, half=True).values
+        assert np.shares_memory(got, ws)
+        self.assert_half(got, compute_emaf(x).values, n)
+        with pytest.raises(ValueError, match="workspace"):
+            compute_emaf(x, half=True)
+
+    def test_half_standardize(self, n, rng):
+        grid = compute_emaf(random_complex_signal(rng, n))
+        out = np.full(grid.shape, self.SENTINEL)
+        got = standardize(grid, out, half=True)
+        assert got.kind == "standardized" and got.values is out
+        self.assert_half(out, standardize(grid).values, n)
+        with pytest.raises(ValueError, match="needs out"):
+            standardize(grid, half=True)
+
+
 def _emaf_per_lag_loop(x):
     """compute_emaf as it was written before the one-call lag products: one
     slice product per lag into zeroed rows, the FFT and the half-swap."""
