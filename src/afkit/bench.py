@@ -3,7 +3,8 @@
 Runs K seeded trials of a process, computes the empirical ambiguity
 function and the configured threshold estimators for each trial, and
 accumulates per-cell squared errors against the process' reference
-surface, per-trial total squared errors and total spreads.
+surface, per-trial total squared errors and total spreads.  The EMAF and
+the reference are conjugate-symmetric, so errors fold onto the tau >= 0 rows.
 
 Determinism contract: trial i always uses the seed derived from
 (base_seed, i), trials are accumulated in fixed blocks of
@@ -24,10 +25,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .emaf import AmbiguityGrid, _conjugate_symmetric, _flip_lags, _phase_index, compute_emaf, lattice
+from .emaf import AmbiguityGrid, _conjugate_symmetric, _flip_lags, compute_emaf
 from .moments import NAFReference, naf_for_process
 from .sigcore import ProcessSpec, generate
-from .thresholding import METHODS, SurvivorKernel, ThresholdConfig
+from .thresholding import METHODS, SurvivorKernel, ThresholdConfig, _power
 
 __all__ = [
     "ACCUMULATION_BLOCK",
@@ -117,43 +118,24 @@ def derive_trial_seed(base_seed: int, trial: int) -> int:
 def mse_against_naf(estimate: AmbiguityGrid, naf: NAFReference):
     """Per-cell squared error |estimate - reference|^2 and its plane sum.
 
-    A conjugate-symmetric estimate (emaf._conjugate_symmetric) is scored by
-    the half-plane rule of run_bench: the reference's nonzero cells and their
-    mirrors from the estimate's own values, every other tau < 0 cell as its
-    mirror (-tau, -nu), so that the sum counts the rows with tau > 0 twice."""
+    Like every reference, a conjugate-symmetric estimate
+    (emaf._conjugate_symmetric) is scored by run_bench's half-plane fold: the
+    error of the rows with tau >= 0, each tau < 0 cell taking its mirror's,
+    so that the sum counts the rows with tau > 0 twice."""
     values, ref = estimate.values, naf.grid.values
     if values.shape != ref.shape:
         raise ValueError("estimate and reference grids are not congruent")
     if not _conjugate_symmetric(values):
         err = np.abs(values - ref) ** 2
         return err, float(err.sum())
-    cells, upper, _ = _scored_cells(ref)
-    half = np.square(np.abs(values[estimate.n - 1 :]))
-    cell_err = np.square(np.abs(values.flat[cells] - ref.flat[cells]))
-    half.flat[upper] = 0.0
-    return _unfold(half, cells, cell_err), _folded_total(half, cell_err)
+    half = _power(values[estimate.n - 1 :] - ref[estimate.n - 1 :])
+    return _unfold(half), _folded_total(half)
 
 
-def _scored_cells(ref: np.ndarray) -> tuple:
-    """(cells, upper, deciders) of the half-plane rule against ref: the flat
-    indices of the reference's nonzero cells and their mirrors, which are
-    scored from their own values; those of them with tau >= 0, as flat
-    indices of the rows with tau >= 0; and for each of cells, the flat index
-    in those rows of the cell whose keep decision it shares (itself, or its
-    mirror when tau < 0)."""
-    rows, cols = ref.shape
-    support = ref != 0
-    cells = np.flatnonzero(support | np.roll(support[::-1, ::-1], 1, axis=1))
-    offset = rows // 2 * cols  # the N - 1 rows with tau < 0
-    m, k = np.divmod(cells, cols)
-    deciders = np.where(m < rows // 2, (rows - 1 - m) * cols + -k % cols, cells) - offset
-    return cells, cells[cells >= offset] - offset, deciders
-
-
-def _folded_total(half: np.ndarray, cell_err: np.ndarray) -> float:
-    """Plane sum of the half-plane rule: row tau = 0 once, the tau > 0 rows
-    twice (for their mirrors), the explicitly scored cells once."""
-    return float(half[0].sum() + 2.0 * half[1:].sum() + cell_err.sum())
+def _folded_total(half: np.ndarray) -> float:
+    """Plane sum of the half-plane fold: row tau = 0 once, the tau > 0 rows
+    twice (for their mirrors)."""
+    return float(half[0].sum() + 2.0 * half[1:].sum())
 
 
 def _folded_count(mask: np.ndarray) -> int:
@@ -161,14 +143,13 @@ def _folded_count(mask: np.ndarray) -> int:
     return np.count_nonzero(mask[0]) + 2 * np.count_nonzero(mask[1:])
 
 
-def _unfold(half: np.ndarray, cells: np.ndarray, cell_err: np.ndarray) -> np.ndarray:
-    """The (2N-1, 2N) error grid of the half-plane rule: half on the rows with
-    tau >= 0, its mirror on those with tau < 0, and cell_err on cells."""
+def _unfold(half: np.ndarray) -> np.ndarray:
+    """The (2N-1, 2N) error grid of the half-plane fold: half on the rows with
+    tau >= 0, its mirror on those with tau < 0."""
     n = half.shape[0]
     full = np.empty((2 * n - 1, 2 * n))
     full[n - 1 :] = half
     _flip_lags(full, full[: n - 1])
-    full.flat[cells] = cell_err
     return full
 
 
@@ -182,33 +163,28 @@ class _TrialPass:
     """run_bench's fused trial pass, allocated once per process: one
     SurvivorKernel for the thresholded estimators, whose workspace also
     receives the EMAF, and the scoring, which borrows the kernel's scratch
-    grids between its passes.  compute_emaf's grid is conjugate-symmetric,
-    so the kernel decides on the rows with tau >= 0 and the scoring follows
-    mse_against_naf's half-plane rule: a trial's error is an (N, 2N) grid of
-    those rows, zero on the reference cells and their mirrors (`cells`),
-    plus the error of each of `cells`.  Off `cells` the error |v - ref|^2 is
-    the |v|^2 the kernel's pass left in scratch[0].  A trial never computes
-    a tau < 0 row: each tau < 0 cell of `cells` is its decider mirrored by
-    _mirror_lags' operation with its `phases` entry.  A thresholded estimate
-    is scored from its keep mask, never built: its error is |raw - ref|^2
-    where kept and |ref|^2 elsewhere, its spread the kept fraction (same
-    bits as mse_against_naf and total_spread of the built estimate)."""
+    grids between its passes.  The EMAF and the reference are conjugate-
+    symmetric, so the kernel decides and the scoring folds (mse_against_naf)
+    on the rows with tau >= 0 alone: a trial never computes a tau < 0 row.
+    Its error grid is the |v|^2 the kernel's pass left in scratch[0], with
+    |v - ref|^2 written on the reference's support (`cells`).  A thresholded
+    estimate is scored from its keep mask, never built: its error is
+    |raw - ref|^2 where kept and |ref|^2 elsewhere, its spread the kept
+    fraction (same bits as mse_against_naf and total_spread of the built
+    estimate)."""
 
     def __init__(self, cfg: MCConfig, naf: NAFReference):
-        self.cfg, self.ref = cfg, naf.grid.values
-        self.cells, self.upper, self.deciders = _scored_cells(self.ref)
-        self.ref_power = np.abs(self.ref.flat[self.cells]) ** 2
-        self.kernel = SurvivorKernel(
-            cfg.n, cfg.threshold, [name for name in cfg.estimators if name != "emaf"]
-        )
-        m, k = np.divmod(self.cells[: self.cells.size - self.upper.size], 2 * cfg.n)  # the tau < 0 cells
-        self.phases = lattice(cfg.n).roots[_phase_index(cfg.n - 1 - m, k, cfg.n)]
+        self.cfg, n = cfg, cfg.n
+        self.ref = naf.grid.values[n - 1 :]
+        self.cells = np.flatnonzero(naf.support_mask[n - 1 :])
+        self.ref_power = _power(self.ref.flat[self.cells])
+        self.kernel = SurvivorKernel(n, cfg.threshold, [name for name in cfg.estimators if name != "emaf"])
 
     def scores(self, x, clock: dict | None = None):
-        """Yield (estimator, (error grid, cell errors), spread) of one record;
-        the grid is a reused buffer.  clock, keyed by STAGES, gains the
-        seconds of the EMAF, the survivor pass and the scoring, which
-        includes the caller's work between yields."""
+        """Yield (estimator, error grid, spread) of one record; the grid is a
+        reused buffer of the rows with tau >= 0.  clock, keyed by STAGES,
+        gains the seconds of the EMAF, the survivor pass and the scoring,
+        which includes the caller's work between yields."""
         clock = dict.fromkeys(STAGES, 0.0) if clock is None else clock
         kernel = self.kernel
         t = time.perf_counter()
@@ -225,44 +201,37 @@ class _TrialPass:
         _lap(clock, "scoring", t)
 
     def _errors(self, values, names):
-        n, kernel = self.cfg.n, self.kernel
+        n, kernel, cells = self.cfg.n, self.kernel, self.cells
         err, masked = kernel.scratch[0][n - 1 :], kernel.real[n - 1 :]
-        own, lower = values[n - 1 :].flat[self.deciders], self.phases.size
-        np.multiply(np.conjugate(own[:lower], out=own[:lower]), self.phases, out=own[:lower])
-        cell_err = np.square(np.abs(own - self.ref.flat[self.cells]))
         whole = "emaf" in names and err.all()  # |v|^2 > 0 implies v != 0
-        err.flat[self.upper] = 0.0
+        err.flat[cells] = _power(values[n - 1 :].flat[cells] - self.ref.flat[cells])
         for name in names:
             if name == "emaf":
-                yield name, (err, cell_err), 1.0 if whole else _folded_count(values[n - 1 :]) / values.size
+                yield name, err, 1.0 if whole else _folded_count(values[n - 1 :]) / values.size
             else:
                 keep = kernel.keep[name][n - 1 :]
                 np.copyto(masked, 0.0)
                 np.copyto(masked, err, where=keep)
-                kept = np.where(keep.flat[self.deciders], cell_err, self.ref_power)
-                yield name, (masked, kept), _folded_count(keep) / values.size
+                masked.flat[cells] = np.where(keep.flat[cells], err.flat[cells], self.ref_power)
+                yield name, masked, _folded_count(keep) / values.size
 
 
 def _run_block(trial_pass: _TrialPass, block) -> tuple:
     """(per-estimator sums, clock) of one block: each estimator's error grid
-    of the rows with tau >= 0 and cell errors summed over the block's trials,
-    its per-trial totals and spreads, and the seconds of each stage."""
+    of the rows with tau >= 0 summed over the block's trials, its per-trial
+    totals and spreads, and the seconds of each stage."""
     start, stop = block
     cfg, clock = trial_pass.cfg, dict.fromkeys(STAGES, 0.0)
-    out = {
-        name: {"sq": np.zeros((cfg.n, 2 * cfg.n)), "cells": np.zeros(trial_pass.cells.size),
-               "totals": [], "spreads": []}
-        for name in cfg.estimators
-    }
+    out = {name: {"sq": np.zeros((cfg.n, 2 * cfg.n)), "totals": [], "spreads": []}
+           for name in cfg.estimators}
     for trial in range(start, stop):
         t = time.perf_counter()
         x = generate(cfg.process, cfg.n, derive_trial_seed(cfg.base_seed, trial))
         _lap(clock, "generate", t)
-        for name, (err, cell_err), spread in trial_pass.scores(x, clock):
+        for name, err, spread in trial_pass.scores(x, clock):
             slot = out[name]
             slot["sq"] += err
-            slot["cells"] += cell_err
-            slot["totals"].append(_folded_total(err, cell_err))
+            slot["totals"].append(_folded_total(err))
             slot["spreads"].append(spread)
     return out, clock
 
@@ -343,9 +312,7 @@ def run_bench(cfg: MCConfig, threads: int | None = None) -> MCReport:
         for s in range(0, cfg.trials, ACCUMULATION_BLOCK)
     ]
     workers = _worker_count(threads, len(blocks))
-    cells = _scored_cells(naf.grid.values)[0]
     sq = {name: np.zeros((cfg.n, 2 * cfg.n)) for name in cfg.estimators}
-    cell_sq = {name: np.zeros(cells.size) for name in cfg.estimators}
     totals = {name: [] for name in cfg.estimators}
     spreads = {name: [] for name in cfg.estimators}
 
@@ -355,7 +322,6 @@ def run_bench(cfg: MCConfig, threads: int | None = None) -> MCReport:
         for p, clock in partials:
             for name in cfg.estimators:
                 sq[name] += p[name]["sq"]
-                cell_sq[name] += p[name]["cells"]
                 totals[name].extend(p[name]["totals"])
                 spreads[name].extend(p[name]["spreads"])
             for stage, seconds in clock.items():
@@ -377,7 +343,7 @@ def run_bench(cfg: MCConfig, threads: int | None = None) -> MCReport:
     k = cfg.trials
     for name in cfg.estimators:
         t, sp = np.asarray(totals[name]), np.asarray(spreads[name])
-        grid = _unfold(sq.pop(name), cells, cell_sq[name])
+        grid = _unfold(sq.pop(name))
         per_estimator[name] = EstimatorStats(
             total_mse_mean=float(t.mean()),
             total_mse_std=float(t.std(ddof=1)) if k > 1 else 0.0,

@@ -14,10 +14,11 @@ length-2N FFT.  The tau < 0 rows follow from the conjugation symmetry
     A(nu, -tau] = e^{j 2 pi nu tau} conj(A(-nu, tau])
 
 (Hlawatsch & Boudreaux-Bartels, IEEE SP Magazine 1992), which _mirror_lags
-applies for compute_emaf and for the grid loader alike.  A grid whose tau < 0
-rows are that mirror (_conjugate_symmetric) holds no information outside its
-N rows with tau >= 0, so the estimators and the scoring take every plane-wide
-statistic from those rows, each tau > 0 cell standing for itself and its mirror.
+applies for compute_emaf, the grid loader and the reference builder alike.
+A grid whose tau < 0 rows are that mirror (_conjugate_symmetric) holds no
+information outside its N rows with tau >= 0, so the estimators and the
+scoring take every plane-wide statistic from those rows, each tau > 0 cell
+standing for itself and its mirror.
 With half, compute_emaf and standardize work on those rows alone, which is how
 a Monte Carlo trial runs: it never computes a tau < 0 row.
 """
@@ -303,25 +304,20 @@ def _mirror_lags(values: np.ndarray, out: np.ndarray, phases: np.ndarray | None 
     """The tau < 0 rows of a (2N-1, 2N) grid from its tau > 0 rows, into out,
     a complex (N-1, 2N) array: A(nu, -tau] = e^{j 2 pi nu tau}
     conj(A(-nu, tau]).  -nu is column (2N - k) mod 2N, so nu = -1/2 is its own
-    mirror (the EMAF has period 1 in nu), and the phase is Lattice.roots
-    at _phase_index, gathered into phases (an (N-1, 2N) complex buffer;
-    default a new one).  The grid loader rebuilds a mirrored file with this
-    same function, so its round trip is exact.
+    mirror (the EMAF has period 1 in nu), and the phase is Lattice.roots at
+    ((k - N) tau) mod 2N, gathered into phases (an (N-1, 2N) complex buffer;
+    default a new one).  The grid loader and the reference builder mirror
+    with this same function, so a round trip is exact.
     """
     n = values.shape[1] // 2
-    index = _phase_index(np.arange(n - 1, 0, -1)[:, None], np.arange(2 * n), n)
+    index = np.multiply.outer(np.arange(n - 1, 0, -1), np.arange(2 * n) - n)
+    if n & (n - 1):
+        np.remainder(index, 2 * n, out=index)
+    else:
+        np.bitwise_and(index, 2 * n - 1, out=index)  # 2N is a power of two
     phases = np.take(lattice(n).roots, index, out=phases, mode="clip")
     np.conjugate(_flip_lags(values, out), out=out)
     return np.multiply(out, phases, out=out)
-
-
-def _phase_index(lags: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
-    """((k - N) tau) mod 2N for lags tau > 0 and columns k, broadcast together:
-    where Lattice.roots holds e^{j 2 pi nu tau} on column k."""
-    index = np.multiply(lags, cols - n)
-    if n & (n - 1):
-        return np.remainder(index, 2 * n, out=index)
-    return np.bitwise_and(index, 2 * n - 1, out=index)  # 2N is a power of two
 
 
 def _flip_lags(values: np.ndarray, out: np.ndarray) -> np.ndarray:

@@ -17,7 +17,9 @@ O(1) remainder terms are omitted from the returned values, so ensemble
 comparisons should use statistical tolerances.
 
 The reference grids ("expected ambiguity surface restricted to the true
-support") serve as ground truth for mean-square-error benchmarking.
+support") serve as ground truth for mean-square-error benchmarking.  Like
+every EMAF, each is conjugate-symmetric bit for bit: its tau < 0 rows are
+the emaf._mirror_lags of its tau > 0 rows, so scores fold onto tau >= 0.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .emaf import AmbiguityGrid, lattice
+from .emaf import AmbiguityGrid, _conjugate_symmetric, _flip_lags, _mirror_lags, lattice
 from .sigcore import (
     AnalyticWhiteNoise,
     ChirpInNoise,
@@ -487,24 +489,32 @@ def um_modulation_spectrum(f0: float, n: int) -> SpectrumTable:
 
 @dataclass
 class NAFReference:
-    """Sparse reference surface plus its support mask."""
+    """Sparse reference surface plus its support mask.  The grid is finite
+    and exactly conjugate-symmetric (emaf._conjugate_symmetric with exact)."""
 
     grid: AmbiguityGrid
     support_mask: np.ndarray
     cells_nonzero: int
 
     def __post_init__(self):
-        if self.grid.values.shape != self.support_mask.shape:
+        values = self.grid.values
+        if values.shape != self.support_mask.shape:
             raise ValueError("mask shape does not match the grid")
         if int(np.count_nonzero(self.support_mask)) != self.cells_nonzero:
             raise ValueError("cells_nonzero disagrees with the mask")
-        if np.any(self.grid.values[~self.support_mask] != 0):
+        if not np.isfinite(values).all():
+            raise ValueError("reference grid holds a non-finite cell")
+        if np.any(values[~self.support_mask] != 0):
             raise ValueError("reference grid must vanish off its support")
+        if not _conjugate_symmetric(values, exact=True):
+            raise ValueError("reference grid is not conjugate-symmetric bit for bit (emaf._mirror_lags)")
 
 
 def _reference(n: int, tau, nu, values) -> NAFReference:
     """Reference surface with each value in the lattice cell nearest its
-    (tau, nu), nu taken modulo 1; values that land on one cell add."""
+    (tau, nu), nu taken modulo 1; values that land on one cell add.  Only
+    tau >= 0 values are needed: the tau < 0 rows and their support are then
+    the mirror of the tau > 0 rows (_mirror_lags, _flip_lags)."""
     lat = lattice(n)
     tau, nu, values = (np.ravel(a) for a in np.broadcast_arrays(tau, nu, values))
     rows, cols = lat.cell(tau, nu)
@@ -515,7 +525,9 @@ def _reference(n: int, tau, nu, values) -> NAFReference:
     grid, mask = np.zeros(lat.shape, dtype=complex), np.zeros(lat.shape, dtype=bool)
     grid.flat[cells], mask.flat[cells] = values[first], True
     np.add.at(grid.ravel(), np.delete(keys, first), np.delete(values, first))
-    return NAFReference(AmbiguityGrid(grid, n, "reference"), mask, cells.size)
+    _mirror_lags(grid, grid[: n - 1])
+    _flip_lags(mask, mask[: n - 1])
+    return NAFReference(AmbiguityGrid(grid, n, "reference"), mask, int(np.count_nonzero(mask)))
 
 
 def naf_chirp(alpha: float, beta: float, n: int) -> NAFReference:
@@ -529,7 +541,7 @@ def naf_chirp(alpha: float, beta: float, n: int) -> NAFReference:
     """
     ChirpInNoise(alpha, beta, 0.0).validate(n)
     lat = lattice(n)
-    taus = lat.taus
+    taus = lat.taus[n - 1 :]  # tau >= 0; _reference mirrors the rest
     nu = (lat.cell(taus, beta * taus)[1] - n) / (2.0 * n)  # the snapped lattice frequency
     delta = beta * taus - nu
     phase = np.pi * (2.0 * alpha * taus - beta * taus**2 + delta * (n + taus - 1))
@@ -544,7 +556,7 @@ def naf_ma(weights, xi_var: float, n: int) -> NAFReference:
     spectral transform of :func:`ma_analytic_autocorr`.
     """
     MovingAverage(tuple(weights), xi_var).validate(n)
-    lags = np.arange(1 - len(weights), len(weights))  # |tau| <= L
+    lags = np.arange(len(weights))  # 0 <= tau <= L; _reference mirrors the rest
     auto = np.atleast_1d(ma_analytic_autocorr(weights, xi_var, lags))
     return _reference(n, lags, 0.0, (n - np.abs(lags)) * auto)
 
@@ -563,7 +575,7 @@ def naf_tvma(weights, f0: float, n: int) -> NAFReference:
     nu in {0, +-2 f0} and |tau| <= L, with values given by shifted-spectrum
     integrals of the real MA density."""
     TimeVaryingMA(tuple(weights), f0).validate(n)
-    lags = np.arange(1 - len(weights), len(weights))  # |tau| <= L
+    lags = np.arange(len(weights))  # 0 <= tau <= L; _reference mirrors the rest
 
     def dens(f):
         return ma_real_spectral_density(weights, 1.0, f)

@@ -8,7 +8,6 @@ from afkit.bench import (
     STAGES,
     MCConfig,
     _run_block,
-    _scored_cells,
     _TrialPass,
     _worker_count,
     derive_trial_seed,
@@ -29,7 +28,7 @@ from afkit.sigcore import (
 from afkit.spread import indicator, total_spread
 from afkit.thresholding import ThresholdConfig, lbteaf, lteaf, make_partition, teaf
 
-from conftest import gamma, mirror_power_error
+from conftest import U, gamma, mirror_power_error
 
 
 def public_path_report(cfg):
@@ -117,46 +116,60 @@ class TestMseAgainstNaf:
 class TestHalfPlaneScoring:
     @pytest.mark.parametrize("n", [16, 64])
     def test_folded_total_matches_the_full_plane_sum(self, n):
-        # Off the reference cells and their mirrors the error is |v|^2, and a
-        # tau < 0 cell's is its mirror's within mirror_power_error (delta):
-        # the exact folded sum H is within delta H of the exact full sum F, and
-        # each computed sum of m nonnegative terms within gamma(m) of its own.
+        # Off the reference's support the error is |v|^2, and a tau < 0 cell's
+        # is its mirror's within mirror_power_error (delta).  On the support v
+        # and ref are each one complex product of their mirror cell with the
+        # same root r, |r| <= 1 + 2 sqrt2 u, so |v - ref| is |r| |d|, d the
+        # mirror's difference, within eta = sqrt5 u |r| (|v| + |ref|) of the
+        # mirror, < 3u (|v| + |ref|): the cell's error is within delta of its
+        # mirror's plus 4 eta (|d| + eta) (the 4 covers 2 |r| and the roundings
+        # of the mirror's power).  The exact folded sum H is then within
+        # delta H + extra of the exact full sum F, and each computed sum of m
+        # nonnegative terms within gamma(m) of its own.
         process = TimeVaryingMA(DEFAULT_MA_WEIGHTS, 0.042)
         naf = naf_for_process(process, n)
         ref = naf.grid.values
-        cells = _scored_cells(ref)[0]
         delta, m = mirror_power_error(), ref.size
-        own_lower = 0
+        support = naf.support_mask[n:]  # the tau > 0 cells whose mirrors are on the support
         for seed in range(5):
             raw = compute_emaf(generate(process, n, seed))
             err, total = mse_against_naf(raw, naf)
             full = np.abs(raw.values - ref) ** 2
+            np.testing.assert_array_equal(err[n - 1 :], full[n - 1 :])
+            eta = 3 * U * (np.abs(raw.values[n:]) + np.abs(ref[n:]))[support]
+            extra = (4 * eta * (np.sqrt(full[n:][support]) + eta)).sum()
             f = full.sum()
-            h = f / (1 - delta)
-            assert abs(total - f) <= delta * h + gamma(m) * (f + h)
-            # the reference cells and their mirrors score their own values; the
-            # other tau < 0 cells their mirrors' errors
-            np.testing.assert_array_equal(err.flat[cells], full.flat[cells])
+            h = (f + extra) / (1 - delta)
+            assert abs(total - f) <= delta * h + extra + gamma(m) * (f + h)
+            # every tau < 0 cell, on the support or off it, scores its mirror's error
             mirrored = err.copy()
             _flip_lags(mirrored, mirrored[: n - 1])
-            off = np.ones(err.shape, dtype=bool)
-            off.flat[cells] = False
-            np.testing.assert_array_equal(err[off], mirrored[off])
-            own_lower += np.count_nonzero((err != mirrored)[: n - 1])
-        assert own_lower  # tvma's reference is not conjugate-symmetric: the own values count
+            np.testing.assert_array_equal(err.view(np.uint64), mirrored.view(np.uint64))
 
-    def test_support_without_its_mirror(self):
-        # a one-cell reference at tau = 2: its mirror cell (-2, -nu) is not on
-        # the support, yet it is scored from the estimate's own value there
+    def test_asymmetric_reference_is_rejected(self):
+        # a one-cell reference at tau = 2 without its mirror cell (-2, -nu), and
+        # a symmetric one with a single zero's sign flipped, are not exactly
+        # conjugate-symmetric: the half-plane fold could not score them
         n = 16
         values = np.zeros((2 * n - 1, 2 * n), dtype=complex)
         values[n + 1, 5] = 4.0 - 1.0j
-        naf = NAFReference(AmbiguityGrid(values, n, "reference"), values != 0, 1)
-        raw = compute_emaf(generate(UniformlyModulated(), n, 7))
-        err, _ = mse_against_naf(raw, naf)
-        full = np.abs(raw.values - values) ** 2
-        for cell in ((n + 1, 5), (n - 3, 2 * n - 5)):
-            assert err[cell] == full[cell]
+        with pytest.raises(ValueError, match="not conjugate-symmetric"):
+            NAFReference(AmbiguityGrid(values, n, "reference"), values != 0, 1)
+        ref = naf_um(0.09, n)
+        values = ref.grid.values.copy()
+        values[3, 7] = -values[3, 7]
+        with pytest.raises(ValueError, match="not conjugate-symmetric"):
+            NAFReference(AmbiguityGrid(values, n, "reference"), ref.support_mask, ref.cells_nonzero)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(1.0, np.nan)])
+    def test_non_finite_reference_is_rejected(self, bad):
+        # a NaN at the origin, on the tau = 0 row the symmetry test does not
+        # see, used to be accepted and made mse_against_naf return nan
+        n = 16
+        values = np.zeros((2 * n - 1, 2 * n), dtype=complex)
+        values[n - 1, n] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            NAFReference(AmbiguityGrid(values, n, "reference"), values != 0, 1)
 
     def test_block_results_hold_the_tau_nonnegative_rows(self):
         n = 16
@@ -164,14 +177,12 @@ class TestHalfPlaneScoring:
         trial_pass = _TrialPass(cfg, naf_for_process(cfg.process, n))
         out, clock = _run_block(trial_pass, (0, 3))
         for slot in out.values():
-            assert slot["sq"].shape == (n, 2 * n) and slot["cells"].shape == trial_pass.cells.shape
+            assert slot["sq"].shape == (n, 2 * n)
         assert tuple(clock) == STAGES and clock["pool_start"] == 0.0
         mse = run_bench(cfg).per_estimator["emaf"].mse_grid
         mirrored = mse.copy()
         _flip_lags(mirrored, mirrored[: n - 1])
-        off = np.ones(mse.shape, dtype=bool)
-        off.flat[trial_pass.cells] = False
-        np.testing.assert_array_equal(mse[off], mirrored[off])
+        np.testing.assert_array_equal(mse, mirrored)
 
 
     def test_a_trial_never_reads_a_tau_negative_row(self):
@@ -189,11 +200,9 @@ class TestHalfPlaneScoring:
             trial_pass = _TrialPass(cfg, naf)
             lower = trial_pass.kernel.ws[0][: n - 1]
             lower.fill(np.nan)
-            assert trial_pass.phases.size  # some support cells have tau < 0
             got = _run_block(trial_pass, (0, 5))[0]
             for name in estimators:
-                for key in ("sq", "cells"):
-                    np.testing.assert_array_equal(got[name][key].view(np.uint64), clean[name][key].view(np.uint64))
+                np.testing.assert_array_equal(got[name]["sq"].view(np.uint64), clean[name]["sq"].view(np.uint64))
                 assert got[name]["totals"] == clean[name]["totals"]
                 assert got[name]["spreads"] == clean[name]["spreads"]
             nan_bits = np.full(lower.shape, np.nan, dtype=complex).view(np.uint64)
@@ -335,23 +344,20 @@ class TestRunBench:
 
     @pytest.mark.parametrize("n", [24, 33])
     def test_fused_pass_matches_public_path_off_powers_of_two(self, n):
-        # 2N is not a power of two: the tau < 0 cells' phases take the
-        # np.remainder branch of _phase_index
+        # 2N is not a power of two: the public path's mirror takes the
+        # np.remainder branch of _mirror_lags' phase index
         configs = [
             (ChirpInNoise(0.1, 9.0196e-4 * 255 / (n - 1), 1.2), ("emaf", "teaf", "lbteaf")),
             (TimeVaryingMA(DEFAULT_MA_WEIGHTS, 0.042), ("emaf", "teaf", "lteaf")),
             (AnalyticWhiteNoise(0.6), ("lbteaf", "lteaf", "emaf", "teaf")),
         ]
-        mirrored = 0
         for process, estimators in configs:
             cfg = MCConfig(process, n=n, trials=30, base_seed=11, estimators=estimators,
                            threshold=ThresholdConfig(region_count=3))
             rep = run_bench(cfg)
-            mirrored += _TrialPass(cfg, naf_for_process(process, n)).phases.size
             for name, (stats, mse_grid) in public_path_report(cfg).items():
                 assert rep.per_estimator[name].to_dict() == stats, (process, name)
                 np.testing.assert_array_equal(rep.per_estimator[name].mse_grid, mse_grid)
-        assert mirrored  # some support cells have tau < 0 and take a phase
 
     def test_emaf_spread_counts_when_a_cell_is_zero(self):
         # |v|^2 > 0 everywhere gives spread 1 without a count; a unit

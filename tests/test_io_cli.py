@@ -9,8 +9,9 @@ import pytest
 from afkit import gridio
 from afkit.cli import _parser, main
 from afkit.emaf import AmbiguityGrid, _conjugate_symmetric, _mirror_lags, compute_emaf, lattice
-from afkit.moments import naf_um
-from afkit.sigcore import MovingAverage, UniformlyModulated, generate
+from afkit.moments import naf_for_process, naf_um
+from afkit.sigcore import PROCESSES, MovingAverage, UniformlyModulated, generate
+from afkit.spread import indicator, total_spread
 from afkit.thresholding import ThresholdConfig, teaf, threshold_with_details
 
 BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
@@ -675,6 +676,19 @@ class TestCliPipeline:
         rep = json.loads(out.read_text())
         assert rep["total_spread"] == pytest.approx(1.1466e-5, rel=1e-3)
         assert rep["nonzero_cells"] == 3
+
+    @pytest.mark.parametrize("process", ["chirp", "ma", "um", "tvma", "noise"])
+    def test_naf_writes_a_mirrored_half_file(self, tmp_path, process):
+        # every reference is exactly conjugate-symmetric, so naf writes its
+        # tau >= 0 rows only (mirror=1); the loader rebuilds it bit for bit
+        # and spread reads the same support
+        naf, out = tmp_path / "naf.csv", tmp_path / "spread.json"
+        assert main(["naf", "--process", process, "--n", "33", "-o", str(naf)]) == 0
+        assert naf.read_text().splitlines()[0].split(", ")[4] == "mirror=1"
+        ref = naf_for_process(PROCESSES[process](), 33)
+        np.testing.assert_array_equal(_bits(gridio.load_grid(naf)[0].values), _bits(ref.grid.values))
+        assert main(["spread", "-i", str(naf), "-o", str(out)]) == 0
+        assert json.loads(out.read_text()) == total_spread(indicator(ref.grid)).to_dict()
 
     def test_spread_lag_band(self, tmp_path):
         naf = tmp_path / "naf.csv"

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from afkit.emaf import compute_emaf, lattice
+from afkit.emaf import _conjugate_symmetric, compute_emaf, lattice
 from afkit.moments import (
     DEFAULT_GRID_SIZE,
     MomentTriple,
@@ -565,6 +565,17 @@ class TestReferencePlacement:
         for spec in [cls() for cls in PROCESSES.values()] + _edge_specs(n):
             mask = naf_for_process(spec, n).support_mask
             assert np.array_equal(mask, mask[::-1, mirror]), spec
+
+    @pytest.mark.parametrize("n", [16, 33, 64, 256])
+    def test_every_reference_is_exactly_conjugate_symmetric(self, n):
+        # the tau < 0 rows are the _mirror_lags of the tau > 0 rows bit for bit,
+        # as in every EMAF, so the benchmark scores each tau < 0 cell as its
+        # mirror; they used to be placed from their own values (tvma's were off
+        # by 4.2e-5 of the peak at N = 256) and failed the exact test at every N
+        for spec in [cls() for cls in PROCESSES.values()] + _edge_specs(n):
+            ref = naf_for_process(spec, n)
+            assert _conjugate_symmetric(ref.grid.values, exact=True), spec
+            assert ref.cells_nonzero == np.count_nonzero(ref.support_mask), spec
 
     def test_coinciding_lines_add(self):
         # all three lines of naf_um(1e-5, 64) snap to the origin; the last one

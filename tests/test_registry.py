@@ -15,7 +15,7 @@ from afkit import gridio, sigcore
 from afkit.bench import ESTIMATORS, MCConfig, run_bench
 from afkit.cli import _build_parser, _flags, main
 from afkit.emaf import compute_emaf
-from afkit.moments import naf_for_process, naf_noise
+from afkit.moments import _reference, naf_for_process, naf_noise
 from afkit.sigcore import PROCESSES, generate
 from afkit.thresholding import ThresholdConfig
 
@@ -87,6 +87,24 @@ class _Toy:
 
     def reference(self, n):
         return naf_noise(4.0 * self.level**2, n)
+
+
+@dataclass(frozen=True)
+class _NanToy(_Toy):
+    name: ClassVar[str] = "nantoy"
+
+    def reference(self, n):
+        return _reference(n, 0, 0.0, float("nan"))  # the origin, on the tau = 0 row
+
+
+def test_non_finite_reference_stops_a_bench_before_any_trial(monkeypatch):
+    # the NaN used to reach every total, and a bench reported nan
+    monkeypatch.setitem(sigcore.PROCESSES, _NanToy.name, _NanToy)
+    drawn = []
+    monkeypatch.setattr("afkit.bench.generate", lambda *args: drawn.append(args))
+    with pytest.raises(ValueError, match="non-finite"):
+        run_bench(MCConfig(_NanToy(), n=16, trials=3, estimators=("emaf", "teaf")), threads=1)
+    assert not drawn
 
 
 def test_new_process_needs_one_class(tmp_path, monkeypatch):
