@@ -162,16 +162,15 @@ def _lap(clock: dict, stage: str, start: float) -> float:
 class _TrialPass:
     """run_bench's fused trial pass, allocated once per process: one
     SurvivorKernel for the thresholded estimators, whose workspace also
-    receives the EMAF, and the scoring, which borrows the kernel's scratch
-    grids between its passes.  The EMAF and the reference are conjugate-
-    symmetric, so the kernel decides and the scoring folds (mse_against_naf)
-    on the rows with tau >= 0 alone: a trial never computes a tau < 0 row.
-    Its error grid is the |v|^2 the kernel's pass left in scratch[0], with
-    |v - ref|^2 written on the reference's support (`cells`).  A thresholded
-    estimate is scored from its keep mask, never built: its error is
-    |raw - ref|^2 where kept and |ref|^2 elsewhere, its spread the kept
-    fraction (same bits as mse_against_naf and total_spread of the built
-    estimate)."""
+    receives the EMAF, and the scoring, which writes each error grid into the
+    kernel's free grid `real` between its passes.  The EMAF and the reference
+    are conjugate-symmetric, so the kernel decides and the scoring folds
+    (mse_against_naf) on the rows with tau >= 0 alone: a trial never computes
+    a tau < 0 row.  A thresholded estimate is scored from its keep mask, never
+    built: its error is |v - ref|^2 where kept and |ref|^2 elsewhere, computed
+    only on the kept cells (gathered) and the reference's support (`cells`),
+    its spread the kept fraction (same bits as mse_against_naf and
+    total_spread of the built estimate)."""
 
     def __init__(self, cfg: MCConfig, naf: NAFReference):
         self.cfg, n = cfg, cfg.n
@@ -202,18 +201,19 @@ class _TrialPass:
 
     def _errors(self, values, names):
         n, kernel, cells = self.cfg.n, self.kernel, self.cells
-        err, masked = kernel.scratch[0][n - 1 :], kernel.real[n - 1 :]
-        whole = "emaf" in names and err.all()  # |v|^2 > 0 implies v != 0
-        err.flat[cells] = _power(values[n - 1 :].flat[cells] - self.ref.flat[cells])
+        half, err = values[n - 1 :], kernel.real[n - 1 :]
+        support = _power(half.flat[cells] - self.ref.flat[cells])
         for name in names:
             if name == "emaf":
-                yield name, err, 1.0 if whole else _folded_count(values[n - 1 :]) / values.size
+                whole = _power(half, out=err).all()  # |v|^2 > 0 implies v != 0
+                err.flat[cells] = support
+                yield name, err, 1.0 if whole else _folded_count(half) / values.size
             else:
-                keep = kernel.keep[name][n - 1 :]
-                np.copyto(masked, 0.0)
-                np.copyto(masked, err, where=keep)
-                masked.flat[cells] = np.where(keep.flat[cells], err.flat[cells], self.ref_power)
-                yield name, masked, _folded_count(keep) / values.size
+                err.fill(0.0)
+                kept = np.flatnonzero(keep := kernel.keep[name][n - 1 :])
+                err.flat[kept] = _power(half.flat[kept])
+                err.flat[cells] = np.where(keep.flat[cells], support, self.ref_power)
+                yield name, err, _folded_count(keep) / values.size
 
 
 def _run_block(trial_pass: _TrialPass, block) -> tuple:

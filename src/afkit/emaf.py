@@ -223,6 +223,10 @@ class Lattice:
         on the lattice)."""
         return _frozen(white_noise_mean(self.nus[None, :], self.taus[:, None], self.n))
 
+    @cached_property
+    def half_bias_basis(self) -> np.ndarray:  # bias_basis's tau >= 0 rows, the same bits
+        return _frozen(white_noise_mean(self.nus[None, :], self.taus[self.n - 1 :, None], self.n))
+
 
 @lru_cache(maxsize=8)
 def lattice(n: int) -> Lattice:

@@ -1,11 +1,11 @@
 """Hard-threshold estimators of the ambiguity function.
 
-Three estimators share one rule: a cell survives iff its squared magnitude
-exceeds lambda^2 * sigma4 * (N-|tau|) * w(nu), where lambda^2 is the
-universal level 2*ln(N_X * (ln N_X)^C) with N_X twice the number of
-observations, and sigma4 is a robust variance estimate taken from the
-median of the squared standardized grid (the median of a 1/2*chi^2_2
-variable is ln 2).
+Three estimators share one rule: a cell v survives iff |v|^2 > lambda^2 *
+sigma4 * (N-|tau|) * w(nu), applied as |s|^2 > lambda^2 * sigma4 to the
+standardized cell s = v / sqrt((N-|tau|) * w(nu)).  lambda^2 is the universal
+level 2*ln(N_X * (ln N_X)^C), N_X twice the number of observations (Donoho &
+Johnstone, Biometrika 1994); sigma4 is a robust variance estimate, the median
+of |s|^2 over ln 2 (the median of a 1/2*chi^2_2 variable).
 
 * teaf   -- one global variance estimate from the whole plane.
 * lteaf  -- a separate variance estimate in each of K nested max-norm
@@ -164,11 +164,11 @@ def bias_correct(grid: AmbiguityGrid, sigma2_w: float) -> AmbiguityGrid:
 
 class SurvivorKernel:
     """The survivor pass of one ThresholdConfig on the lattice of n for the
-    given methods, its buffers allocated once.  A cell survives iff
-    |v|^2 > lam2 * sigma4_r * (N-|tau|) * w(nu), sigma4_r the _sigma4 of
-    |standardized v|^2 over the cell's merged region of parts[method]: the
-    one-region partition for teaf, part (default: the lattice's
-    region_count partition) for lteaf and lbteaf.
+    given methods, its buffers allocated once.  A cell survives iff its
+    standardized power |s|^2 exceeds lam2 * sigma4_r, sigma4_r the _sigma4
+    of |s|^2 over the cell's merged region of parts[method]: the one-region
+    partition for teaf, part (default: the lattice's region_count
+    partition) for lteaf and lbteaf.
 
     With half (for grids that are _conjugate_symmetric) and mirror-symmetric
     partitions, a pass reads and writes only the rows with tau >= 0, `rows`,
@@ -185,7 +185,7 @@ class SurvivorKernel:
     when half, its tau < 0 rows are left as they were.
 
     ws is two complex grids, real one real grid; scratch views ws[1] as
-    two real grids; a pass leaves |v|^2 in scratch[0], scratch[1] and real free.
+    two real grids.  A pass computes no |v|^2 and leaves ws[1] and real free.
     """
 
     def __init__(self, n: int, cfg: ThresholdConfig, methods, part: RegionPartition | None = None,
@@ -208,9 +208,8 @@ class SurvivorKernel:
         self.rim = lat.rim(cfg.rim_fraction)[self.rows] if "lbteaf" in methods else None
         if self.rim is not None:  # a row-major gather lists the tau = 0 cells, counted once, first
             self.rim_once = np.count_nonzero(self.rim[0] if self.half else self.rim)
+            self.basis = lat.half_bias_basis if self.half else lat.bias_basis
         lat.inv_sqrt_base
-        self.lags, self.w = (n - np.abs(lat.taus))[self.rows, None], lat.w  # base = lags * w, per pass
-        self.basis = lat.bias_basis[self.rows] if self.rim is not None else None
         self.ws, self.real = np.empty((2,) + lat.shape, dtype=complex), np.empty(lat.shape)
         self.scratch = self.ws[1].view(float).reshape((2,) + lat.shape)
         self.keep = {m: np.empty(lat.shape, dtype=bool) for m in methods}
@@ -227,27 +226,24 @@ class SurvivorKernel:
         return out
 
     def _keep(self, values, kind, methods, rim=None) -> None:
-        """Set sigma4 and keep of methods, sigma2_w given a rim; leave |values|^2 in scratch[0]."""
+        """Set sigma4 and keep of methods, sigma2_w given a rim."""
         std = standardize(AmbiguityGrid(values, self.n, kind), out=self.ws[1], half=self.half).values
         rows = self.rows
-        std_power = _power(std[rows], out=self.real[rows])
-        power, thr = self.scratch[0][rows], self.scratch[1].ravel()
+        std_power = _power(std[rows], out=self.real[rows])  # frees ws[1] for the scratch below
+        gathered, thr = self.scratch[0][rows], self.scratch[1].ravel()
         for m in methods:
             order, segments = self.segments[m]
             flat = std_power.ravel()
             if order is not None:
-                flat = np.take(flat, order, out=power.ravel(), mode="clip")
+                flat = np.take(flat, order, out=gathered.ravel(), mode="clip")
             self.sigma4[m] = np.array([_sigma4(flat[a:b], thr, flat[b:c]) for a, b, c in segments])
+            level = self.lam2 * self.sigma4[m]
+            if level.size > 1:  # per cell; one region compares with a scalar
+                level = np.take(level, self.parts[m].merged[1][rows], out=self.scratch[1][rows], mode="clip")
+            np.greater(std_power, level, out=self.keep[m][rows])
         if rim is not None:
             cells = std_power[rim]
             self.sigma2_w = math.sqrt(_sigma4(cells[: self.rim_once], thr, cells[self.rim_once :]))
-        _power(values[rows], out=power)
-        base = np.multiply(self.lags, self.w, out=self.real[rows]) if methods else None
-        for m in methods:
-            level = self.lam2 * self.sigma4[m]
-            if level.size > 1:  # per cell; one region multiplies base by a scalar
-                level = np.take(level, self.parts[m].merged[1][rows], out=self.scratch[1][rows], mode="clip")
-            np.greater(power, np.multiply(base, level, out=self.scratch[1][rows]), out=self.keep[m][rows])
 
 
 def threshold_with_details(

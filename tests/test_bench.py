@@ -359,6 +359,23 @@ class TestRunBench:
                 assert rep.per_estimator[name].to_dict() == stats, (process, name)
                 np.testing.assert_array_equal(rep.per_estimator[name].mse_grid, mse_grid)
 
+    @pytest.mark.parametrize("n", [32, 33])
+    def test_fused_pass_without_emaf_matches_public_path(self, n):
+        # without emaf no trial computes the full |v|^2: each thresholded
+        # error is built from its kept cells alone
+        configs = [
+            (TimeVaryingMA(DEFAULT_MA_WEIGHTS, 0.042), ("teaf", "lteaf")),
+            (ChirpInNoise(0.1, 9.0196e-4 * 255 / (n - 1), 1.2), ("lbteaf",)),
+            (AnalyticWhiteNoise(0.6), ("lbteaf",)),
+        ]
+        for process, estimators in configs:
+            cfg = MCConfig(process, n=n, trials=30, base_seed=11, estimators=estimators,
+                           threshold=ThresholdConfig(region_count=3))
+            rep = run_bench(cfg)
+            for name, (stats, mse_grid) in public_path_report(cfg).items():
+                assert rep.per_estimator[name].to_dict() == stats, (process, name)
+                np.testing.assert_array_equal(rep.per_estimator[name].mse_grid, mse_grid)
+
     def test_emaf_spread_counts_when_a_cell_is_zero(self):
         # |v|^2 > 0 everywhere gives spread 1 without a count; a unit
         # impulse's EMAF is zero off the tau = 0 row, so the count runs

@@ -39,7 +39,7 @@ from afkit.thresholding import (
     threshold_with_details,
 )
 
-from conftest import U, mirror_power_error
+from conftest import U, gamma, mirror_power_error
 
 
 class TestThresholdLevel:
@@ -298,6 +298,71 @@ class TestHalfPlane:
         np.testing.assert_array_equal(
             bias_correct(AmbiguityGrid(values, n), 0.4).values, values - 0.4 * lattice(n).bias_basis
         )
+
+
+def raw_space_rule(grid, lam2, part):
+    """The survivor rule as it was stated on raw cells: sigma4_r from the
+    regional medians of the mirrored plane of |s|^2 (the multiset the
+    half-plane kernel takes), then keep iff |v|^2 > base * (lam2 * sigma4_r).
+    Returns (sigma4 per merged region, keep, level per cell)."""
+    n, cell_region = grid.n, part.merged[1]
+    power = np.abs(standardize(grid).values) ** 2
+    _flip_lags(power, power[: n - 1])
+    sigma4 = np.array([_sigma4(power[cell_region == i]) for i in range(len(part.merged[0]))])
+    level = (lam2 * sigma4)[cell_region]
+    raw_power = np.square(np.abs(grid.values))
+    return sigma4, raw_power > np.multiply(lattice(n).base, level), level
+
+
+class TestStandardizedRule:
+    """The kernel compares |s|^2 with lam2 * sigma4_r; the rule it replaces
+    compared |v|^2 with base * lam2 * sigma4_r."""
+
+    @staticmethod
+    def flip_bound() -> float:
+        # Both rules share sigma4, the level L = fl(lam2 sigma4) and the float
+        # base b = fl((N-|tau|) w).  Let x = |v|^2 / b exactly.  Old rule:
+        # fl(|v|)^2 = |v|^2 (1 + p), |p| <= (1 + g5)^2 (1 + u) - 1 (|z| takes at
+        # most five roundings, the square one), and fl(b L) = b L (1 + t),
+        # |t| <= u.  New rule: r = fl(1 / fl(sqrt b)) has r^2 b within
+        # ((1 + u) / (1 - u))^2 of 1, the scaled parts one rounding each (u on
+        # the modulus), then |z| and the square as above, so
+        # |s|^2 = x (1 + q), 1 + q <= ((1 + u) / (1 - u))^2 (1 + u)^2 (1 + g5)^2 (1 + u).
+        # The two disagree only if x lies between L / (1 + q) and
+        # L (1 + t) / (1 + p); then | |s|^2 - L | <= L ((1 + u)(1 + q) / (1 - p) - 1).
+        g5 = gamma(5)
+        p = (1 + g5) ** 2 * (1 + U) - 1
+        q = ((1 + U) / (1 - U)) ** 2 * (1 + U) ** 2 * (1 + g5) ** 2 * (1 + U) - 1
+        return (1 + U) * (1 + q) / (1 - p) - 1
+
+    @pytest.mark.parametrize("n", [3, 24, 33, 128, 512])
+    def test_kernel_bias_basis_is_the_lattice_rows(self, n):
+        # the kernel builds only the tau >= 0 rows it reads, the same bits
+        kernel = SurvivorKernel(n, ThresholdConfig(region_count=1), ("lbteaf",))
+        assert kernel.half and kernel.basis.shape == (n, 2 * n)
+        want = lattice(n).bias_basis[n - 1 :]
+        np.testing.assert_array_equal(kernel.basis.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("n", [16, 33, 64])
+    def test_agrees_with_the_raw_space_rule(self, n):
+        bound, rows = self.flip_bound(), slice(n - 1, None)
+        kernel = SurvivorKernel(n, ThresholdConfig(), METHODS)
+        assert kernel.half
+        processes = (MovingAverage(), UniformlyModulated(0.09), TimeVaryingMA(DEFAULT_MA_WEIGHTS, 0.042),
+                     ChirpInNoise(), AnalyticWhiteNoise(0.6))
+        for process in processes:
+            for seed in range(3):
+                raw = compute_emaf(generate(process, n, seed))
+                kernel.survive(raw.values)
+                grids = {"teaf": raw, "lteaf": raw,
+                         "lbteaf": bias_correct(raw, kernel.sigma2_w)}
+                kernel.corrected(raw.values)
+                for m, grid in grids.items():
+                    sigma4, keep, level = raw_space_rule(grid, kernel.lam2, kernel.parts[m])
+                    np.testing.assert_array_equal(sigma4.view(np.uint64), kernel.sigma4[m].view(np.uint64))
+                    flips = kernel.keep[m][rows] != keep[rows]
+                    s2 = np.abs(standardize(grid).values[rows]) ** 2
+                    assert (np.abs(s2 - level[rows])[flips] <= bound * level[rows][flips]).all(), (process, m)
 
 
 class TestTeaf:
