@@ -168,16 +168,16 @@ class _TrialPass:
     (mse_against_naf) on the rows with tau >= 0 alone: a trial never computes
     a tau < 0 row.  A thresholded estimate is scored from its keep mask, never
     built: its error is |v - ref|^2 where kept and |ref|^2 elsewhere, computed
-    only on the kept cells (gathered) and the reference's support (`cells`),
-    its spread the kept fraction (same bits as mse_against_naf and
-    total_spread of the built estimate)."""
+    only on the kept cells (gathered) and the reference's support (`cells`,
+    values `ref`), its only cells that can be nonzero (`touched`), and its
+    spread is the kept fraction (same bits as mse_against_naf and total_spread
+    of the built estimate)."""
 
-    def __init__(self, cfg: MCConfig, naf: NAFReference):
-        self.cfg, n = cfg, cfg.n
-        self.ref = naf.grid.values[n - 1 :]
-        self.cells = np.flatnonzero(naf.support_mask[n - 1 :])
-        self.ref_power = _power(self.ref.flat[self.cells])
-        self.kernel = SurvivorKernel(n, cfg.threshold, [name for name in cfg.estimators if name != "emaf"])
+    def __init__(self, cfg: MCConfig, support: tuple):
+        self.cfg = cfg
+        self.cells, self.ref = support
+        self.ref_power, self.touched = _power(self.ref), slice(None)
+        self.kernel = SurvivorKernel(cfg.n, cfg.threshold, [name for name in cfg.estimators if name != "emaf"])
 
     def scores(self, x, clock: dict | None = None):
         """Yield (estimator, error grid, spread) of one record; the grid is a
@@ -202,24 +202,33 @@ class _TrialPass:
     def _errors(self, values, names):
         n, kernel, cells = self.cfg.n, self.kernel, self.cells
         half, err = values[n - 1 :], kernel.real[n - 1 :]
-        support = _power(half.flat[cells] - self.ref.flat[cells])
+        support = _power(half.flat[cells] - self.ref)
         for name in names:
             if name == "emaf":
                 whole = _power(half, out=err).all()  # |v|^2 > 0 implies v != 0
-                err.flat[cells] = support
+                err.flat[cells], self.touched = support, slice(None)
                 yield name, err, 1.0 if whole else _folded_count(half) / values.size
             else:
                 err.fill(0.0)
                 kept = np.flatnonzero(keep := kernel.keep[name][n - 1 :])
                 err.flat[kept] = _power(half.flat[kept])
-                err.flat[cells] = np.where(keep.flat[cells], support, self.ref_power)
+                err.flat[cells] = np.where(kept_support := keep.flat[cells], support, self.ref_power)
+                self.touched = np.concatenate((kept, cells[~kept_support]))
                 yield name, err, _folded_count(keep) / values.size
+
+
+def _support(naf: NAFReference) -> tuple:
+    """All a trial reads of the reference: the flat indices of its support in
+    the rows with tau >= 0, and its values there."""
+    cells = np.flatnonzero(naf.support_mask[naf.grid.n - 1 :])
+    return cells, naf.grid.values[naf.grid.n - 1 :].flat[cells]
 
 
 def _run_block(trial_pass: _TrialPass, block) -> tuple:
     """(per-estimator sums, clock) of one block: each estimator's error grid
     of the rows with tau >= 0 summed over the block's trials, its per-trial
-    totals and spreads, and the seconds of each stage."""
+    totals and spreads, and the seconds of each stage.  An error grid is added
+    on its `touched` cells alone: the others would add +0.0, a no-op."""
     start, stop = block
     cfg, clock = trial_pass.cfg, dict.fromkeys(STAGES, 0.0)
     out = {name: {"sq": np.zeros((cfg.n, 2 * cfg.n)), "totals": [], "spreads": []}
@@ -229,25 +238,35 @@ def _run_block(trial_pass: _TrialPass, block) -> tuple:
         x = generate(cfg.process, cfg.n, derive_trial_seed(cfg.base_seed, trial))
         _lap(clock, "generate", t)
         for name, err, spread in trial_pass.scores(x, clock):
-            slot = out[name]
-            slot["sq"] += err
+            slot, cells = out[name], trial_pass.touched
+            slot["sq"].reshape(-1)[cells] += err.reshape(-1)[cells]
             slot["totals"].append(_folded_total(err))
             slot["spreads"].append(spread)
     return out, clock
 
 
+def _shipped(result: tuple) -> tuple:
+    """_run_block's result with each sum as (flat cells, their values), as it
+    crosses to the caller: all of emaf's, a thresholded one's nonzero cells."""
+    for name, slot in result[0].items():
+        flat = slot["sq"].reshape(-1)
+        cells = slice(None) if name == "emaf" else np.flatnonzero(flat)
+        slot["sq"] = cells, flat[cells]
+    return result
+
+
 _WORKER_PASS, _WORKER_START = None, 0.0
 
 
-def _worker_init(cfg, naf, created):
+def _worker_init(cfg, support, created):
     global _WORKER_PASS, _WORKER_START
-    _WORKER_PASS = _TrialPass(cfg, naf)
+    _WORKER_PASS = _TrialPass(cfg, support)
     _WORKER_START = time.time() - created  # the pool's start, as this worker saw it
 
 
 def _worker_run(block):
     global _WORKER_START
-    out, clock = _run_block(_WORKER_PASS, block)
+    out, clock = _shipped(_run_block(_WORKER_PASS, block))
     clock["pool_start"], _WORKER_START = _WORKER_START, 0.0
     return out, clock
 
@@ -290,7 +309,8 @@ def run_bench(cfg: MCConfig, threads: int | None = None) -> MCReport:
     environment variable, else 1.  The workers are spawned, not forked, so
     that none carries a copy of the caller's memory; a script that calls
     this with threads > 1 must guard its entry point with
-    ``if __name__ == "__main__":``.
+    ``if __name__ == "__main__":``.  Workers start from the reference's
+    support alone (_support) and send back sparse sums (_shipped): README.
     """
     cfg.validate()
     if threads is None:
@@ -305,7 +325,7 @@ def run_bench(cfg: MCConfig, threads: int | None = None) -> MCReport:
         raise ValueError(f"threads must be >= 1, got {threads}")
     timing = dict.fromkeys(STAGES, 0.0)
     t0 = time.perf_counter()
-    naf = naf_for_process(cfg.process, cfg.n)
+    support = _support(naf_for_process(cfg.process, cfg.n))
     timing["reference_build"] = time.perf_counter() - t0
     blocks = [
         (s, min(s + ACCUMULATION_BLOCK, cfg.trials))
@@ -321,7 +341,8 @@ def run_bench(cfg: MCConfig, threads: int | None = None) -> MCReport:
         # only a few blocks' grids are ever held at once.
         for p, clock in partials:
             for name in cfg.estimators:
-                sq[name] += p[name]["sq"]
+                cells, values = p[name]["sq"]
+                sq[name].reshape(-1)[cells] += values
                 totals[name].extend(p[name]["totals"])
                 spreads[name].extend(p[name]["spreads"])
             for stage, seconds in clock.items():
@@ -331,12 +352,12 @@ def run_bench(cfg: MCConfig, threads: int | None = None) -> MCReport:
     if workers > 1:
         with ProcessPoolExecutor(
             max_workers=workers, mp_context=multiprocessing.get_context("spawn"),
-            initializer=_worker_init, initargs=(cfg, naf, time.time()),
+            initializer=_worker_init, initargs=(cfg, support, time.time()),
         ) as pool:
             combine(pool.map(_worker_run, blocks))
     else:
-        trial_pass = _TrialPass(cfg, naf)
-        combine(_run_block(trial_pass, b) for b in blocks)
+        trial_pass = _TrialPass(cfg, support)
+        combine(_shipped(_run_block(trial_pass, b)) for b in blocks)
     wall = time.perf_counter() - t0
 
     per_estimator = {}

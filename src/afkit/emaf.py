@@ -130,7 +130,7 @@ class RegionPartition:
         ):
             return None
         labels, cell_region = self.merged[:2]
-        key = 2 * cell_region[n - 1 :].astype(np.int32)
+        key = cell_region[n - 1 :].astype(np.min_scalar_type(2 * len(labels) - 1)) * 2  # radix-sortable
         key[1:] += 1
         bounds = np.cumsum([0, *np.bincount(key.ravel(), minlength=2 * len(labels))]).tolist()
         order = None

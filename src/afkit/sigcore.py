@@ -50,12 +50,12 @@ def dirichlet(n, f):
         raise ValueError("dirichlet order must be >= 1")
     f_arr = np.asarray(f, dtype=float)
     near = np.abs(f_arr - np.round(f_arr)) < _INT_EPS
-    den = np.sin(np.pi * f_arr)
-    safe = np.where(near, 1.0, den)
+    safe = np.where(near, 1.0, np.sin(np.pi * f_arr))
     with np.errstate(invalid="ignore", divide="ignore"):
-        main = np.sin(np.pi * f_arr * n_arr) / safe
-        limit = n_arr * np.cos(np.pi * f_arr * n_arr) / np.cos(np.pi * f_arr)
-    out = np.where(near, limit, main)
+        out = np.asarray(np.sin(np.pi * f_arr * n_arr) / safe)
+        near = np.broadcast_to(near, out.shape)
+        n_at, f_at = (np.broadcast_to(a, out.shape)[near] for a in (n_arr, f_arr))
+        out[near] = n_at * np.cos(np.pi * f_at * n_at) / np.cos(np.pi * f_at)
     if np.isscalar(n) and np.isscalar(f):
         return float(out)
     return out
@@ -71,13 +71,12 @@ def white_noise_mean(nu, tau, n: int):
     """
     nu, tau = np.asarray(nu, dtype=float), np.asarray(tau)
     sinc_half = np.where((tau % 2 == 0) & (tau != 0), 0.0, np.sinc(tau / 2.0))
-    return (
-        0.5
-        * np.exp(-1j * np.pi * nu * (n + tau - 1.0))
-        * dirichlet(n - np.abs(tau), nu)
-        * np.exp(1j * np.pi * tau / 2.0)
-        * sinc_half
-    )
+    out = np.exp(-1j * np.pi * nu * (n + tau - 1.0))
+    out *= 0.5  # the factors in their order, multiplied in place
+    out *= dirichlet(n - np.abs(tau), nu)
+    out *= np.exp(1j * np.pi * tau / 2.0)
+    out *= sinc_half
+    return out
 
 
 def analytic_signal(x) -> np.ndarray:

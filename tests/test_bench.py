@@ -1,4 +1,5 @@
 import os
+import pickle
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from afkit.bench import (
     STAGES,
     MCConfig,
     _run_block,
+    _support,
     _TrialPass,
     _worker_count,
     derive_trial_seed,
@@ -174,7 +176,7 @@ class TestHalfPlaneScoring:
     def test_block_results_hold_the_tau_nonnegative_rows(self):
         n = 16
         cfg = MCConfig(TimeVaryingMA(DEFAULT_MA_WEIGHTS, 0.042), n=n, trials=3, estimators=("emaf", "teaf"))
-        trial_pass = _TrialPass(cfg, naf_for_process(cfg.process, n))
+        trial_pass = _TrialPass(cfg, _support(naf_for_process(cfg.process, n)))
         out, clock = _run_block(trial_pass, (0, 3))
         for slot in out.values():
             assert slot["sq"].shape == (n, 2 * n)
@@ -196,8 +198,8 @@ class TestHalfPlaneScoring:
         for process, estimators in configs:
             cfg = MCConfig(process, n=n, trials=5, base_seed=3, estimators=estimators)
             naf = naf_for_process(process, n)
-            clean = _run_block(_TrialPass(cfg, naf), (0, 5))[0]
-            trial_pass = _TrialPass(cfg, naf)
+            clean = _run_block(_TrialPass(cfg, _support(naf)), (0, 5))[0]
+            trial_pass = _TrialPass(cfg, _support(naf))
             lower = trial_pass.kernel.ws[0][: n - 1]
             lower.fill(np.nan)
             got = _run_block(trial_pass, (0, 5))[0]
@@ -242,17 +244,39 @@ class TestRunBench:
             assert stats.mse_grid.sum() == pytest.approx(stats.total_mse_mean, rel=1e-9)
 
     def test_reproducible_across_thread_counts(self):
+        # two full blocks and a short one, each crossing the process boundary
+        # as (cells, values) sums
         trials = 2 * ACCUMULATION_BLOCK + 3
-        cfg = MCConfig(MovingAverage(), n=48, trials=trials, base_seed=9,
-                       estimators=("emaf", "teaf"))
-        seq = run_bench(cfg, threads=1)
-        par = run_bench(cfg, threads=3)
-        for name in cfg.estimators:
-            a, b = seq.per_estimator[name], par.per_estimator[name]
-            assert a.total_mse_mean == b.total_mse_mean
-            assert a.total_mse_std == b.total_mse_std
-            assert a.spread_mean == b.spread_mean
-            np.testing.assert_array_equal(a.mse_grid, b.mse_grid)
+        for process, estimators in [
+            (MovingAverage(), ("emaf", "teaf")),
+            (ChirpInNoise(0.1, 9.0196e-4 * 255 / 47, 1.2), ("emaf", "teaf", "lbteaf")),
+        ]:
+            cfg = MCConfig(process, n=48, trials=trials, base_seed=9, estimators=estimators)
+            seq = run_bench(cfg, threads=1)
+            par = run_bench(cfg, threads=3)
+            for name in cfg.estimators:
+                a, b = seq.per_estimator[name], par.per_estimator[name]
+                assert a.to_dict() == b.to_dict(), (process, name)
+                np.testing.assert_array_equal(a.mse_grid.view(np.uint64), b.mse_grid.view(np.uint64))
+
+    def test_workers_start_on_the_reference_support_alone(self, monkeypatch):
+        # spawn writes a worker's pickled start arguments into its pipe before
+        # it starts the next worker: the whole reference there would serialize
+        # the pool's start-up
+        class Started(Exception):
+            pass
+
+        def pool(**kwargs):
+            raise Started(kwargs["initargs"])
+
+        monkeypatch.setattr("afkit.bench.ProcessPoolExecutor", pool)
+        monkeypatch.setattr("os.cpu_count", lambda: 2)
+        n = 256
+        cfg = MCConfig(ChirpInNoise(0.1, 9.0196e-4, 1.2), n=n, trials=500, estimators=("emaf", "teaf", "lbteaf"))
+        with pytest.raises(Started) as started:
+            run_bench(cfg, threads=2)
+        grid_bytes = naf_for_process(cfg.process, n).grid.values.nbytes
+        assert len(pickle.dumps(started.value.args[0])) < 0.01 * grid_bytes
 
     def test_environment_is_metadata_only(self):
         # the environment a report was measured in goes to metadata; results
@@ -381,7 +405,7 @@ class TestRunBench:
         # impulse's EMAF is zero off the tau = 0 row, so the count runs
         n = 32
         cfg = MCConfig(MovingAverage(), n=n, trials=1, estimators=("emaf", "teaf"))
-        trial_pass = _TrialPass(cfg, naf_for_process(cfg.process, n))
+        trial_pass = _TrialPass(cfg, _support(naf_for_process(cfg.process, n)))
         impulse = np.zeros(n, dtype=complex)
         impulse[0] = 1.0
         for x in (impulse, generate(cfg.process, n, 5)):

@@ -2,15 +2,18 @@ import numpy as np
 import pytest
 from scipy.signal import hilbert
 
+from afkit.emaf import lattice
 from afkit.sigcore import (
     AnalyticWhiteNoise,
     ChirpInNoise,
     MovingAverage,
     TimeVaryingMA,
     UniformlyModulated,
+    _INT_EPS,
     analytic_signal,
     dirichlet,
     generate,
+    white_noise_mean,
 )
 
 
@@ -43,6 +46,48 @@ class TestDirichlet:
     def test_rejects_bad_order(self):
         with pytest.raises(ValueError):
             dirichlet(0, 0.1)
+
+
+def _where_dirichlet(n, f):
+    # the np.where form dirichlet had, which evaluated the limit on every cell
+    n_arr, f_arr = np.asarray(n, dtype=float), np.asarray(f, dtype=float)
+    near = np.abs(f_arr - np.round(f_arr)) < _INT_EPS
+    safe = np.where(near, 1.0, np.sin(np.pi * f_arr))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        main = np.sin(np.pi * f_arr * n_arr) / safe
+        limit = n_arr * np.cos(np.pi * f_arr * n_arr) / np.cos(np.pi * f_arr)
+    return np.where(near, limit, main)
+
+
+class TestLatticeTablesKeepTheirBits:
+    """dirichlet and white_noise_mean against the expressions they replaced,
+    on the lattices the bias basis is built on."""
+
+    @pytest.mark.parametrize("n", [3, 24, 33, 128, 512])
+    def test_dirichlet(self, n):
+        lat = lattice(n)
+        f = np.concatenate([lat.nus, np.arange(-3.0, 4.0), [1e-13, 2.0 - 1e-13, 0.5 + 1e-13]])
+        orders = (n - np.abs(lat.taus))[:, None]
+        got, want = dirichlet(orders, f[None, :]), _where_dirichlet(orders, f[None, :])
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+        for n_, f_ in ((4, 0.0), (2, 1.0), (5, 0.3), (3, -2.0)):
+            got = dirichlet(n_, f_)
+            assert isinstance(got, float) and got == float(_where_dirichlet(n_, f_))
+
+    @pytest.mark.parametrize("n", [3, 24, 33, 128, 512])
+    def test_white_noise_mean(self, n):
+        lat = lattice(n)
+        nu, tau = lat.nus[None, :], lat.taus[:, None]
+        sinc_half = np.where((tau % 2 == 0) & (tau != 0), 0.0, np.sinc(tau / 2.0))
+        want = (
+            0.5
+            * np.exp(-1j * np.pi * nu * (n + tau - 1.0))
+            * _where_dirichlet(n - np.abs(tau), nu)
+            * np.exp(1j * np.pi * tau / 2.0)
+            * sinc_half
+        )
+        np.testing.assert_array_equal(white_noise_mean(nu, tau, n).view(np.uint64), want.view(np.uint64))
+        np.testing.assert_array_equal(lat.half_bias_basis.view(np.uint64), want[n - 1 :].view(np.uint64))
 
 
 class TestAnalyticSignal:

@@ -234,6 +234,24 @@ class TestHalfPlane:
         idx[16:] = 1  # tau > 0 apart from tau < 0: not mirror-symmetric
         assert RegionPartition(2, idx).half is None
 
+    @pytest.mark.parametrize("n", [3, 24, 33, 128])
+    @pytest.mark.parametrize("k", [1, 3, 8])
+    def test_half_order_is_the_int32_key_argsort(self, n, k):
+        # the narrow unsigned key numpy radix-sorts gives the permutation the
+        # int32 key's stable argsort gave
+        part = make_partition(n, k)
+        labels, cell_region = part.merged[:2]
+        key = 2 * cell_region[n - 1 :].astype(np.int32)
+        key[1:] += 1
+        order, segments = part.half
+        if len(labels) == 1:
+            assert order is None
+        else:
+            np.testing.assert_array_equal(order, np.argsort(key.ravel(), kind="stable").astype(np.int32))
+            assert order.dtype == np.int32
+        bounds = np.cumsum([0, *np.bincount(key.ravel(), minlength=2 * len(labels))]).tolist()
+        assert segments == list(zip(bounds[0::2], bounds[1::2], bounds[2::2]))
+
     def test_sigma4_is_the_full_plane_median_of_the_mirrored_plane(self):
         # bit for bit: replacing every tau < 0 power by its mirror's gives the
         # full plane whose per-region medians the half-plane kernel takes
