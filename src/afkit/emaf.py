@@ -166,10 +166,13 @@ class Lattice:
         return np.rint(tau).astype(int) + self.n - 1, np.rint(nu * 2 * self.n).astype(int) + self.n
 
     @cached_property
-    def roots(self) -> np.ndarray:
-        """e^{j pi i / n} for i = 0..2n-1, so that e^{j 2 pi nu tau} on column k
-        is roots[((k - n) * tau) mod 2n]."""
-        return _frozen(np.exp(1j * np.pi * np.arange(2 * self.n) / self.n))
+    def mirror_phases(self) -> np.ndarray:
+        """e^{j 2 pi nu tau} of _mirror_lags, an (n-1, 2n) table: row r, column k
+        holds the root e^{j pi i / n} at i = ((k - n) t) mod 2n, t = n-1-r, each
+        gathered from one table of the 2n roots."""
+        roots = np.exp(1j * np.pi * np.arange(2 * self.n) / self.n)
+        index = np.multiply.outer(np.arange(self.n - 1, 0, -1), np.arange(2 * self.n) - self.n)
+        return _frozen(roots[np.remainder(index, 2 * self.n, out=index)])
 
     @cached_property
     def w(self) -> np.ndarray:
@@ -284,44 +287,36 @@ def compute_emaf(x, workspace: np.ndarray | None = None, half: bool = False) -> 
     if half and workspace is None:
         raise ValueError("a half EMAF needs a workspace")
     if workspace is None:
-        rows, spectrum = np.empty(shape, dtype=complex), np.empty(shape, dtype=complex)
+        rows, spectrum = np.empty(shape, dtype=complex), np.empty((n, 2 * n), dtype=complex)
     elif workspace.shape != (2,) + shape or workspace.dtype != complex:
         raise ValueError(f"EMAF workspace must be complex with shape {(2,) + shape}")
     else:
-        rows, spectrum = workspace
+        rows, spectrum = workspace[0], workspace[1][n - 1 :]
     upper = rows[n - 1 :]  # tau >= 0
     upper.fill(0)
     # window tau, reversed, holds x*[t - tau] for tau = 0..N-1; the mask keeps +0 off the record
     windows = np.lib.stride_tricks.sliding_window_view(np.pad(np.conj(x), (n - 1, 0)), n)[::-1]
     inside = np.lib.stride_tricks.sliding_window_view(np.pad(np.ones(n, bool), (n - 1, 0)), n)[::-1]
     np.multiply(x, windows, out=upper[:, :n], where=inside)
-    np.fft.fft(upper, axis=1, out=spectrum[n - 1 :])
+    np.fft.fft(upper, axis=1, out=spectrum)
     # fftshift by a half-swap: bins q >= N hold the negative frequencies
-    upper[:, :n] = spectrum[n - 1 :, n:]
-    upper[:, n:] = spectrum[n - 1 :, :n]
+    upper[:, :n] = spectrum[:, n:]
+    upper[:, n:] = spectrum[:, :n]
     if not half:
-        _mirror_lags(rows, rows[: n - 1], spectrum[: n - 1])
+        _mirror_lags(rows, rows[: n - 1])
     return AmbiguityGrid(rows, n, "raw")
 
 
-def _mirror_lags(values: np.ndarray, out: np.ndarray, phases: np.ndarray | None = None) -> np.ndarray:
+def _mirror_lags(values: np.ndarray, out: np.ndarray) -> np.ndarray:
     """The tau < 0 rows of a (2N-1, 2N) grid from its tau > 0 rows, into out,
     a complex (N-1, 2N) array: A(nu, -tau] = e^{j 2 pi nu tau}
     conj(A(-nu, tau]).  -nu is column (2N - k) mod 2N, so nu = -1/2 is its own
-    mirror (the EMAF has period 1 in nu), and the phase is Lattice.roots at
-    ((k - N) tau) mod 2N, gathered into phases (an (N-1, 2N) complex buffer;
-    default a new one).  The grid loader and the reference builder mirror
+    mirror (the EMAF has period 1 in nu), and the phase is
+    Lattice.mirror_phases.  The grid loader and the reference builder mirror
     with this same function, so a round trip is exact.
     """
-    n = values.shape[1] // 2
-    index = np.multiply.outer(np.arange(n - 1, 0, -1), np.arange(2 * n) - n)
-    if n & (n - 1):
-        np.remainder(index, 2 * n, out=index)
-    else:
-        np.bitwise_and(index, 2 * n - 1, out=index)  # 2N is a power of two
-    phases = np.take(lattice(n).roots, index, out=phases, mode="clip")
     np.conjugate(_flip_lags(values, out), out=out)
-    return np.multiply(out, phases, out=out)
+    return np.multiply(out, lattice(values.shape[1] // 2).mirror_phases, out=out)
 
 
 def _flip_lags(values: np.ndarray, out: np.ndarray) -> np.ndarray:

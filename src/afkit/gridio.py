@@ -53,13 +53,19 @@ def _lattice_text(n: int, cell: str) -> tuple[list, list]:
     return [str(tau) for tau in lat.taus.tolist()], [f",{nu:.17g},{cell}\n" for nu in lat.nus]
 
 
-def _write_rows(path, header: str, heads: list, cells: list, rows) -> None:
-    """Header line, then one write per row: `head + cell` for every cell, filled by
-    % from the row's values.  '%.17g' % x is the same conversion as f"{x:.17g}"."""
+def _write_rows(path, header: str, heads: list, cells: list, rows, keep=None) -> None:
+    """Header line, then one write per row: `head + cell` for every cell, or
+    only for the cells keep[m] marks in row m (none marked: no line), filled
+    by % from their values.  '%.17g' % x is the same conversion as f"{x:.17g}"."""
+    counts = [len(cells)] * len(heads) if keep is None else np.count_nonzero(keep, axis=1).tolist()
     with open(path, "w") as fh:
         fh.write(header + "\n")
-        for head, row in zip(heads, rows):
-            fh.write((head + head.join(cells)) % tuple(row.tolist()))
+        for m, (head, row, count) in enumerate(zip(heads, rows, counts)):
+            if count == len(cells):  # a dense row: one fill of the whole row's template
+                fh.write((head + head.join(cells)) % tuple(row.ravel().tolist()))
+            elif count:
+                kept = [cells[k] for k in np.flatnonzero(keep[m]).tolist()]
+                fh.write((head + head.join(kept)) % tuple(row[keep[m]].ravel().tolist()))
 
 
 # The header fields each (tag, version) defines; the loaders reject any other.
@@ -149,20 +155,11 @@ def write_grid(path, grid: AmbiguityGrid, process: str | None = None) -> None:
     keep = (bits[:, 0::2] | bits[:, 1::2]) != 0
     if mirror:  # written as its tau >= 0 rows
         keep[: n - 1] = False
-    counts = np.count_nonzero(keep, axis=1).tolist()
-    header = f"# afkit-grid v3, n={n}, kind={grid.kind}, cells={sum(counts)}, mirror={int(mirror)}"
+    header = f"# afkit-grid v3, n={n}, kind={grid.kind}, cells={np.count_nonzero(keep)}, mirror={int(mirror)}"
     if process:
         header += f", process={process}"
-    heads, cells = _lattice_text(n, "%.17g,%.17g")
     parts = values.view(np.float64).reshape(*values.shape, 2)
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for m, count in enumerate(counts):
-            if count == len(cells):  # a dense row: one fill of the whole row's template
-                fh.write((heads[m] + heads[m].join(cells)) % tuple(parts[m].ravel().tolist()))
-            elif count:
-                kept = [cells[k] for k in np.flatnonzero(keep[m]).tolist()]
-                fh.write((heads[m] + heads[m].join(kept)) % tuple(parts[m, keep[m]].ravel().tolist()))
+    _write_rows(path, header, *_lattice_text(n, "%.17g,%.17g"), parts, keep)
 
 
 def load_grid(path):

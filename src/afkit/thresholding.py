@@ -198,6 +198,8 @@ class SurvivorKernel:
             part = lat.partition(cfg.region_count)
         elif local and part.region_index.shape != lat.shape:
             raise ValueError("partition does not match the grid dimensions")
+        elif local and part.region_count != cfg.region_count:
+            raise ValueError(f"partition has {part.region_count} regions, the config {cfg.region_count}")
         self.parts = {m: part if m in local else lat.partition(1) for m in methods}
         # Tables are built here, before any buffer below is touched, so that
         # their temporaries do not add to the peak memory.
@@ -270,7 +272,7 @@ def threshold_with_details(
     kernel.survive(grid.values)
     values = kernel.corrected(grid.values) if method == "lbteaf" else grid.values
     if method == "lbteaf" and kernel.half:  # the corrected grid stays exactly conjugate-symmetric
-        _mirror_lags(values, values[: n - 1], kernel.ws[1][: n - 1])
+        _mirror_lags(values, values[: n - 1])
     meta = {"method": method, **vars(cfg), "lambda2": kernel.lam2, "n": n}
     if method == "lbteaf":
         meta["sigma2_w"] = kernel.sigma2_w

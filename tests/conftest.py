@@ -54,7 +54,7 @@ def mirror_power_error() -> float:
     """Bound on p'/p - 1 and p/p' - 1, where p = fl(|fl(v s)|)^2 is a cell's
     power (s > 0 a real scale: 1 for raw cells, 1/sqrt(base) standardized)
     and p' that of its mirror cell, v' = fl(r conj(v)) with r a root of
-    Lattice.roots.  |r| is within 2 sqrt2 u of 1 (np.exp puts each part
+    Lattice.mirror_phases.  |r| is within 2 sqrt2 u of 1 (np.exp puts each part
     within 1 ulp of a point on the unit circle) and the complex product
     adds sqrt5 u |r||v| (Brent, Percival and Zimmermann 2007).  Each power
     then takes one rounding per part for the scale (u), at most five for

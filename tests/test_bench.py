@@ -368,8 +368,8 @@ class TestRunBench:
 
     @pytest.mark.parametrize("n", [24, 33])
     def test_fused_pass_matches_public_path_off_powers_of_two(self, n):
-        # 2N is not a power of two: the public path's mirror takes the
-        # np.remainder branch of _mirror_lags' phase index
+        # 2N is not a power of two: the public path's mirror reads phases
+        # whose index ((k - N) tau) mod 2N wraps at such a modulus
         configs = [
             (ChirpInNoise(0.1, 9.0196e-4 * 255 / (n - 1), 1.2), ("emaf", "teaf", "lbteaf")),
             (TimeVaryingMA(DEFAULT_MA_WEIGHTS, 0.042), ("emaf", "teaf", "lteaf")),

@@ -270,8 +270,21 @@ def _root_error(angle, roundings: int):
     return g * np.abs(angle) / (1 - g) + 2 * np.sqrt(2) * U
 
 
-# Lattice.roots: the angle fl(fl(pi) i) / N, three roundings, |angle| < 2 pi
+# the roots of Lattice.mirror_phases: the angle fl(fl(pi) i) / N, three roundings, |angle| < 2 pi
 ROOT_ERROR = _root_error(2 * np.pi, 3)
+
+
+@pytest.mark.parametrize("n", [2, 3, 16, 24, 33, 127, 128, 512])
+def test_mirror_phases_table(n):
+    # row r, column k holds e^{j pi i / N}, i = ((k - N) tau) mod 2N, for the
+    # lag tau = N-1-r that the row mirrors, bit for bit as np.exp computes it,
+    # whether or not 2N is a power of two; read-only and built once
+    phases = lattice(n).mirror_phases
+    assert phases.shape == (n - 1, 2 * n) and phases is lattice(n).mirror_phases
+    with pytest.raises(ValueError):
+        phases[0, 0] = 1
+    i = ((np.arange(2 * n) - n) * np.arange(n - 1, 0, -1)[:, None]) % (2 * n)
+    np.testing.assert_array_equal(phases.view(np.uint64), np.exp(1j * np.pi * i / n).view(np.uint64))
 
 
 def _mirror_bound(n: int) -> float:

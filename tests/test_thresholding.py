@@ -525,8 +525,18 @@ class TestLteaf:
 
     def test_partition_shape_checked(self):
         g = compute_emaf(np.ones(16, dtype=complex))
-        with pytest.raises(ValueError):
-            lteaf(g, make_partition(8, 4))
+        with pytest.raises(ValueError, match="grid dimensions"):
+            lteaf(g, make_partition(8, 4), ThresholdConfig(region_count=4))
+
+    @pytest.mark.parametrize("method", ["lteaf", "lbteaf"])
+    def test_partition_region_count_checked(self, method):
+        # the sidecar reports the config's region_count, so it must be the
+        # partition's: a partition of 4 regions under the default 8 is refused
+        g = compute_emaf(generate(MovingAverage(), 64, 3))
+        with pytest.raises(ValueError, match="partition has 4 regions, the config 8"):
+            threshold_with_details(g, ThresholdConfig(method=method), make_partition(64, 4))
+        _, meta = threshold_with_details(g, ThresholdConfig(method=method, region_count=4), make_partition(64, 4))
+        assert meta["region_count"] == 4 and len(meta["cells"]) <= 4
 
 
 class TestBiasCorrect:
