@@ -4,7 +4,8 @@ Runs K seeded trials of a process, computes the empirical ambiguity
 function and the configured threshold estimators for each trial, and
 accumulates per-cell squared errors against the process' reference
 surface, per-trial total squared errors and total spreads.  The EMAF and
-the reference are conjugate-symmetric, so errors fold onto the tau >= 0 rows.
+the reference are conjugate-symmetric, so errors fold onto the tau >= 0 rows,
+where a trial reads only the reference's support cells and their values.
 
 Determinism contract: trial i always uses the seed derived from
 (base_seed, i), trials are accumulated in fixed blocks of
@@ -119,16 +120,17 @@ def mse_against_naf(estimate: AmbiguityGrid, naf: NAFReference):
     """Per-cell squared error |estimate - reference|^2 and its plane sum.
 
     Like every reference, a conjugate-symmetric estimate
-    (emaf._conjugate_symmetric) is scored by run_bench's half-plane fold: the
-    error of the rows with tau >= 0, each tau < 0 cell taking its mirror's,
-    so that the sum counts the rows with tau > 0 twice."""
-    values, ref = estimate.values, naf.grid.values
-    if values.shape != ref.shape:
+    (emaf._conjugate_symmetric) is scored by run_bench's half-plane fold on the
+    rows with tau >= 0, |v|^2 then |v - ref|^2 on naf.cells, each tau < 0 cell
+    taking its mirror's error, so that the sum counts the rows with tau > 0 twice."""
+    values, n = estimate.values, estimate.n
+    if n != naf.n:
         raise ValueError("estimate and reference grids are not congruent")
     if not _conjugate_symmetric(values):
-        err = np.abs(values - ref) ** 2
+        err = np.abs(values - naf.grid.values) ** 2
         return err, float(err.sum())
-    half = _power(values[estimate.n - 1 :] - ref[estimate.n - 1 :])
+    half = _power(values[n - 1 :])
+    half.flat[naf.cells] = _power(values[n - 1 :].flat[naf.cells] - naf.values)
     return _unfold(half), _folded_total(half)
 
 
@@ -168,14 +170,14 @@ class _TrialPass:
     (mse_against_naf) on the rows with tau >= 0 alone: a trial never computes
     a tau < 0 row.  A thresholded estimate is scored from its keep mask, never
     built: its error is |v - ref|^2 where kept and |ref|^2 elsewhere, computed
-    only on the kept cells (gathered) and the reference's support (`cells`,
-    values `ref`), its only cells that can be nonzero (`touched`), and its
+    only on the kept cells (gathered) and the reference's support (naf.cells,
+    values naf.values), its only cells that can be nonzero (`touched`), and its
     spread is the kept fraction (same bits as mse_against_naf and total_spread
     of the built estimate)."""
 
-    def __init__(self, cfg: MCConfig, support: tuple):
+    def __init__(self, cfg: MCConfig, naf: NAFReference):
         self.cfg = cfg
-        self.cells, self.ref = support
+        self.cells, self.ref = naf.cells, naf.values
         self.ref_power, self.touched = _power(self.ref), slice(None)
         self.kernel = SurvivorKernel(cfg.n, cfg.threshold, [name for name in cfg.estimators if name != "emaf"])
 
@@ -217,13 +219,6 @@ class _TrialPass:
                 yield name, err, _folded_count(keep) / values.size
 
 
-def _support(naf: NAFReference) -> tuple:
-    """All a trial reads of the reference: the flat indices of its support in
-    the rows with tau >= 0, and its values there."""
-    cells = np.flatnonzero(naf.support_mask[naf.grid.n - 1 :])
-    return cells, naf.grid.values[naf.grid.n - 1 :].flat[cells]
-
-
 def _run_block(trial_pass: _TrialPass, block) -> tuple:
     """(per-estimator sums, clock) of one block: each estimator's error grid
     of the rows with tau >= 0 summed over the block's trials, its per-trial
@@ -258,9 +253,9 @@ def _shipped(result: tuple) -> tuple:
 _WORKER_PASS, _WORKER_START = None, 0.0
 
 
-def _worker_init(cfg, support, created):
+def _worker_init(cfg, naf, created):
     global _WORKER_PASS, _WORKER_START
-    _WORKER_PASS = _TrialPass(cfg, support)
+    _WORKER_PASS = _TrialPass(cfg, naf)
     _WORKER_START = time.time() - created  # the pool's start, as this worker saw it
 
 
@@ -309,8 +304,8 @@ def run_bench(cfg: MCConfig, threads: int | None = None) -> MCReport:
     environment variable, else 1.  The workers are spawned, not forked, so
     that none carries a copy of the caller's memory; a script that calls
     this with threads > 1 must guard its entry point with
-    ``if __name__ == "__main__":``.  Workers start from the reference's
-    support alone (_support) and send back sparse sums (_shipped): README.
+    ``if __name__ == "__main__":``.  Workers start from the NAFReference, its
+    support alone, and send back sparse sums (_shipped): README.
     """
     cfg.validate()
     if threads is None:
@@ -325,7 +320,7 @@ def run_bench(cfg: MCConfig, threads: int | None = None) -> MCReport:
         raise ValueError(f"threads must be >= 1, got {threads}")
     timing = dict.fromkeys(STAGES, 0.0)
     t0 = time.perf_counter()
-    support = _support(naf_for_process(cfg.process, cfg.n))
+    naf = naf_for_process(cfg.process, cfg.n)
     timing["reference_build"] = time.perf_counter() - t0
     blocks = [
         (s, min(s + ACCUMULATION_BLOCK, cfg.trials))
@@ -352,11 +347,11 @@ def run_bench(cfg: MCConfig, threads: int | None = None) -> MCReport:
     if workers > 1:
         with ProcessPoolExecutor(
             max_workers=workers, mp_context=multiprocessing.get_context("spawn"),
-            initializer=_worker_init, initargs=(cfg, support, time.time()),
+            initializer=_worker_init, initargs=(cfg, naf, time.time()),
         ) as pool:
             combine(pool.map(_worker_run, blocks))
     else:
-        trial_pass = _TrialPass(cfg, support)
+        trial_pass = _TrialPass(cfg, naf)
         combine(_shipped(_run_block(trial_pass, b)) for b in blocks)
     wall = time.perf_counter() - t0
 

@@ -197,9 +197,9 @@ def load_grid(path):
     return AmbiguityGrid(values, lat.n, kind), fields.get("process")
 
 
-def write_real_grid(path, values: np.ndarray, n: int, kind: str = "reference") -> None:
+def write_real_grid(path, values: np.ndarray, n: int) -> None:
     """Real-valued export (dB maps, MSE maps): grid CSV with im = 0."""
-    grid = AmbiguityGrid(np.asarray(values, dtype=float) + 0j, n, kind)
+    grid = AmbiguityGrid(np.asarray(values, dtype=float) + 0j, n, "reference")
     write_grid(path, grid)
 
 

@@ -17,9 +17,10 @@ O(1) remainder terms are omitted from the returned values, so ensemble
 comparisons should use statistical tolerances.
 
 The reference grids ("expected ambiguity surface restricted to the true
-support") serve as ground truth for mean-square-error benchmarking.  Like
-every EMAF, each is conjugate-symmetric bit for bit: its tau < 0 rows are
-the emaf._mirror_lags of its tau > 0 rows, so scores fold onto tau >= 0.
+support") serve as ground truth for mean-square-error benchmarking.  Each
+is held as its support in the rows with tau >= 0 and, like every EMAF, is
+conjugate-symmetric bit for bit by construction: its tau < 0 rows are the
+emaf._mirror_lags of its tau > 0 rows, so scores fold onto tau >= 0.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .emaf import AmbiguityGrid, _conjugate_symmetric, _flip_lags, _mirror_lags, lattice
+from .emaf import AmbiguityGrid, _flip_lags, _mirror_lags, lattice
 from .sigcore import (
     AnalyticWhiteNoise,
     ChirpInNoise,
@@ -487,47 +488,54 @@ def um_modulation_spectrum(f0: float, n: int) -> SpectrumTable:
 # Reference grids (expected EMAF restricted to the true support).
 
 
-@dataclass
+@dataclass(frozen=True)
 class NAFReference:
-    """Sparse reference surface plus its support mask.  The grid is finite
-    and exactly conjugate-symmetric (emaf._conjugate_symmetric with exact)."""
+    """Sparse reference surface: flat indices `cells` of its support in the N
+    rows with tau >= 0, and its finite `values` there.  The dense views, built
+    per access, mirror the tau > 0 rows (_mirror_lags, _flip_lags), so they are
+    conjugate-symmetric and zero off the support by construction."""
 
-    grid: AmbiguityGrid
-    support_mask: np.ndarray
-    cells_nonzero: int
+    n: int
+    cells: np.ndarray
+    values: np.ndarray
 
     def __post_init__(self):
-        values = self.grid.values
-        if values.shape != self.support_mask.shape:
-            raise ValueError("mask shape does not match the grid")
-        if int(np.count_nonzero(self.support_mask)) != self.cells_nonzero:
-            raise ValueError("cells_nonzero disagrees with the mask")
-        if not np.isfinite(values).all():
+        if not np.isfinite(self.values).all():
             raise ValueError("reference grid holds a non-finite cell")
-        if np.any(values[~self.support_mask] != 0):
-            raise ValueError("reference grid must vanish off its support")
-        if not _conjugate_symmetric(values, exact=True):
-            raise ValueError("reference grid is not conjugate-symmetric bit for bit (emaf._mirror_lags)")
+
+    @property
+    def grid(self) -> AmbiguityGrid:
+        grid = np.zeros(lattice(self.n).shape, dtype=complex)
+        grid[self.n - 1 :].flat[self.cells] = self.values
+        _mirror_lags(grid, grid[: self.n - 1])
+        return AmbiguityGrid(grid, self.n, "reference")
+
+    @property
+    def support_mask(self) -> np.ndarray:
+        mask = np.zeros(lattice(self.n).shape, dtype=bool)
+        mask[self.n - 1 :].flat[self.cells] = True
+        _flip_lags(mask, mask[: self.n - 1])
+        return mask
+
+    @property
+    def cells_nonzero(self) -> int:  # the tau = 0 row's cells once, the others with their mirrors
+        return 2 * self.cells.size - int(np.count_nonzero(self.cells < 2 * self.n))
 
 
 def _reference(n: int, tau, nu, values) -> NAFReference:
     """Reference surface with each value in the lattice cell nearest its
-    (tau, nu), nu taken modulo 1; values that land on one cell add.  Only
-    tau >= 0 values are needed: the tau < 0 rows and their support are then
-    the mirror of the tau > 0 rows (_mirror_lags, _flip_lags)."""
-    lat = lattice(n)
+    (tau, nu), 0 <= tau < N, nu taken modulo 1.  Values that land on one cell
+    add in input order: each cell takes its first value and adds only the
+    others, so a lone value keeps its bits, signed zeros included."""
     tau, nu, values = (np.ravel(a) for a in np.broadcast_arrays(tau, nu, values))
-    rows, cols = lat.cell(tau, nu)
-    keys = np.ravel_multi_index((rows, cols % (2 * n)), lat.shape)
-    cells, first = np.unique(keys, return_index=True)
-    # Each cell takes its first value and adds only the others, so a lone
-    # value keeps its bits, signed zeros included.
-    grid, mask = np.zeros(lat.shape, dtype=complex), np.zeros(lat.shape, dtype=bool)
-    grid.flat[cells], mask.flat[cells] = values[first], True
-    np.add.at(grid.ravel(), np.delete(keys, first), np.delete(values, first))
-    _mirror_lags(grid, grid[: n - 1])
-    _flip_lags(mask, mask[: n - 1])
-    return NAFReference(AmbiguityGrid(grid, n, "reference"), mask, int(np.count_nonzero(mask)))
+    rows, cols = lattice(n).cell(tau, nu)
+    if ((rows < n - 1) | (rows >= 2 * n - 1)).any():
+        raise ValueError(f"a reference line needs 0 <= tau < N = {n}")
+    keys = (rows - (n - 1)) * (2 * n) + cols % (2 * n)
+    cells, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    sums, rest = values[first].astype(complex), np.delete(np.arange(keys.size), first)
+    np.add.at(sums, inverse[rest], values[rest])
+    return NAFReference(n, cells, sums)
 
 
 def naf_chirp(alpha: float, beta: float, n: int) -> NAFReference:

@@ -9,7 +9,6 @@ from afkit.bench import (
     STAGES,
     MCConfig,
     _run_block,
-    _support,
     _TrialPass,
     _worker_count,
     derive_trial_seed,
@@ -148,35 +147,18 @@ class TestHalfPlaneScoring:
             _flip_lags(mirrored, mirrored[: n - 1])
             np.testing.assert_array_equal(err.view(np.uint64), mirrored.view(np.uint64))
 
-    def test_asymmetric_reference_is_rejected(self):
-        # a one-cell reference at tau = 2 without its mirror cell (-2, -nu), and
-        # a symmetric one with a single zero's sign flipped, are not exactly
-        # conjugate-symmetric: the half-plane fold could not score them
-        n = 16
-        values = np.zeros((2 * n - 1, 2 * n), dtype=complex)
-        values[n + 1, 5] = 4.0 - 1.0j
-        with pytest.raises(ValueError, match="not conjugate-symmetric"):
-            NAFReference(AmbiguityGrid(values, n, "reference"), values != 0, 1)
-        ref = naf_um(0.09, n)
-        values = ref.grid.values.copy()
-        values[3, 7] = -values[3, 7]
-        with pytest.raises(ValueError, match="not conjugate-symmetric"):
-            NAFReference(AmbiguityGrid(values, n, "reference"), ref.support_mask, ref.cells_nonzero)
-
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(1.0, np.nan)])
     def test_non_finite_reference_is_rejected(self, bad):
-        # a NaN at the origin, on the tau = 0 row the symmetry test does not
-        # see, used to be accepted and made mse_against_naf return nan
+        # a NaN at the origin (flat cell N of the tau >= 0 rows) used to be
+        # accepted and made mse_against_naf return nan
         n = 16
-        values = np.zeros((2 * n - 1, 2 * n), dtype=complex)
-        values[n - 1, n] = bad
         with pytest.raises(ValueError, match="non-finite"):
-            NAFReference(AmbiguityGrid(values, n, "reference"), values != 0, 1)
+            NAFReference(n, np.array([n]), np.array([bad], dtype=complex))
 
     def test_block_results_hold_the_tau_nonnegative_rows(self):
         n = 16
         cfg = MCConfig(TimeVaryingMA(DEFAULT_MA_WEIGHTS, 0.042), n=n, trials=3, estimators=("emaf", "teaf"))
-        trial_pass = _TrialPass(cfg, _support(naf_for_process(cfg.process, n)))
+        trial_pass = _TrialPass(cfg, naf_for_process(cfg.process, n))
         out, clock = _run_block(trial_pass, (0, 3))
         for slot in out.values():
             assert slot["sq"].shape == (n, 2 * n)
@@ -198,8 +180,8 @@ class TestHalfPlaneScoring:
         for process, estimators in configs:
             cfg = MCConfig(process, n=n, trials=5, base_seed=3, estimators=estimators)
             naf = naf_for_process(process, n)
-            clean = _run_block(_TrialPass(cfg, _support(naf)), (0, 5))[0]
-            trial_pass = _TrialPass(cfg, _support(naf))
+            clean = _run_block(_TrialPass(cfg, naf), (0, 5))[0]
+            trial_pass = _TrialPass(cfg, naf)
             lower = trial_pass.kernel.ws[0][: n - 1]
             lower.fill(np.nan)
             got = _run_block(trial_pass, (0, 5))[0]
@@ -261,7 +243,7 @@ class TestRunBench:
 
     def test_workers_start_on_the_reference_support_alone(self, monkeypatch):
         # spawn writes a worker's pickled start arguments into its pipe before
-        # it starts the next worker: the whole reference there would serialize
+        # it starts the next worker: a dense reference there would serialize
         # the pool's start-up
         class Started(Exception):
             pass
@@ -277,6 +259,25 @@ class TestRunBench:
             run_bench(cfg, threads=2)
         grid_bytes = naf_for_process(cfg.process, n).grid.values.nbytes
         assert len(pickle.dumps(started.value.args[0])) < 0.01 * grid_bytes
+
+    def test_scoring_never_builds_the_dense_reference(self, monkeypatch):
+        # a trial and the half-plane fold read the reference's tau >= 0 support
+        # cells and values alone; only a full-plane score builds its grid
+        def dense(self):
+            raise AssertionError("the dense reference was built")
+
+        configs = [
+            (TimeVaryingMA(DEFAULT_MA_WEIGHTS, 0.042), ("emaf", "teaf", "lteaf")),
+            (ChirpInNoise(0.1, 9.0196e-4 * 255 / 31, 1.2), ("emaf", "teaf", "lbteaf")),
+        ]
+        for process, estimators in configs:
+            cfg = MCConfig(process, n=32, trials=3, estimators=estimators)
+            naf, raw = naf_for_process(process, 32), compute_emaf(generate(process, 32, 1))
+            with monkeypatch.context() as m:
+                m.setattr(NAFReference, "grid", property(dense))
+                m.setattr(NAFReference, "support_mask", property(dense))
+                run_bench(cfg, threads=1)
+                mse_against_naf(raw, naf)
 
     def test_environment_is_metadata_only(self):
         # the environment a report was measured in goes to metadata; results
@@ -405,7 +406,7 @@ class TestRunBench:
         # impulse's EMAF is zero off the tau = 0 row, so the count runs
         n = 32
         cfg = MCConfig(MovingAverage(), n=n, trials=1, estimators=("emaf", "teaf"))
-        trial_pass = _TrialPass(cfg, _support(naf_for_process(cfg.process, n)))
+        trial_pass = _TrialPass(cfg, naf_for_process(cfg.process, n))
         impulse = np.zeros(n, dtype=complex)
         impulse[0] = 1.0
         for x in (impulse, generate(cfg.process, n, 5)):

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from afkit.emaf import _conjugate_symmetric, compute_emaf, lattice
+from afkit.emaf import _conjugate_symmetric, _flip_lags, _mirror_lags, compute_emaf, lattice
 from afkit.moments import (
     DEFAULT_GRID_SIZE,
     MomentTriple,
     SpectrumTable,
+    _reference,
     _windowed_transform,
     l_value,
     ma_analytic_autocorr,
@@ -552,9 +553,74 @@ def _edge_specs(n):
     ]
 
 
+def _dense_reference(n, tau, nu, values):
+    """The dense builder the sparse NAFReference replaced, kept as the oracle
+    of its bits: (grid, support mask, support count).  Each line goes to its
+    nearest cell on the whole plane, each cell takes its first value and adds
+    the others, then grid and mask get their tau < 0 rows by the mirror."""
+    lat = lattice(n)
+    tau, nu, values = (np.ravel(a) for a in np.broadcast_arrays(tau, nu, values))
+    rows, cols = lat.cell(tau, nu)
+    keys = np.ravel_multi_index((rows, cols % (2 * n)), lat.shape)
+    cells, first = np.unique(keys, return_index=True)
+    grid, mask = np.zeros(lat.shape, dtype=complex), np.zeros(lat.shape, dtype=bool)
+    grid.flat[cells], mask.flat[cells] = values[first], True
+    np.add.at(grid.ravel(), np.delete(keys, first), np.delete(values, first))
+    _mirror_lags(grid, grid[: n - 1])
+    _flip_lags(mask, mask[: n - 1])
+    return grid, mask, int(np.count_nonzero(mask))
+
+
+def _assert_dense_bits(ref, dense, msg=""):
+    grid, mask, count = dense
+    np.testing.assert_array_equal(ref.grid.values.view(np.uint64), grid.view(np.uint64), err_msg=msg)
+    np.testing.assert_array_equal(ref.support_mask, mask, err_msg=msg)
+    assert ref.cells_nonzero == count, msg
+
+
 class TestReferencePlacement:
     """Every reference surface puts each line in its nearest lattice cell,
     nu taken modulo 1, and lines that land on one cell add."""
+
+    @pytest.mark.parametrize("n", [2, 3, 16, 33, 256, 512])
+    def test_sparse_reference_keeps_the_dense_bits(self, n, monkeypatch):
+        # the reference holds only its tau >= 0 support; its dense views equal
+        # the dense builder's bit for bit, the -0.0 of mirrored zeros included
+        specs = [cls() for cls in PROCESSES.values()] + _edge_specs(n)
+        if n == 512:
+            specs.append(ChirpInNoise(0.1, 9.0196e-4 * 255 / 511))
+        checked = 0
+        for spec in specs:
+            try:
+                spec.validate(n)
+            except ValueError:
+                continue
+            ref = spec.reference(n)
+            with monkeypatch.context() as m:
+                m.setattr("afkit.moments._reference", _dense_reference)
+                dense = spec.reference(n)
+            _assert_dense_bits(ref, dense, str(spec))
+            checked += 1
+        assert checked >= 5
+
+    def test_lines_on_one_cell_add_in_input_order(self):
+        # (1e16 + 1) - 1e16 is 0 and (1e16 - 1e16) + 1 is 1; the lone -0.0 at
+        # tau = 2 keeps its sign, and so does its mirror's product
+        n = 16
+        for values, total in (([1e16, 1.0, -1e16, -0.0], 0.0), ([1e16, -1e16, 1.0, -0.0], 1.0)):
+            args = (n, [0, 0, 0, 2], [0.125, 0.125, 0.125, 0.25], values)
+            ref = _reference(*args)
+            assert ref.grid.values[n - 1, n + 4] == total
+            assert np.signbit(ref.values[ref.cells == 2 * 2 * n + n + 8].real).all()
+            assert ref.cells_nonzero == 3
+            _assert_dense_bits(ref, _dense_reference(*args))
+
+    @pytest.mark.parametrize("tau", [-2, 16])
+    def test_line_off_the_tau_nonnegative_rows_is_rejected(self, tau):
+        # tau = -2 used to be overwritten by the mirror, leaving an all-zero
+        # reference with cells_nonzero 0; tau = N failed inside numpy
+        with pytest.raises(ValueError, match=r"0 <= tau < N = 16"):
+            _reference(16, tau, 0.125, 5.0)
 
     @pytest.mark.parametrize("n", [16, 64, 256])
     def test_support_is_mirror_symmetric(self, n):

@@ -107,6 +107,26 @@ def test_non_finite_reference_stops_a_bench_before_any_trial(monkeypatch):
     assert not drawn
 
 
+@dataclass(frozen=True)
+class _OffPlaneToy(_Toy):
+    name: ClassVar[str] = "offplanetoy"
+    line_lag: int = 0
+
+    def reference(self, n):
+        return _reference(n, self.line_lag, 0.125, 5.0)
+
+
+@pytest.mark.parametrize("tau", [-2, 16])
+def test_off_plane_reference_line_exits_2(tmp_path, monkeypatch, capsys, tau):
+    # a line at tau < 0 used to vanish under the mirror (an all-zero
+    # reference), one at tau >= N failed inside numpy
+    monkeypatch.setitem(sigcore.PROCESSES, _OffPlaneToy.name, _OffPlaneToy)
+    out = tmp_path / "naf.csv"
+    assert main(["naf", "--process", "offplanetoy", "--n", "16", f"--line-lag={tau}", "-o", str(out)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["afkit: a reference line needs 0 <= tau < N = 16"] and not out.exists()
+
+
 def test_new_process_needs_one_class(tmp_path, monkeypatch):
     monkeypatch.setitem(sigcore.PROCESSES, _Toy.name, _Toy)
     x = generate(_Toy(2.0), 16, 5)
