@@ -165,10 +165,10 @@ class _TrialPass:
     """run_bench's fused trial pass, allocated once per process: one
     SurvivorKernel for the thresholded estimators, whose workspace also
     receives the EMAF, and the scoring, which writes each error grid into the
-    kernel's free grid `real` between its passes.  The EMAF and the reference
-    are conjugate-symmetric, so the kernel decides and the scoring folds
-    (mse_against_naf) on the rows with tau >= 0 alone: a trial never computes
-    a tau < 0 row.  A thresholded estimate is scored from its keep mask, never
+    tau >= 0 rows of the kernel's scratch[1], free between its passes.  The
+    EMAF and the reference are conjugate-symmetric, so the kernel decides and
+    the scoring folds (mse_against_naf) on the rows with tau >= 0 alone: a
+    trial never computes a tau < 0 row.  A thresholded estimate is scored from its keep mask, never
     built: its error is |v - ref|^2 where kept and |ref|^2 elsewhere, computed
     only on the kept cells (gathered) and the reference's support (naf.cells,
     values naf.values), its only cells that can be nonzero (`touched`), and its
@@ -203,7 +203,7 @@ class _TrialPass:
 
     def _errors(self, values, names):
         n, kernel, cells = self.cfg.n, self.kernel, self.cells
-        half, err = values[n - 1 :], kernel.real[n - 1 :]
+        half, err = values[n - 1 :], kernel.scratch[1][n - 1 :]
         support = _power(half.flat[cells] - self.ref)
         for name in names:
             if name == "emaf":

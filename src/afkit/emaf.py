@@ -63,20 +63,20 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RegionPartition:
-    """Assignment of every grid cell to one of region_count annuli."""
+    """Assignment of every grid cell to one of region_count annuli; half
+    gives each merged region as the row-band rectangles of _tiles."""
 
     region_count: int
     region_index: np.ndarray
 
     @cached_property
     def merged(self) -> tuple:
-        """(labels, cell_region, order, bounds) of the merged regions, built
-        once per partition.  Regions with < MIN_REGION_CELLS cells are folded
-        outward into their neighbour (inward for the outermost); labels lists
-        the survivors ascending, cell_region gives each cell's position in
-        labels (narrowest unsigned dtype), order the flat cell indices sorted
-        stably by it (row-major inside a region; None for one region) and
-        order[bounds[i]:bounds[i + 1]] the cells of region i."""
+        """(labels, cell_region, bounds) of the merged regions, built once per
+        partition.  Regions with < MIN_REGION_CELLS cells are folded outward
+        into their neighbour (inward for the outermost); labels lists the
+        survivors ascending, cell_region gives each cell's position in labels
+        (narrowest unsigned dtype) and bounds[i + 1] - bounds[i] is the cell
+        count of region i."""
         k, idx = self.region_count, self.region_index
         if idx.size and (idx.min() < 0 or idx.max() >= k):
             raise ValueError(f"partition labels must lie in [0, {k})")
@@ -95,10 +95,7 @@ class RegionPartition:
         position[remaining] = np.arange(len(remaining))
         cell_region = _frozen(position[target][idx])
         bounds = tuple(int(b) for b in np.cumsum([0, *counts[remaining]]))
-        order = None
-        if len(remaining) > 1:
-            order = _frozen(np.argsort(cell_region.ravel(), kind="stable").astype(np.int32))
-        return tuple(remaining), cell_region, order, bounds
+        return tuple(remaining), cell_region, bounds
 
     @cached_property
     def folded(self) -> dict:
@@ -109,34 +106,35 @@ class RegionPartition:
         label_of[self.region_index.ravel()] = np.asarray(labels)[cell_region.ravel()]
         return {r: [a for a in np.flatnonzero(label_of == r).tolist() if a != r] for r in labels}
 
-    @property
-    def segments(self) -> tuple:
-        """merged's order and, per region, (first, first pair, end) of its
-        cells in it: over the whole plane no cell counts twice."""
-        order, bounds = self.merged[2:]
-        return order, [(lo, hi, hi) for lo, hi in zip(bounds, bounds[1:])]
-
     @cached_property
-    def half(self) -> tuple | None:
-        """segments over the rows with tau >= 0 of a (2N-1, 2N) grid, whose
-        tau > 0 cells count twice (for their mirrors), or None when the labels
-        are not mirror-symmetric (cell (-tau, -nu) labelled as (tau, nu)).
-        The order gathers flat indices of those rows stably by (region,
-        tau > 0), so that region i's tau = 0 cells come before its tau > 0
-        cells (None for one region)."""
+    def half(self) -> list | None:
+        """The _tiles of the merged regions on the rows with tau >= 0 of a
+        (2N-1, 2N) grid, or None when the labels are not mirror-symmetric
+        (cell (-tau, -nu) labelled as (tau, nu))."""
         idx, n = self.region_index, (self.region_index.shape[0] + 1) // 2
         if idx.shape != (2 * n - 1, 2 * n) or not np.array_equal(
             _flip_lags(idx, np.empty_like(idx[: n - 1])), idx[: n - 1]
         ):
             return None
-        labels, cell_region = self.merged[:2]
-        key = cell_region[n - 1 :].astype(np.min_scalar_type(2 * len(labels) - 1)) * 2  # radix-sortable
-        key[1:] += 1
-        bounds = np.cumsum([0, *np.bincount(key.ravel(), minlength=2 * len(labels))]).tolist()
-        order = None
-        if len(labels) > 1:
-            order = _frozen(np.argsort(key.ravel(), kind="stable").astype(np.int32))
-        return order, list(zip(bounds[0::2], bounds[1::2], bounds[2::2]))
+        return _tiles(self.merged[1][n - 1 :], len(self.merged[0]), half=True)
+
+
+def _tiles(labels: np.ndarray, count: int, half: bool) -> list:
+    """Per label 0..count-1, (once, pairs): the (rows, columns) slices of the
+    row-band rectangles that tile its cells of the 2-D array labels.  Each row
+    is run-length encoded, and consecutive rows with the same runs form one
+    band.  With half, labels are the rows with tau >= 0, row 0 (tau = 0) is
+    counted once and the rows below it twice (pairs); else pairs is empty."""
+    tiles = [([], []) for _ in range(count)]
+    for first, stop in ((0, 1), (1, len(labels))) if half else ((0, len(labels)),):  # slot first: once, pairs
+        rows = labels[first:stop]
+        starts = [0, *(np.flatnonzero((rows[1:] != rows[:-1]).any(axis=1)) + 1).tolist(), len(rows)]
+        for r0, r1 in zip(starts, starts[1:]):
+            row = rows[r0]
+            cuts = [0, *(np.flatnonzero(row[1:] != row[:-1]) + 1).tolist(), row.size]
+            for c0, c1 in zip(cuts, cuts[1:]):
+                tiles[int(row[c0])][first].append((slice(first + r0, first + r1), slice(c0, c1)))
+    return tiles
 
 
 class Lattice:
@@ -225,6 +223,11 @@ class Lattice:
         """Unit-variance mean surface of analytic white noise (white_noise_mean
         on the lattice)."""
         return _frozen(white_noise_mean(self.nus[None, :], self.taus[:, None], self.n))
+
+    def bias_rows(self, first: int = 0) -> tuple:
+        """The rows from row first on where bias_basis can be nonzero, as two
+        slices: tau = 0 and odd tau (white_noise_mean is zero at even tau != 0)."""
+        return slice(self.n - 1 - first, self.n - first), slice((self.n - first) % 2, None, 2)
 
     @cached_property
     def half_bias_basis(self) -> np.ndarray:  # bias_basis's tau >= 0 rows, the same bits

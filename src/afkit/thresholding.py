@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .emaf import MIN_REGION_CELLS, AmbiguityGrid, RegionPartition, lattice, standardize
-from .emaf import _conjugate_symmetric, _flip_lags, _mirror_lags
+from .emaf import _conjugate_symmetric, _flip_lags, _mirror_lags, _tiles
 
 __all__ = [
     "METHODS",
@@ -81,41 +81,40 @@ def make_partition(n: int, k: int = 8) -> RegionPartition:
     return lattice(n).partition(k)
 
 
-def _median(a: np.ndarray, scratch: np.ndarray | None = None, pairs: np.ndarray | None = None,
-            finite: bool = False):
-    """np.median of the multiset a + pairs + pairs (each cell of pairs
-    counted twice) of 1-D float arrays, bit for bit, without building it.
-    Without pairs this is one partition pivot and a max over the lower half
-    (np.median partitions on two or three).  With pairs, of size p, the
-    central ranks r1 <= r2 of the a.size + 2p cells lie between the pair
-    order statistics lo = (r1 - a.size) // 2 and hi = r2 // 2, found by two
-    single-pivot partitions; the pairs between them (twice) and the cells
-    of a between their values are sorted, and the ranks read off.  a and
-    pairs are copied into scratch (default: a new array) and keep their
-    order for np.median itself, which decides a zero or NaN result: its
-    partition order picks the sign of a zero and the payload of a NaN.
-    With finite, a NaN or inf anywhere makes the result NaN."""
-    pairs = a[:0] if pairs is None else pairs
-    size = a.size + 2 * pairs.size
-    part = np.empty(a.size + pairs.size) if scratch is None else scratch[: a.size + pairs.size]
-    once, twice = part[: a.size], part[a.size :]
-    np.copyto(once, a)
-    np.copyto(twice, pairs)
+def _median(a, scratch: np.ndarray | None = None, pairs=(), finite: bool = False):
+    """np.median of the cells of the blocks a and, twice each, of the blocks
+    pairs (sequences of float arrays), bit for bit, without building that
+    multiset: the blocks are copied in order into scratch (default: a new
+    array).  Without pairs this is one partition pivot and a max over the
+    lower half (np.median partitions on two or three).  With pairs, p cells,
+    the central ranks r1 <= r2 lie between the pair order statistics
+    lo = (r1 - cells of a) // 2 and hi = r2 // 2, found by two single-pivot
+    partitions; the pairs between them (twice) and the cells of a between
+    their values are sorted, and the ranks read off.  A zero or NaN result is
+    np.median's of the blocks a, pairs, pairs in order, whose partition picks
+    the sign of a zero and the payload of a NaN.  With finite, a NaN or inf
+    anywhere makes the result NaN."""
+    once_size, pair_size = sum(b.size for b in a), sum(b.size for b in pairs)
+    size = once_size + 2 * pair_size
+    part = np.empty(once_size + pair_size) if scratch is None else scratch[: once_size + pair_size]
+    for block, at in zip((*a, *pairs), np.cumsum([0, *(b.size for b in (*a, *pairs))]).tolist()):
+        np.copyto(part[at : at + block.size].reshape(block.shape), block)
+    once, twice = part[:once_size], part[once_size:]
     if size:
         r1, r2 = (size - 1) // 2, size // 2
-        if not pairs.size:
+        if not pair_size:
             once.partition(r2)
             top = once[r2:].max()
             low, high = once[:r2].max() if r1 < r2 else once[r2], once[r2]
         else:
-            lo, hi = max((r1 - a.size) // 2, 0), min(r2 // 2, pairs.size - 1)
+            lo, hi = max((r1 - once_size) // 2, 0), min(r2 // 2, pair_size - 1)
             twice.partition(hi)
             if lo < hi:
                 twice[:hi].partition(lo)
             top = np.maximum(twice[hi:].max(), once.max(initial=-np.inf))
             if not np.isnan(top):
                 floor = twice[lo] if lo else -np.inf  # cells of a below it rank below every candidate
-                ceil = twice[hi] if hi < pairs.size - 1 else np.inf
+                ceil = twice[hi] if hi < pair_size - 1 else np.inf
                 cand = np.sort(np.concatenate([twice[lo : hi + 1], twice[lo : hi + 1],
                                                once[(once >= floor) & (once <= ceil)]]))
                 skipped = 2 * lo + np.count_nonzero(once < floor)
@@ -124,7 +123,7 @@ def _median(a: np.ndarray, scratch: np.ndarray | None = None, pairs: np.ndarray 
             return np.nan
         if not np.isnan(top) and (mid := high if r1 == r2 else (low + high) / 2) != 0:
             return mid
-    return np.median(np.concatenate([a, pairs, pairs]) if pairs.size else a)
+    return np.median(np.concatenate([b.ravel() for b in (*a, *pairs, *pairs)]))
 
 
 def _power(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -133,13 +132,13 @@ def _power(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return np.square(out, out=out)
 
 
-def _sigma4(power: np.ndarray, scratch: np.ndarray | None = None, pairs: np.ndarray | None = None) -> float:
-    """The variance rule of every estimator: the median of power, squared
-    standardized cells, plus each cell of pairs twice, / ln 2 (the median of
-    a 1/2 chi^2_2 variable).  The median of an even cell count is the mean
-    of the two central order statistics (numpy convention).  Any NaN or inf
-    cell is rejected."""
-    if power.size == 0 and (pairs is None or pairs.size == 0):
+def _sigma4(power, scratch: np.ndarray | None = None, pairs=()) -> float:
+    """The variance rule of every estimator: the _median of the blocks power,
+    squared standardized cells, plus each cell of the blocks pairs twice,
+    / ln 2 (the median of a 1/2 chi^2_2 variable).  The median of an even
+    cell count is the mean of the two central order statistics (numpy
+    convention).  Any NaN or inf cell is rejected."""
+    if not any(b.size for b in (*power, *pairs)):
         raise ValueError("cannot estimate a variance from an empty region")
     sigma4 = float(_median(power, scratch, pairs, finite=True) / LN2)
     if not math.isfinite(sigma4):
@@ -149,14 +148,16 @@ def _sigma4(power: np.ndarray, scratch: np.ndarray | None = None, pairs: np.ndar
 
 def bias_correct(grid: AmbiguityGrid, sigma2_w: float) -> AmbiguityGrid:
     """Subtract the analytic-white-noise mean surface scaled by sigma2_w.
-    The surface is conjugate-symmetric, so a conjugate-symmetric grid stays
-    so exactly: its corrected tau < 0 rows are the _mirror_lags of its
-    corrected tau > 0 rows, as threshold_with_details builds lbteaf's."""
+    It is zero off Lattice.bias_rows and conjugate-symmetric, so a
+    conjugate-symmetric grid stays so exactly: its corrected tau < 0 rows are
+    the _mirror_lags of its corrected tau > 0 rows, as lbteaf's are."""
     if grid.kind != "raw":
         raise ValueError("bias correction expects a raw grid")
     if sigma2_w < 0:
         raise ValueError("noise variance must be >= 0")
-    values = grid.values - sigma2_w * lattice(grid.n).bias_basis
+    lat, values = lattice(grid.n), grid.values.copy()
+    for rows in lat.bias_rows():
+        values[rows] -= sigma2_w * lat.bias_basis[rows]
     if _conjugate_symmetric(grid.values):
         _mirror_lags(values, values[: grid.n - 1])
     return AmbiguityGrid(values, grid.n, "bias_corrected")
@@ -176,16 +177,20 @@ class SurvivorKernel:
     median counts a tau > 0 cell twice, once for its mirror, and keep
     holds the decisions of those rows only (the tau < 0 cell (-tau, -nu)
     shares the decision of (tau, nu)).  Otherwise rows is the whole plane.
+    A region, and the rim, is read as its _tiles, block by block.
 
-    survive(values) takes a record's raw values and sets sigma2_w (the rim
-    noise level sqrt(_sigma4 over the rim), lbteaf only), then sigma4[m]
-    and keep[m] for teaf and lteaf.  corrected(values) writes the rows of
-    values - sigma2_w * bias basis into ws[0], never into values unless
-    they are ws[0], sets lbteaf's sigma4 and keep from it and returns it;
-    when half, its tau < 0 rows are left as they were.
+    survive(values) takes a record's raw values, keeps their |s|^2 in real
+    and sets sigma2_w (the rim noise level sqrt(_sigma4 over the rim),
+    lbteaf only), then sigma4[m] and keep[m] for teaf and lteaf.
+    corrected(values), given survive's values, writes the rows of values -
+    sigma2_w * bias basis into ws[0] (in place when values is ws[0], else
+    copied first), recomputes |s|^2 on the Lattice.bias_rows alone, sets
+    lbteaf's sigma4 and keep and returns ws[0], its tau < 0 rows as they
+    were when half.
 
-    ws is two complex grids, real one real grid; scratch views ws[1] as
-    two real grids.  A pass computes no |v|^2 and leaves ws[1] and real free.
+    ws is two complex grids, real one real grid; scratch views ws[1] as two
+    real grids.  A pass takes its medians in scratch[0]; ws[1], not real, is
+    free between passes (run_bench scores into scratch[1]'s tau >= 0 rows).
     """
 
     def __init__(self, n: int, cfg: ThresholdConfig, methods, part: RegionPartition | None = None,
@@ -204,48 +209,50 @@ class SurvivorKernel:
         # Tables are built here, before any buffer below is touched, so that
         # their temporaries do not add to the peak memory.
         self.half = half and all(p.half is not None for p in self.parts.values())
-        self.rows = slice(n - 1 if self.half else 0, None)
-        # method -> gather order and (first, first pair, end) of each region's cells in it
-        self.segments = {m: p.half if self.half else p.segments for m, p in self.parts.items()}
-        self.rim = lat.rim(cfg.rim_fraction)[self.rows] if "lbteaf" in methods else None
-        if self.rim is not None:  # a row-major gather lists the tau = 0 cells, counted once, first
-            self.rim_once = np.count_nonzero(self.rim[0] if self.half else self.rim)
+        self.rows = rows = slice(n - 1 if self.half else 0, None)
+        tiles = {m: p.half if self.half else _tiles(p.merged[1], len(p.merged[0]), False)
+                 for m, p in self.parts.items()}
+        rim = _tiles(lat.rim(cfg.rim_fraction)[rows], 2, self.half)[1] if "lbteaf" in methods else None
+        if rim:
             self.basis = lat.half_bias_basis if self.half else lat.bias_basis
         lat.inv_sqrt_base
         self.ws, self.real = np.empty((2,) + lat.shape, dtype=complex), np.empty(lat.shape)
         self.scratch = self.ws[1].view(float).reshape((2,) + lat.shape)
         self.keep = {m: np.empty(lat.shape, dtype=bool) for m in methods}
+        power = self.real[rows]
+        # method -> per region, (once, pairs, keep) views of its tiles in real and keep[method]
+        self.regions = {m: [([power[t] for t in once], [power[t] for t in pairs],
+                             [self.keep[m][rows][t] for t in (*once, *pairs)]) for once, pairs in tiles[m]]
+                        for m in methods}
+        self.rim = None if rim is None else tuple([power[t] for t in part] for part in rim)
         self.sigma4, self.sigma2_w = {}, None
 
     def survive(self, values: np.ndarray) -> None:
-        self._keep(values, "raw", [m for m in self.keep if m != "lbteaf"], self.rim)
+        std = standardize(AmbiguityGrid(values, self.n), out=self.ws[1], half=self.half).values
+        _power(std[self.rows], out=self.real[self.rows])
+        self._decide([m for m in self.keep if m != "lbteaf"], self.rim)
 
     def corrected(self, values: np.ndarray) -> np.ndarray:
-        rows, out = self.rows, self.ws[0]
-        basis = np.multiply(self.sigma2_w, self.basis, out=self.ws[1][rows])
-        np.subtract(values[rows], basis, out=out[rows])
-        self._keep(out, "bias_corrected", ["lbteaf"])
+        lat, rows, out = lattice(self.n), self.rows, self.ws[0]
+        if not np.may_share_memory(values, out):
+            np.copyto(out[rows], values[rows])
+        corrected, temp, power = out[rows], self.ws[1][rows], self.real[rows]
+        for b in lat.bias_rows(rows.start):
+            np.subtract(corrected[b], np.multiply(self.sigma2_w, self.basis[b], out=temp[b]), out=corrected[b])
+            _power(np.multiply(corrected[b], lat.inv_sqrt_base[rows][b], out=temp[b]), out=power[b])
+        self._decide(["lbteaf"])
         return out
 
-    def _keep(self, values, kind, methods, rim=None) -> None:
-        """Set sigma4 and keep of methods, sigma2_w given a rim."""
-        std = standardize(AmbiguityGrid(values, self.n, kind), out=self.ws[1], half=self.half).values
-        rows = self.rows
-        std_power = _power(std[rows], out=self.real[rows])  # frees ws[1] for the scratch below
-        gathered, thr = self.scratch[0][rows], self.scratch[1].ravel()
+    def _decide(self, methods, rim=None) -> None:
+        """Set sigma4 and keep of methods from real's |s|^2, sigma2_w given the rim."""
+        thr = self.scratch[0].reshape(-1)
         for m in methods:
-            order, segments = self.segments[m]
-            flat = std_power.ravel()
-            if order is not None:
-                flat = np.take(flat, order, out=gathered.ravel(), mode="clip")
-            self.sigma4[m] = np.array([_sigma4(flat[a:b], thr, flat[b:c]) for a, b, c in segments])
-            level = self.lam2 * self.sigma4[m]
-            if level.size > 1:  # per cell; one region compares with a scalar
-                level = np.take(level, self.parts[m].merged[1][rows], out=self.scratch[1][rows], mode="clip")
-            np.greater(std_power, level, out=self.keep[m][rows])
+            self.sigma4[m] = np.array([_sigma4(once, thr, pairs) for once, pairs, _ in self.regions[m]])
+            for level, (once, pairs, keep) in zip(self.lam2 * self.sigma4[m], self.regions[m]):
+                for power, out in zip((*once, *pairs), keep):
+                    np.greater(power, level, out=out)
         if rim is not None:
-            cells = std_power[rim]
-            self.sigma2_w = math.sqrt(_sigma4(cells[: self.rim_once], thr, cells[self.rim_once :]))
+            self.sigma2_w = math.sqrt(_sigma4(rim[0], thr, rim[1]))
 
 
 def threshold_with_details(
@@ -279,7 +286,7 @@ def threshold_with_details(
     keep = kernel.keep[method]
     if kernel.half:
         _flip_lags(keep, keep[: n - 1])
-    labels, cell_region, _, bounds = kernel.parts[method].merged
+    labels, cell_region, bounds = kernel.parts[method].merged
     survivors = np.bincount(cell_region[keep], minlength=len(labels))
     meta.update(
         sigma4={str(r): float(s) for r, s in zip(labels, kernel.sigma4[method])},

@@ -9,12 +9,14 @@ from afkit.emaf import (
     _conjugate_symmetric,
     _flip_lags,
     _mirror_lags,
+    _tiles,
     compute_emaf,
     lattice,
     standardize,
 )
 from afkit.sigcore import (
     DEFAULT_MA_WEIGHTS,
+    PROCESSES,
     AnalyticWhiteNoise,
     ChirpInNoise,
     MovingAverage,
@@ -121,13 +123,13 @@ class TestEstimateSigma4:
     """_sigma4, the variance rule of every estimator, on squared standardized cells."""
 
     def test_constant_grid(self):
-        assert _sigma4(np.full(15 * 16, 3.0)) == pytest.approx(3.0 / math.log(2.0), rel=1e-12)
+        assert _sigma4([np.full(15 * 16, 3.0)]) == pytest.approx(3.0 / math.log(2.0), rel=1e-12)
 
     def test_single_cell_mask(self):
-        assert _sigma4(np.array([4.0])) == pytest.approx(4.0 / math.log(2.0), rel=1e-12)
+        assert _sigma4([np.array([4.0])]) == pytest.approx(4.0 / math.log(2.0), rel=1e-12)
 
     def test_even_count_median(self):
-        assert _sigma4(np.array([1.0, 3.0])) == pytest.approx(2.0 / math.log(2.0), rel=1e-12)
+        assert _sigma4([np.array([1.0, 3.0])]) == pytest.approx(2.0 / math.log(2.0), rel=1e-12)
 
     def test_noise_population_value(self):
         # squared standardized noise cells ~ sigma^4 * (1/2)chi^2_2;
@@ -137,12 +139,12 @@ class TestEstimateSigma4:
         for s in range(50):
             x = generate(AnalyticWhiteNoise(psd), n, 1000 + s)
             std = standardize(compute_emaf(x))
-            est.append(_sigma4(np.abs(std.values.ravel()) ** 2))
+            est.append(_sigma4([np.abs(std.values) ** 2]))
         assert np.mean(est) == pytest.approx(psd**2, rel=0.10)
 
     def test_empty_mask(self):
         with pytest.raises(ValueError, match="empty region"):
-            _sigma4(np.empty(0))
+            _sigma4([np.empty(0)])
 
 
 class TestMedian:
@@ -173,7 +175,7 @@ class TestMedian:
         for a in cases:
             before = a.copy()
             scratch = np.full(a.size + 3, 42.0)
-            for got in (_median(a), _median(a, scratch)):
+            for got in (_median([a]), _median([a], scratch)):
                 assert self._bits(got) == self._bits(np.median(a)), a
             np.testing.assert_array_equal(a, before)  # a keeps its order
 
@@ -193,18 +195,46 @@ class TestMedian:
                 with np.errstate(invalid="ignore"):
                     want = np.median(np.concatenate([a, pairs, pairs]))
                     scratch = np.full(c.size + 3, 42.0)
-                    for got in (_median(a, pairs=pairs), _median(a, scratch, pairs)):
+                    for got in (_median([a], pairs=[pairs]), _median([a], scratch, [pairs])):
                         assert self._bits(got) == self._bits(want), (a, pairs)
                 np.testing.assert_array_equal(c, before)  # a and pairs keep their order
+
+    @staticmethod
+    def _blocks(values, count, rng):
+        # values cut into count contiguous blocks (some empty), each of an even
+        # size shaped as two rows, as the kernel copies its rectangles
+        cuts = np.sort(rng.integers(0, values.size + 1, count - 1))
+        blocks = np.split(values, cuts)
+        return [b.reshape(2, -1) if b.size % 2 == 0 and b.size else b for b in blocks]
+
+    def test_blocks_bit_identical_to_numpy(self, rng):
+        # a and pairs given as 1-3 blocks each, copied in order: the same bits
+        # as the one-block median of their concatenation, signed zeros and NaN
+        # payloads included, without pairs and with them
+        payload = np.array([0x7FF80000000ABCDE], dtype=np.uint64).view(float)[0]
+        cases = [np.array(c) for c in self.CASES] + [np.array([1.0, payload, 2.0]), np.array([0.5, -payload])]
+        cases += [rng.standard_exponential(size) for size in (1, 2, 7, 8, 255, 256, 4097)]
+        cases += [rng.integers(0, 3, size).astype(float) for size in (9, 10, 101, 1000, 4097)]
+        for c in cases:
+            for cut in {c.size, c.size // 2, 0}:
+                a, pairs = c[:cut], c[cut:]
+                with np.errstate(invalid="ignore"):
+                    want = np.median(np.concatenate([a, pairs, pairs]))
+                    for count in (1, 2, 3):
+                        once, twice = self._blocks(a, count, rng), self._blocks(pairs, count, rng)
+                        scratch = np.full(c.size + 3, 42.0)
+                        for got in (_median(once, pairs=twice), _median(once, scratch, twice)):
+                            assert self._bits(got) == self._bits(want), (once, twice)
+                        assert np.concatenate([b.ravel() for b in (*once, *twice)]).tobytes() == c.tobytes()
 
     def test_non_finite_anywhere_is_nan_with_finite(self):
         for a, pairs in (([1.0], [np.inf, 1.0, 1.0]), ([np.nan, 1.0], [1.0, 2.0]), ([], [1.0, np.nan]),
                          ([np.inf, 1.0, 2.0], [3.0]), ([1.0], [2.0, np.inf])):
-            assert np.isnan(_median(np.array(a), pairs=np.array(pairs), finite=True))
+            assert np.isnan(_median([np.array(a)], pairs=[np.array(pairs)], finite=True))
 
     def test_empty_is_nan_like_numpy(self):
         with pytest.warns(RuntimeWarning):
-            assert np.isnan(_median(np.array([])))
+            assert np.isnan(_median([np.array([])]))
 
 
 class TestHalfPlane:
@@ -217,40 +247,58 @@ class TestHalfPlane:
         _flip_lags(full, full[: (mask.shape[0] - 1) // 2])
         return full
 
-    def test_half_order_of_a_partition(self):
-        for n, k in ((8, 8), (32, 5), (64, 8)):
-            part = make_partition(n, k)
-            order, segments = part.half
-            labels, cell_region, _, full_bounds = part.merged
-            region = cell_region[n - 1 :].ravel()
-            positive = np.arange(region.size) >= 2 * n  # the tau > 0 rows
-            assert len(segments) == len(labels) and segments[-1][2] == region.size
-            for i, (first, pair, end) in enumerate(segments):
-                np.testing.assert_array_equal(order[first:pair], np.flatnonzero((region == i) & ~positive))
-                np.testing.assert_array_equal(order[pair:end], np.flatnonzero((region == i) & positive))
-                assert pair - first + 2 * (end - pair) == full_bounds[i + 1] - full_bounds[i]
-        assert make_partition(16, 1).half == (None, [(0, 32, 16 * 32)])
+    @staticmethod
+    def _check_tiles(part):
+        # each merged region's rectangles cover exactly its cells, once each;
+        # on the half plane the tau = 0 row is split out and counted once
+        labels, cell_region, bounds = part.merged
+        n = (cell_region.shape[0] + 1) // 2
+        planes = [(_tiles(cell_region, len(labels), False), cell_region, False)]
+        if part.half is not None:
+            planes.append((part.half, cell_region[n - 1 :], True))
+        for tiles, region, half in planes:
+            assert len(tiles) == len(labels)
+            for i, (once, pairs) in enumerate(tiles):
+                covered = np.zeros(region.shape, dtype=int)
+                for rows, cols in (*once, *pairs):
+                    assert rows.step is None and cols.step is None and rows.start < rows.stop and cols.start < cols.stop
+                    covered[rows, cols] += 1
+                np.testing.assert_array_equal(covered, region == i)
+                if half:
+                    assert all(rows == slice(0, 1) for rows, _ in once)
+                    assert all(rows.start >= 1 for rows, _ in pairs)
+                    cells = sum(covered[t].size for t in once) + 2 * sum(covered[t].size for t in pairs)
+                    assert cells == bounds[i + 1] - bounds[i]
+                else:
+                    assert pairs == []
+
+    @pytest.mark.parametrize("n", [2, 3, 8, 16, 24, 33, 128])
+    @pytest.mark.parametrize("k", [1, 3, 8, 50])
+    def test_tiles_cover_each_merged_region_once(self, n, k):
+        part = make_partition(n, k)
+        assert part.half is not None
+        if n == 8 and k == 8:  # regions under MIN_REGION_CELLS merge
+            assert len(part.merged[0]) < k
+        self._check_tiles(part)
+        if k == 8 and n == 128:  # annulus j is 2j + 1 rectangles over tau > 0, two runs at tau = 0
+            assert [(len(once), len(pairs)) for once, pairs in part.half] == [(1, 1)] + [(2, 2 * j + 1) for j in range(1, k)]
+
+    def test_tiles_of_custom_partitions(self, rng):
+        n = 16
+        idx = np.empty((2 * n - 1, 2 * n), dtype=int)
+        idx[n - 1 :] = rng.integers(0, 4, (n, 2 * n))
+        idx[n - 1, n + 1 :] = idx[n - 1, n - 1 : 0 : -1]  # the tau = 0 row is its own mirror
+        _flip_lags(idx, idx[: n - 1])
+        symmetric = RegionPartition(4, idx)
+        assert symmetric.half is not None
+        self._check_tiles(symmetric)
+        asymmetric = RegionPartition(3, rng.integers(0, 3, (2 * n - 1, 2 * n)))
+        assert asymmetric.half is None  # full-plane mode
+        self._check_tiles(asymmetric)
         idx = np.zeros((31, 32), dtype=int)
         idx[16:] = 1  # tau > 0 apart from tau < 0: not mirror-symmetric
         assert RegionPartition(2, idx).half is None
-
-    @pytest.mark.parametrize("n", [3, 24, 33, 128])
-    @pytest.mark.parametrize("k", [1, 3, 8])
-    def test_half_order_is_the_int32_key_argsort(self, n, k):
-        # the narrow unsigned key numpy radix-sorts gives the permutation the
-        # int32 key's stable argsort gave
-        part = make_partition(n, k)
-        labels, cell_region = part.merged[:2]
-        key = 2 * cell_region[n - 1 :].astype(np.int32)
-        key[1:] += 1
-        order, segments = part.half
-        if len(labels) == 1:
-            assert order is None
-        else:
-            np.testing.assert_array_equal(order, np.argsort(key.ravel(), kind="stable").astype(np.int32))
-            assert order.dtype == np.int32
-        bounds = np.cumsum([0, *np.bincount(key.ravel(), minlength=2 * len(labels))]).tolist()
-        assert segments == list(zip(bounds[0::2], bounds[1::2], bounds[2::2]))
+        self._check_tiles(RegionPartition(2, idx))
 
     def test_sigma4_is_the_full_plane_median_of_the_mirrored_plane(self):
         # bit for bit: replacing every tau < 0 power by its mirror's gives the
@@ -265,9 +313,9 @@ class TestHalfPlane:
             _flip_lags(power, power[: n - 1])
             for m in ("teaf", "lteaf"):
                 cell_region = kernel.parts[m].merged[1]
-                want = [_sigma4(power[cell_region == i]) for i in range(len(kernel.sigma4[m]))]
+                want = [_sigma4([power[cell_region == i]]) for i in range(len(kernel.sigma4[m]))]
                 np.testing.assert_array_equal(np.array(want).view(np.uint64), kernel.sigma4[m].view(np.uint64))
-            assert kernel.sigma2_w == math.sqrt(_sigma4(power[lattice(n).rim(0.1)]))
+            assert kernel.sigma2_w == math.sqrt(_sigma4([power[lattice(n).rim(0.1)]]))
 
     @pytest.mark.parametrize("n", [16, 64, 128])
     def test_half_plane_agrees_with_the_full_plane(self, n):
@@ -318,6 +366,81 @@ class TestHalfPlane:
         )
 
 
+def gather_oracle(kernel, rim_fraction, raw):
+    """The survivor pass as it was before the tiles: |s|^2 of the kernel's
+    rows gathered into region order by a stable argsort ((region, tau > 0)
+    on the half plane), np.median of each region's tau = 0 cells once and
+    tau > 0 cells twice, a per-cell level grid and a boolean rim gather;
+    then the whole rows of raw - sigma2_w * bias basis, decided again.
+    Returns (sigma4, keep, sigma2_w, corrected rows); sigma4 and keep map
+    method -> value, lbteaf's from the corrected rows."""
+    n, lat = kernel.n, lattice(kernel.n)
+    rows = slice(n - 1 if kernel.half else 0, None)
+    sigma4, keep = {}, {}
+
+    def median(cells, once):
+        return float(np.median(np.concatenate([cells[:once], cells[once:], cells[once:]])) / math.log(2.0))
+
+    def decide(values, methods):
+        power = np.square(np.abs(values * lat.inv_sqrt_base[rows]))
+        for m in methods:
+            cell_region = kernel.parts[m].merged[1][rows]
+            key = cell_region.astype(np.int64) * (2 if kernel.half else 1)
+            key[1:] += kernel.half
+            gathered = power.ravel()[np.argsort(key.ravel(), kind="stable")]
+            bounds = np.cumsum([0, *np.bincount(key.ravel())])
+            if kernel.half:
+                sigma4[m] = np.array([median(gathered[a:c], b - a) for a, b, c in zip(bounds[0::2], bounds[1::2], bounds[2::2])])
+            else:
+                sigma4[m] = np.array([median(gathered[a:b], b - a) for a, b in zip(bounds, bounds[1:])])
+            keep[m] = power > (kernel.lam2 * sigma4[m])[cell_region]
+        return power
+
+    power = decide(raw[rows], [m for m in kernel.keep if m != "lbteaf"])
+    rim = lat.rim(rim_fraction)[rows]
+    sigma2_w = math.sqrt(median(power[rim], np.count_nonzero(rim[0]) if kernel.half else power.size))
+    corrected = raw[rows] - sigma2_w * lat.bias_basis[rows]
+    decide(corrected, ["lbteaf"])
+    return sigma4, keep, sigma2_w, corrected
+
+
+class TestKernelOracle:
+    """SurvivorKernel's tiles against the gather-based pass, bit for bit."""
+
+    @staticmethod
+    def _check(kernel, raw, values):
+        # values: raw itself (the corrected rows copied into ws[0]) or ws[0]
+        # holding raw's rows (corrected in place)
+        n, rows = kernel.n, kernel.rows
+        sigma4, keep, sigma2_w, corrected = gather_oracle(kernel, ThresholdConfig().rim_fraction, raw)
+        kernel.survive(values)
+        out = kernel.corrected(values)[rows]
+        assert np.float64(kernel.sigma2_w).tobytes() == np.float64(sigma2_w).tobytes()
+        for m in kernel.keep:
+            np.testing.assert_array_equal(kernel.sigma4[m].view(np.uint64), sigma4[m].view(np.uint64))
+            np.testing.assert_array_equal(kernel.keep[m][rows], keep[m])
+        for b in lattice(n).bias_rows(rows.start):
+            np.testing.assert_array_equal(out[b].view(np.uint64), corrected[b].view(np.uint64))
+        np.testing.assert_array_equal(out, corrected)  # the other rows by value: the input's
+
+    @pytest.mark.parametrize("half", [True, False])
+    def test_kernel_matches_the_gather_oracle(self, half):
+        cases = [(PROCESSES[name](), 64, METHODS, None) for name in PROCESSES]
+        cases += [(ChirpInNoise(), n, ("lbteaf",), None) for n in (16, 64, 256)]
+        labels = np.random.default_rng(7).integers(0, 3, (63, 64))  # not mirror-symmetric
+        cases.append((ChirpInNoise(), 32, ("lteaf", "lbteaf"), RegionPartition(3, labels)))
+        for process, n, methods, part in cases:
+            cfg = ThresholdConfig(region_count=8 if part is None else 3)
+            kernel = SurvivorKernel(n, cfg, methods, part, half=half)
+            assert kernel.half == (half and part is None)
+            for seed in (1, 2):
+                x = generate(process, n, seed)
+                raw = compute_emaf(x).values
+                self._check(kernel, raw, raw)
+                compute_emaf(x, kernel.ws, half=kernel.half)
+                self._check(kernel, raw, kernel.ws[0])
+
+
 def raw_space_rule(grid, lam2, part):
     """The survivor rule as it was stated on raw cells: sigma4_r from the
     regional medians of the mirrored plane of |s|^2 (the multiset the
@@ -326,7 +449,7 @@ def raw_space_rule(grid, lam2, part):
     n, cell_region = grid.n, part.merged[1]
     power = np.abs(standardize(grid).values) ** 2
     _flip_lags(power, power[: n - 1])
-    sigma4 = np.array([_sigma4(power[cell_region == i]) for i in range(len(part.merged[0]))])
+    sigma4 = np.array([_sigma4([power[cell_region == i]]) for i in range(len(part.merged[0]))])
     level = (lam2 * sigma4)[cell_region]
     raw_power = np.square(np.abs(grid.values))
     return sigma4, raw_power > np.multiply(lattice(n).base, level), level
@@ -491,17 +614,12 @@ class TestLteaf:
         assert min(np.count_nonzero(part.region_index == k) for k in range(8)) < MIN_REGION_CELLS
         out = lteaf(g, part, ThresholdConfig(region_count=8))
         assert out.kind == "thresholded"
-        labels, cell_region, order, bounds = part.merged
+        labels, cell_region, bounds = part.merged
         assert list(labels) == sorted(labels)
         counts = np.bincount(cell_region.ravel(), minlength=len(labels))
         assert counts.size == len(labels) and counts.min() >= MIN_REGION_CELLS
-        assert cell_region.dtype == np.uint8 and order.dtype == np.int32
+        assert cell_region.dtype == np.uint8
         assert bounds == tuple(np.cumsum([0, *counts]))
-        # stable: row-major inside each region, as a boolean mask would gather
-        for i in range(len(labels)):
-            np.testing.assert_array_equal(
-                order[bounds[i]:bounds[i + 1]], np.flatnonzero(cell_region == i)
-            )
         assert part.merged is make_partition(8, 8).merged
 
     def test_merge_map_in_the_sidecar(self):
@@ -582,6 +700,31 @@ class TestBiasCorrect:
         g = compute_emaf(np.ones(8, dtype=complex))
         with pytest.raises(ValueError):
             bias_correct(g, -0.1)
+
+    def test_negative_zero_parts_on_even_lags_stay(self):
+        # the bias basis is +-0 at even tau != 0; those rows are the input's,
+        # so a -0.0 part there stays -0.0 (subtracting a +-0 could flip it)
+        n = 32
+        g = compute_emaf(generate(ChirpInNoise(), n, 5))
+        for symmetric in (True, False):
+            values = g.values.copy()
+            planted = np.zeros(values.shape, dtype=bool)
+            for tau in (2, 4, 6) if symmetric else (-4, -2, 2, 4):
+                planted[tau + n - 1, 1::2] = True
+            values[planted] = np.where(np.arange(planted.sum()) % 2, complex(-0.0, 1e3), complex(1e3, -0.0))
+            if symmetric:
+                _mirror_lags(values, values[: n - 1])
+            else:
+                values[n + 3, 8] += 1e-9  # off the planted columns: no longer the mirror
+            grid = AmbiguityGrid(values, n)
+            assert _conjugate_symmetric(values) == symmetric
+            out, meta = threshold_with_details(grid, ThresholdConfig(method="lbteaf"))
+            corrected = bias_correct(grid, meta["sigma2_w"]).values
+            assert (out.values[planted] != 0).all()
+            for got in (out.values[planted], corrected[planted]):
+                np.testing.assert_array_equal(got.view(np.uint64), values[planted].view(np.uint64))
+            alive = out.values != 0
+            np.testing.assert_array_equal(out.values[alive].view(np.uint64), corrected[alive].view(np.uint64))
 
 
 class TestLbteaf:
