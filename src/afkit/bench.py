@@ -4,8 +4,9 @@ Runs K seeded trials of a process, computes the empirical ambiguity
 function and the configured threshold estimators for each trial, and
 accumulates per-cell squared errors against the process' reference
 surface, per-trial total squared errors and total spreads.  The EMAF and
-the reference are conjugate-symmetric, so errors fold onto the tau >= 0 rows,
-where a trial reads only the reference's support cells and their values.
+the reference are conjugate-symmetric, so errors fold onto the tau >= 0 rows
+by one rule, _score, which reads only the reference's support cells and
+their values; a trial scores by it, and so does mse_against_naf.
 
 Determinism contract: trial i always uses the seed derived from
 (base_seed, i), trials are accumulated in fixed blocks of
@@ -26,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .emaf import AmbiguityGrid, _conjugate_symmetric, _flip_lags, compute_emaf
+from .emaf import AmbiguityGrid, _check_integer, _conjugate_symmetric, _flip_lags, compute_emaf
 from .moments import NAFReference, naf_for_process
 from .sigcore import ProcessSpec, generate
 from .thresholding import METHODS, SurvivorKernel, ThresholdConfig, _power
@@ -67,6 +68,10 @@ class MCConfig:
     threshold: ThresholdConfig = field(default_factory=ThresholdConfig)
 
     def validate(self) -> None:
+        for name in ("n", "trials", "base_seed"):
+            _check_integer(name, getattr(self, name))
+        if self.base_seed < 0:
+            raise ValueError(f"base_seed must be >= 0, got {self.base_seed}")
         self.process.validate(self.n)
         if self.trials < 1:
             raise ValueError("need at least one trial")
@@ -88,13 +93,8 @@ class EstimatorStats:
     spread_std: float
     mse_grid: np.ndarray
 
-    def to_dict(self) -> dict:
-        return {
-            "total_mse_mean": self.total_mse_mean,
-            "total_mse_std": self.total_mse_std,
-            "spread_mean": self.spread_mean,
-            "spread_std": self.spread_std,
-        }
+    def to_dict(self) -> dict:  # the scalar fields, in order
+        return {k: v for k, v in vars(self).items() if k != "mse_grid"}
 
 
 @dataclass
@@ -120,18 +120,40 @@ def mse_against_naf(estimate: AmbiguityGrid, naf: NAFReference):
     """Per-cell squared error |estimate - reference|^2 and its plane sum.
 
     Like every reference, a conjugate-symmetric estimate
-    (emaf._conjugate_symmetric) is scored by run_bench's half-plane fold on the
-    rows with tau >= 0, |v|^2 then |v - ref|^2 on naf.cells, each tau < 0 cell
-    taking its mirror's error, so that the sum counts the rows with tau > 0 twice."""
+    (emaf._conjugate_symmetric) is scored by run_bench's rule, _score of its
+    rows with tau >= 0, each tau < 0 cell taking its mirror's error, so that
+    the sum counts the rows with tau > 0 twice."""
     values, n = estimate.values, estimate.n
     if n != naf.n:
         raise ValueError("estimate and reference grids are not congruent")
     if not _conjugate_symmetric(values):
         err = np.abs(values - naf.grid.values) ** 2
         return err, float(err.sum())
-    half = _power(values[n - 1 :])
-    half.flat[naf.cells] = _power(values[n - 1 :].flat[naf.cells] - naf.values)
+    half = np.empty((n, 2 * n))
+    _score(values[n - 1 :], None, naf, half)
     return _unfold(half), _folded_total(half)
+
+
+def _score(half, keep, naf: NAFReference, out: np.ndarray) -> tuple:
+    """The one scoring rule: into out, the error of the tau >= 0 rows half
+    of an estimate that is zero off keep (a mask of nonzero cells of half;
+    None keeps every cell), |v - ref|^2 on naf.cells, |v|^2 on the other
+    kept cells and 0 elsewhere.  Returns the cells of out it wrote (every
+    other cell is 0) and the estimate's nonzero count on the whole plane
+    (_folded_count).  A kept estimate is never built: its |v|^2 is computed
+    on the kept cells alone."""
+    cells, v = naf.cells, half.flat[naf.cells]
+    if keep is None:
+        whole = _power(half, out=out).all()  # |v|^2 > 0 implies v != 0
+        wrote, count = slice(None), 2 * half.size - half.shape[1] if whole else _folded_count(half)
+    else:
+        out.fill(0.0)
+        kept = np.flatnonzero(keep)
+        out.flat[kept] = _power(half.flat[kept])
+        on = keep.flat[cells]
+        wrote, count, v = np.concatenate((kept, cells[~on])), _folded_count(keep), np.where(on, v, 0)
+    out.flat[cells] = _power(v - naf.values)
+    return wrote, count
 
 
 def _folded_total(half: np.ndarray) -> float:
@@ -161,82 +183,43 @@ def _lap(clock: dict, stage: str, start: float) -> float:
     return now
 
 
-class _TrialPass:
-    """run_bench's fused trial pass, allocated once per process: one
-    SurvivorKernel for the thresholded estimators, whose workspace also
-    receives the EMAF, and the scoring, which writes each error grid into the
-    tau >= 0 rows of the kernel's scratch[1], free between its passes.  The
-    EMAF and the reference are conjugate-symmetric, so the kernel decides and
-    the scoring folds (mse_against_naf) on the rows with tau >= 0 alone: a
-    trial never computes a tau < 0 row.  A thresholded estimate is scored from its keep mask, never
-    built: its error is |v - ref|^2 where kept and |ref|^2 elsewhere, computed
-    only on the kept cells (gathered) and the reference's support (naf.cells,
-    values naf.values), its only cells that can be nonzero (`touched`), and its
-    spread is the kept fraction (same bits as mse_against_naf and total_spread
-    of the built estimate)."""
-
-    def __init__(self, cfg: MCConfig, naf: NAFReference):
-        self.cfg = cfg
-        self.cells, self.ref = naf.cells, naf.values
-        self.ref_power, self.touched = _power(self.ref), slice(None)
-        self.kernel = SurvivorKernel(cfg.n, cfg.threshold, [name for name in cfg.estimators if name != "emaf"])
-
-    def scores(self, x, clock: dict | None = None):
-        """Yield (estimator, error grid, spread) of one record; the grid is a
-        reused buffer of the rows with tau >= 0.  clock, keyed by STAGES,
-        gains the seconds of the EMAF, the survivor pass and the scoring,
-        which includes the caller's work between yields."""
-        clock = dict.fromkeys(STAGES, 0.0) if clock is None else clock
-        kernel = self.kernel
-        t = time.perf_counter()
-        raw = compute_emaf(x, kernel.ws, half=kernel.half).values
-        t = _lap(clock, "emaf", t)
-        kernel.survive(raw)
-        t = _lap(clock, "survivor_pass", t)
-        yield from self._errors(raw, [name for name in self.cfg.estimators if name != "lbteaf"])
-        if "lbteaf" in self.cfg.estimators:
-            t = _lap(clock, "scoring", t)
-            corrected = kernel.corrected(raw)
-            t = _lap(clock, "survivor_pass", t)
-            yield from self._errors(corrected, ["lbteaf"])
-        _lap(clock, "scoring", t)
-
-    def _errors(self, values, names):
-        n, kernel, cells = self.cfg.n, self.kernel, self.cells
-        half, err = values[n - 1 :], kernel.scratch[1][n - 1 :]
-        support = _power(half.flat[cells] - self.ref)
-        for name in names:
-            if name == "emaf":
-                whole = _power(half, out=err).all()  # |v|^2 > 0 implies v != 0
-                err.flat[cells], self.touched = support, slice(None)
-                yield name, err, 1.0 if whole else _folded_count(half) / values.size
-            else:
-                err.fill(0.0)
-                kept = np.flatnonzero(keep := kernel.keep[name][n - 1 :])
-                err.flat[kept] = _power(half.flat[kept])
-                err.flat[cells] = np.where(kept_support := keep.flat[cells], support, self.ref_power)
-                self.touched = np.concatenate((kept, cells[~kept_support]))
-                yield name, err, _folded_count(keep) / values.size
+def _kernel(cfg: MCConfig) -> SurvivorKernel:
+    """cfg's survivor pass; its workspace also receives each trial's EMAF."""
+    return SurvivorKernel(cfg.n, cfg.threshold, [name for name in cfg.estimators if name != "emaf"])
 
 
-def _run_block(trial_pass: _TrialPass, block) -> tuple:
+def _run_block(cfg: MCConfig, naf: NAFReference, kernel: SurvivorKernel, block) -> tuple:
     """(per-estimator sums, clock) of one block: each estimator's error grid
     of the rows with tau >= 0 summed over the block's trials, its per-trial
-    totals and spreads, and the seconds of each stage.  An error grid is added
-    on its `touched` cells alone: the others would add +0.0, a no-op."""
-    start, stop = block
-    cfg, clock = trial_pass.cfg, dict.fromkeys(STAGES, 0.0)
-    out = {name: {"sq": np.zeros((cfg.n, 2 * cfg.n)), "totals": [], "spreads": []}
-           for name in cfg.estimators}
-    for trial in range(start, stop):
+    totals and spreads, and the seconds of each stage (clock, keyed by
+    STAGES).  A trial computes no tau < 0 row: the EMAF and the reference
+    are conjugate-symmetric, so the kernel decides and _score folds on the
+    rows with tau >= 0 alone, into the kernel's scratch[1], free between
+    its passes.  A grid is added on the cells _score wrote alone: the
+    others would add +0.0, a no-op.  lbteaf comes last (ESTIMATORS order),
+    as its correction overwrites the EMAF."""
+    n, clock = cfg.n, dict.fromkeys(STAGES, 0.0)
+    err, keep = kernel.scratch[1][n - 1 :], {name: k[n - 1 :] for name, k in kernel.keep.items()}
+    out = {name: {"sq": np.zeros((n, 2 * n)), "totals": [], "spreads": []} for name in cfg.estimators}
+    for trial in range(*block):
         t = time.perf_counter()
-        x = generate(cfg.process, cfg.n, derive_trial_seed(cfg.base_seed, trial))
-        _lap(clock, "generate", t)
-        for name, err, spread in trial_pass.scores(x, clock):
-            slot, cells = out[name], trial_pass.touched
+        x = generate(cfg.process, n, derive_trial_seed(cfg.base_seed, trial))
+        t = _lap(clock, "generate", t)
+        values = compute_emaf(x, kernel.ws, half=kernel.half).values
+        t = _lap(clock, "emaf", t)
+        kernel.survive(values)
+        t = _lap(clock, "survivor_pass", t)
+        for name in sorted(cfg.estimators, key=ESTIMATORS.index):
+            if name == "lbteaf":
+                t = _lap(clock, "scoring", t)
+                values = kernel.corrected(values)
+                t = _lap(clock, "survivor_pass", t)
+            cells, count = _score(values[n - 1 :], keep.get(name), naf, err)
+            slot = out[name]
             slot["sq"].reshape(-1)[cells] += err.reshape(-1)[cells]
             slot["totals"].append(_folded_total(err))
-            slot["spreads"].append(spread)
+            slot["spreads"].append(count / values.size)
+        _lap(clock, "scoring", t)
     return out, clock
 
 
@@ -250,18 +233,18 @@ def _shipped(result: tuple) -> tuple:
     return result
 
 
-_WORKER_PASS, _WORKER_START = None, 0.0
+_WORKER, _WORKER_START = None, 0.0
 
 
 def _worker_init(cfg, naf, created):
-    global _WORKER_PASS, _WORKER_START
-    _WORKER_PASS = _TrialPass(cfg, naf)
+    global _WORKER, _WORKER_START
+    _WORKER = cfg, naf, _kernel(cfg)
     _WORKER_START = time.time() - created  # the pool's start, as this worker saw it
 
 
 def _worker_run(block):
     global _WORKER_START
-    out, clock = _shipped(_run_block(_WORKER_PASS, block))
+    out, clock = _shipped(_run_block(*_WORKER, block))
     clock["pool_start"], _WORKER_START = _WORKER_START, 0.0
     return out, clock
 
@@ -351,8 +334,8 @@ def run_bench(cfg: MCConfig, threads: int | None = None) -> MCReport:
         ) as pool:
             combine(pool.map(_worker_run, blocks))
     else:
-        trial_pass = _TrialPass(cfg, naf)
-        combine(_shipped(_run_block(trial_pass, b)) for b in blocks)
+        kernel = _kernel(cfg)
+        combine(_shipped(_run_block(cfg, naf, kernel, b)) for b in blocks)
     wall = time.perf_counter() - t0
 
     per_estimator = {}

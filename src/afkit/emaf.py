@@ -56,6 +56,12 @@ MIN_REGION_CELLS = 16
 _BOUNDARY_EPS = 1e-9
 
 
+def _check_integer(name: str, value) -> None:
+    """Reject a value that is not an integer, a bool included, by name."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def _frozen(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
@@ -202,6 +208,7 @@ class Lattice:
         Cell (nu, tau) falls in region floor(K * max(|nu|/(1/2), |tau|/(N-1)))
         capped at K-1; boundary cells stay in the inner region.
         """
+        _check_integer("region count", k)
         if k < 1:
             raise ValueError("need at least one region")
         if k not in self._partitions:

@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .emaf import MIN_REGION_CELLS, AmbiguityGrid, RegionPartition, lattice, standardize
-from .emaf import _conjugate_symmetric, _flip_lags, _mirror_lags, _tiles
+from .emaf import _check_integer, _conjugate_symmetric, _flip_lags, _mirror_lags, _tiles
 
 __all__ = [
     "METHODS",
@@ -61,6 +61,7 @@ class ThresholdConfig:
     def validate(self) -> None:
         if not 1.0 <= self.c_exponent < math.inf:
             raise ValueError("threshold exponent must be finite and >= 1")
+        _check_integer("region count", self.region_count)
         if self.region_count < 1:
             raise ValueError("need at least one region")
         if not 0.0 < self.rim_fraction < 0.5:
@@ -190,7 +191,7 @@ class SurvivorKernel:
 
     ws is two complex grids, real one real grid; scratch views ws[1] as two
     real grids.  A pass takes its medians in scratch[0]; ws[1], not real, is
-    free between passes (run_bench scores into scratch[1]'s tau >= 0 rows).
+    free between passes (bench._score writes each trial's errors in scratch[1]'s tau >= 0 rows).
     """
 
     def __init__(self, n: int, cfg: ThresholdConfig, methods, part: RegionPartition | None = None,

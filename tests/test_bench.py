@@ -8,8 +8,10 @@ from afkit.bench import (
     ACCUMULATION_BLOCK,
     STAGES,
     MCConfig,
+    _folded_count,
+    _kernel,
     _run_block,
-    _TrialPass,
+    _score,
     _worker_count,
     derive_trial_seed,
     mse_against_naf,
@@ -85,6 +87,39 @@ class TestSeedDerivation:
         assert derive_trial_seed(1, 0) != derive_trial_seed(2, 0)
 
 
+class TestScore:
+    @pytest.mark.parametrize("n", [2, 3, 16, 33])
+    def test_a_keep_mask_scores_as_the_estimate_it_keeps(self, n):
+        # _score(half, keep) is _score of the estimate zero off keep, bit for
+        # bit on every cell; the cells it returns hold every nonzero error and
+        # its count is the estimate's _folded_count.  keep marks nonzero cells
+        # only, as a survivor mask does; halves carry -0.0 parts and exact
+        # zeros, and the reference signed zeros and zero values
+        rng = np.random.default_rng(n)
+        shape = (n, 2 * n)
+        for zeros in (0.0, 0.2):
+            for kept in (1.0, 0.5):
+                half = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+                half.view(float)[rng.random((n, 4 * n)) < zeros] = -0.0
+                half[rng.random(shape) < zeros / 2] = 0.0
+                cells = np.flatnonzero(rng.random(half.size) < 0.3)
+                values = rng.standard_normal(cells.size) + 1j * rng.standard_normal(cells.size)
+                values.view(float)[rng.random(2 * cells.size) < 0.2] = -0.0
+                values[rng.random(cells.size) < 0.1] = 0.0
+                naf = NAFReference(n, cells, values)
+                keep = (half != 0) & (rng.random(shape) < kept)
+                estimate = np.where(keep, half, 0)
+                got, want = np.full(shape, np.nan), np.full(shape, np.nan)
+                wrote, count = _score(half, keep, naf, got)
+                everywhere, want_count = _score(estimate, None, naf, want)
+                assert everywhere == slice(None)
+                np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+                written = np.zeros(got.size, dtype=bool)
+                written[wrote] = True
+                assert not got.reshape(-1)[~written].any()
+                assert count == want_count == _folded_count(estimate)
+
+
 class TestMseAgainstNaf:
     def test_perfect_estimate(self):
         ref = naf_um(0.09, 64)
@@ -156,17 +191,25 @@ class TestHalfPlaneScoring:
             NAFReference(n, np.array([n]), np.array([bad], dtype=complex))
 
     def test_block_results_hold_the_tau_nonnegative_rows(self):
+        # and every trial stage is clocked: generate, the EMAF, both survivor
+        # passes (lbteaf's correction too) and the scoring each gain time
         n = 16
-        cfg = MCConfig(TimeVaryingMA(DEFAULT_MA_WEIGHTS, 0.042), n=n, trials=3, estimators=("emaf", "teaf"))
-        trial_pass = _TrialPass(cfg, naf_for_process(cfg.process, n))
-        out, clock = _run_block(trial_pass, (0, 3))
-        for slot in out.values():
-            assert slot["sq"].shape == (n, 2 * n)
-        assert tuple(clock) == STAGES and clock["pool_start"] == 0.0
-        mse = run_bench(cfg).per_estimator["emaf"].mse_grid
-        mirrored = mse.copy()
-        _flip_lags(mirrored, mirrored[: n - 1])
-        np.testing.assert_array_equal(mse, mirrored)
+        configs = [
+            (TimeVaryingMA(DEFAULT_MA_WEIGHTS, 0.042), ("emaf", "teaf")),
+            (ChirpInNoise(0.1, 9.0196e-4 * 255 / (n - 1), 1.2), ("emaf", "teaf", "lbteaf")),
+        ]
+        for process, estimators in configs:
+            cfg = MCConfig(process, n=n, trials=3, estimators=estimators)
+            out, clock = _run_block(cfg, naf_for_process(process, n), _kernel(cfg), (0, 3))
+            for slot in out.values():
+                assert slot["sq"].shape == (n, 2 * n)
+            assert tuple(clock) == STAGES and clock["pool_start"] == 0.0
+            for stage in ("generate", "emaf", "survivor_pass", "scoring"):
+                assert clock[stage] > 0, (process, stage)
+            mse = run_bench(cfg).per_estimator["emaf"].mse_grid
+            mirrored = mse.copy()
+            _flip_lags(mirrored, mirrored[: n - 1])
+            np.testing.assert_array_equal(mse, mirrored)
 
 
     def test_a_trial_never_reads_a_tau_negative_row(self):
@@ -180,11 +223,11 @@ class TestHalfPlaneScoring:
         for process, estimators in configs:
             cfg = MCConfig(process, n=n, trials=5, base_seed=3, estimators=estimators)
             naf = naf_for_process(process, n)
-            clean = _run_block(_TrialPass(cfg, naf), (0, 5))[0]
-            trial_pass = _TrialPass(cfg, naf)
-            lower = trial_pass.kernel.ws[0][: n - 1]
+            clean = _run_block(cfg, naf, _kernel(cfg), (0, 5))[0]
+            kernel = _kernel(cfg)
+            lower = kernel.ws[0][: n - 1]
             lower.fill(np.nan)
-            got = _run_block(trial_pass, (0, 5))[0]
+            got = _run_block(cfg, naf, kernel, (0, 5))[0]
             for name in estimators:
                 np.testing.assert_array_equal(got[name]["sq"].view(np.uint64), clean[name]["sq"].view(np.uint64))
                 assert got[name]["totals"] == clean[name]["totals"]
@@ -209,6 +252,28 @@ class TestMCConfigValidation:
     def test_unknown_estimator(self):
         with pytest.raises(ValueError):
             MCConfig(MovingAverage(), estimators=("emaf", "bogus")).validate()
+
+    @pytest.mark.parametrize("field, value", [
+        ("base_seed", 1.5),  # ran seed 1 while metadata reported 1.5
+        ("trials", True),  # ran one trial and reported "trials": true
+        ("n", 32.0),  # raised a bare TypeError
+        ("n", np.float64(32.0)),
+        ("base_seed", False),
+        ("base_seed", -1),  # failed in numpy's SeedSequence, naming no field
+    ])
+    def test_integer_fields(self, field, value):
+        cfg = MCConfig(MovingAverage(), estimators=("emaf",), **{"n": 32, "trials": 2, field: value})
+        with pytest.raises(ValueError, match=field):
+            cfg.validate()
+        with pytest.raises(ValueError, match=field):
+            run_bench(cfg)
+
+    def test_numpy_integer_fields_accepted(self):
+        cfg = MCConfig(MovingAverage(), n=np.int64(16), trials=np.int32(2), base_seed=np.uint8(3),
+                       estimators=("emaf",))
+        cfg.validate()
+        plain = MCConfig(MovingAverage(), n=16, trials=2, base_seed=3, estimators=("emaf",))
+        assert run_bench(cfg).to_dict()["results"] == run_bench(plain).to_dict()["results"]
 
 
 class TestRunBench:
@@ -405,13 +470,12 @@ class TestRunBench:
         # |v|^2 > 0 everywhere gives spread 1 without a count; a unit
         # impulse's EMAF is zero off the tau = 0 row, so the count runs
         n = 32
-        cfg = MCConfig(MovingAverage(), n=n, trials=1, estimators=("emaf", "teaf"))
-        trial_pass = _TrialPass(cfg, naf_for_process(cfg.process, n))
+        naf, err = naf_for_process(MovingAverage(), n), np.empty((n, 2 * n))
         impulse = np.zeros(n, dtype=complex)
         impulse[0] = 1.0
-        for x in (impulse, generate(cfg.process, n, 5)):
+        for x in (impulse, generate(MovingAverage(), n, 5)):
             raw = compute_emaf(x).values
-            spread = {name: s for name, _, s in trial_pass.scores(x)}["emaf"]
+            spread = _score(raw[n - 1 :], None, naf, err)[1] / raw.size
             assert spread == np.count_nonzero(raw) / raw.size
         assert spread == 1.0
         raw = compute_emaf(impulse).values

@@ -944,6 +944,15 @@ class TestCliBench:
         r2 = json.loads(out2.read_text())
         assert r1["results"] == r2["results"]
 
+    def test_negative_seed_exits_2(self, tmp_path, capsys):
+        # it used to exit 2 with numpy's "expected non-negative integer"
+        out = tmp_path / "r.json"
+        assert main(["bench", "--process", "um", "--n", "16", "--trials", "2", "--seed", "-1",
+                     "-o", str(out)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "base_seed" in err[0] and "-1" in err[0], err
+        assert not out.exists()
+
     def test_bad_threads_env_exits_2(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("AFKIT_THREADS", "abc")
         out = tmp_path / "r.json"

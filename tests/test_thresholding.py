@@ -92,6 +92,23 @@ class TestPartition:
         labels = part.region_index.ravel()[order]
         assert np.all(np.diff(labels) >= 0)
 
+    def test_a_non_integer_count_never_reaches_the_partition_cache(self):
+        # ThresholdConfig(region_count=8.0) used to cache a float16-labelled
+        # partition under the key 8.0 == 8, and every later region_count=8 call
+        # at that N then failed to cast its labels
+        n = 29
+        g = compute_emaf(generate(MovingAverage(), n, 2))
+        for bad in (8.0, True, np.float64(8.0)):
+            with pytest.raises(ValueError, match="region count must be an integer"):
+                lteaf(g, cfg=ThresholdConfig(region_count=bad))
+            for partition in (lambda: lattice(n).partition(bad), lambda: make_partition(n, bad)):
+                with pytest.raises(ValueError, match="region count must be an integer"):
+                    partition()
+        est = lteaf(g)
+        assert est.n == n
+        assert lattice(n).partition(8).region_index.dtype.kind in "iu"
+        assert make_partition(n, np.int64(8)) is lattice(n).partition(8)
+
 
 class TestRimRegion:
     def test_tiny_fraction_keeps_only_boundary(self):
