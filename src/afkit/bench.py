@@ -3,10 +3,12 @@
 Runs K seeded trials of a process, computes the empirical ambiguity
 function and the configured threshold estimators for each trial, and
 accumulates per-cell squared errors against the process' reference
-surface, per-trial total squared errors and total spreads.  The EMAF and
-the reference are conjugate-symmetric, so errors fold onto the tau >= 0 rows
-by one rule, _score, which reads only the reference's support cells and
-their values; a trial scores by it, and so does mse_against_naf.
+surface, per-trial total squared errors and total spreads: a block of
+trials returns one record per estimator (_run_block), which run_bench folds
+into that estimator's accumulator.  The EMAF and the reference are
+conjugate-symmetric, so errors fold onto the tau >= 0 rows by one rule,
+_score, which reads only the reference's support cells and their values; a
+trial scores by it, and so does mse_against_naf.
 
 Determinism contract: trial i always uses the seed derived from
 (base_seed, i), trials are accumulated in fixed blocks of
@@ -77,9 +79,11 @@ class MCConfig:
             raise ValueError("need at least one trial")
         if not self.estimators:
             raise ValueError("estimator set must be nonempty")
-        for est in self.estimators:
+        for i, est in enumerate(self.estimators):
             if est not in ESTIMATORS:
                 raise ValueError(f"unknown estimator {est!r}")
+            if est in self.estimators[:i]:
+                raise ValueError(f"estimator {est} is given twice")
             if est not in self.process.estimators:
                 raise ValueError(f"estimator {est} is not defined for the {self.process.name} process")
         self.threshold.validate()
@@ -189,18 +193,18 @@ def _kernel(cfg: MCConfig) -> SurvivorKernel:
 
 
 def _run_block(cfg: MCConfig, naf: NAFReference, kernel: SurvivorKernel, block) -> tuple:
-    """(per-estimator sums, clock) of one block: each estimator's error grid
-    of the rows with tau >= 0 summed over the block's trials, its per-trial
-    totals and spreads, and the seconds of each stage (clock, keyed by
-    STAGES).  A trial computes no tau < 0 row: the EMAF and the reference
-    are conjugate-symmetric, so the kernel decides and _score folds on the
-    rows with tau >= 0 alone, into the kernel's scratch[1], free between
-    its passes.  A grid is added on the cells _score wrote alone: the
-    others would add +0.0, a no-op.  lbteaf comes last (ESTIMATORS order),
-    as its correction overwrites the EMAF."""
+    """(records, clock) of one block.  An estimator's record is (cells,
+    values, totals, spreads): its tau >= 0 rows' error grid summed over the
+    block, at flat cells (all of emaf's, a thresholded one's nonzero ones:
+    the others add an exact 0), and its per-trial totals and spreads; clock
+    has each stage's seconds (keyed by STAGES).  A trial computes no tau < 0
+    row: the EMAF and the reference are conjugate-symmetric, so the kernel
+    decides and _score folds on the rows with tau >= 0 alone, into the
+    kernel's scratch[1], free between its passes.  lbteaf comes last
+    (ESTIMATORS order), as its correction overwrites the EMAF."""
     n, clock = cfg.n, dict.fromkeys(STAGES, 0.0)
     err, keep = kernel.scratch[1][n - 1 :], {name: k[n - 1 :] for name, k in kernel.keep.items()}
-    out = {name: {"sq": np.zeros((n, 2 * n)), "totals": [], "spreads": []} for name in cfg.estimators}
+    out = {name: (np.zeros(n * 2 * n), [], []) for name in cfg.estimators}
     for trial in range(*block):
         t = time.perf_counter()
         x = generate(cfg.process, n, derive_trial_seed(cfg.base_seed, trial))
@@ -215,22 +219,15 @@ def _run_block(cfg: MCConfig, naf: NAFReference, kernel: SurvivorKernel, block) 
                 values = kernel.corrected(values)
                 t = _lap(clock, "survivor_pass", t)
             cells, count = _score(values[n - 1 :], keep.get(name), naf, err)
-            slot = out[name]
-            slot["sq"].reshape(-1)[cells] += err.reshape(-1)[cells]
-            slot["totals"].append(_folded_total(err))
-            slot["spreads"].append(count / values.size)
+            sq, totals, spreads = out[name]
+            sq[cells] += err.reshape(-1)[cells]
+            totals.append(_folded_total(err))
+            spreads.append(count / values.size)
         _lap(clock, "scoring", t)
+    for name, (sq, totals, spreads) in out.items():
+        cells = slice(None) if name == "emaf" else np.flatnonzero(sq)
+        out[name] = cells, sq[cells], totals, spreads
     return out, clock
-
-
-def _shipped(result: tuple) -> tuple:
-    """_run_block's result with each sum as (flat cells, their values), as it
-    crosses to the caller: all of emaf's, a thresholded one's nonzero cells."""
-    for name, slot in result[0].items():
-        flat = slot["sq"].reshape(-1)
-        cells = slice(None) if name == "emaf" else np.flatnonzero(flat)
-        slot["sq"] = cells, flat[cells]
-    return result
 
 
 _WORKER, _WORKER_START = None, 0.0
@@ -244,7 +241,7 @@ def _worker_init(cfg, naf, created):
 
 def _worker_run(block):
     global _WORKER_START
-    out, clock = _shipped(_run_block(*_WORKER, block))
+    out, clock = _run_block(*_WORKER, block)
     clock["pool_start"], _WORKER_START = _WORKER_START, 0.0
     return out, clock
 
@@ -286,21 +283,20 @@ def run_bench(cfg: MCConfig, threads: int | None = None) -> MCReport:
     identical to a single-threaded run.  Defaults to the AFKIT_THREADS
     environment variable, else 1.  The workers are spawned, not forked, so
     that none carries a copy of the caller's memory; a script that calls
-    this with threads > 1 must guard its entry point with
-    ``if __name__ == "__main__":``.  Workers start from the NAFReference, its
-    support alone, and send back sparse sums (_shipped): README.
-    """
+    this with threads > 1 must guard its entry point with ``if __name__ ==
+    "__main__":``.  Workers start from the NAFReference's support alone and
+    send back _run_block's records: README."""
     cfg.validate()
+    source = "threads"
     if threads is None:
-        text = os.environ.get("AFKIT_THREADS", "1")
+        source, text = "AFKIT_THREADS", os.environ.get("AFKIT_THREADS", "1")
         try:
             threads = int(text)
         except ValueError:
             raise ValueError(f"AFKIT_THREADS must be an integer, got {text!r}") from None
-        if threads < 1:
-            raise ValueError(f"AFKIT_THREADS must be >= 1, got {threads}")
-    elif threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
+    _check_integer(source, threads)
+    if threads < 1:
+        raise ValueError(f"{source} must be >= 1, got {threads}")
     timing = dict.fromkeys(STAGES, 0.0)
     t0 = time.perf_counter()
     naf = naf_for_process(cfg.process, cfg.n)
@@ -310,19 +306,17 @@ def run_bench(cfg: MCConfig, threads: int | None = None) -> MCReport:
         for s in range(0, cfg.trials, ACCUMULATION_BLOCK)
     ]
     workers = _worker_count(threads, len(blocks))
-    sq = {name: np.zeros((cfg.n, 2 * cfg.n)) for name in cfg.estimators}
-    totals = {name: [] for name in cfg.estimators}
-    spreads = {name: [] for name in cfg.estimators}
+    acc = {name: (np.zeros((cfg.n, 2 * cfg.n)), [], []) for name in cfg.estimators}
 
     def combine(partials):
         # Each block is folded in as it arrives, in index order, so that
         # only a few blocks' grids are ever held at once.
         for p, clock in partials:
-            for name in cfg.estimators:
-                cells, values = p[name]["sq"]
-                sq[name].reshape(-1)[cells] += values
-                totals[name].extend(p[name]["totals"])
-                spreads[name].extend(p[name]["spreads"])
+            for name, (cells, values, totals, spreads) in p.items():
+                sq, all_totals, all_spreads = acc[name]
+                sq.reshape(-1)[cells] += values
+                all_totals.extend(totals)
+                all_spreads.extend(spreads)
             for stage, seconds in clock.items():
                 timing[stage] += seconds
 
@@ -333,16 +327,15 @@ def run_bench(cfg: MCConfig, threads: int | None = None) -> MCReport:
             initializer=_worker_init, initargs=(cfg, naf, time.time()),
         ) as pool:
             combine(pool.map(_worker_run, blocks))
-    else:
-        kernel = _kernel(cfg)
-        combine(_shipped(_run_block(cfg, naf, kernel, b)) for b in blocks)
+    else:  # one kernel for every block, as a worker keeps one
+        combine(map(functools.partial(_run_block, cfg, naf, _kernel(cfg)), blocks))
     wall = time.perf_counter() - t0
 
     per_estimator = {}
     k = cfg.trials
     for name in cfg.estimators:
-        t, sp = np.asarray(totals[name]), np.asarray(spreads[name])
-        grid = _unfold(sq.pop(name))
+        sq, totals, spreads = acc.pop(name)
+        t, sp, grid = np.asarray(totals), np.asarray(spreads), _unfold(sq)
         per_estimator[name] = EstimatorStats(
             total_mse_mean=float(t.mean()),
             total_mse_std=float(t.std(ddof=1)) if k > 1 else 0.0,

@@ -201,8 +201,11 @@ class TestHalfPlaneScoring:
         for process, estimators in configs:
             cfg = MCConfig(process, n=n, trials=3, estimators=estimators)
             out, clock = _run_block(cfg, naf_for_process(process, n), _kernel(cfg), (0, 3))
-            for slot in out.values():
-                assert slot["sq"].shape == (n, 2 * n)
+            for cells, values, totals, spreads in out.values():
+                # the shipped cells index the N x 2N rows with tau >= 0, once each
+                flat = np.arange(n * 2 * n)[cells]
+                assert flat.shape == values.shape and np.all(np.diff(flat) > 0)
+                assert len(totals) == len(spreads) == 3
             assert tuple(clock) == STAGES and clock["pool_start"] == 0.0
             for stage in ("generate", "emaf", "survivor_pass", "scoring"):
                 assert clock[stage] > 0, (process, stage)
@@ -228,10 +231,12 @@ class TestHalfPlaneScoring:
             lower = kernel.ws[0][: n - 1]
             lower.fill(np.nan)
             got = _run_block(cfg, naf, kernel, (0, 5))[0]
+            flat = np.arange(n * 2 * n)
             for name in estimators:
-                np.testing.assert_array_equal(got[name]["sq"].view(np.uint64), clean[name]["sq"].view(np.uint64))
-                assert got[name]["totals"] == clean[name]["totals"]
-                assert got[name]["spreads"] == clean[name]["spreads"]
+                (cells, values, totals, spreads), want = got[name], clean[name]
+                np.testing.assert_array_equal(values.view(np.uint64), want[1].view(np.uint64))
+                np.testing.assert_array_equal(flat[cells], flat[want[0]])
+                assert totals == want[2] and spreads == want[3]
             nan_bits = np.full(lower.shape, np.nan, dtype=complex).view(np.uint64)
             np.testing.assert_array_equal(lower.view(np.uint64), nan_bits, err_msg=str(process))
 
@@ -252,6 +257,19 @@ class TestMCConfigValidation:
     def test_unknown_estimator(self):
         with pytest.raises(ValueError):
             MCConfig(MovingAverage(), estimators=("emaf", "bogus")).validate()
+
+    def test_repeated_estimator(self):
+        # it used to run every trial, scoring teaf twice into one slot, then
+        # fail with a bare KeyError from the second pop of teaf's sums
+        cfg = MCConfig(UniformlyModulated(), n=16, trials=4, estimators=("emaf", "teaf", "teaf"))
+        with pytest.raises(ValueError, match="estimator teaf is given twice"):
+            cfg.validate()
+        with pytest.raises(ValueError, match="estimator teaf is given twice"):
+            run_bench(cfg)
+
+    def test_zero_trials(self):
+        with pytest.raises(ValueError, match="need at least one trial"):
+            MCConfig(MovingAverage(), n=16, trials=0, estimators=("emaf",)).validate()
 
     @pytest.mark.parametrize("field, value", [
         ("base_seed", 1.5),  # ran seed 1 while metadata reported 1.5
@@ -488,6 +506,17 @@ class TestRunBench:
         monkeypatch.setenv("AFKIT_THREADS", "0")
         with pytest.raises(ValueError, match="AFKIT_THREADS must be >= 1"):
             run_bench(cfg)
+
+    @pytest.mark.parametrize("threads", [1.5, 2.5, True, "2"])
+    def test_threads_not_an_integer_rejected(self, monkeypatch, threads):
+        # 1.5 built the reference and then failed inside the pool with a
+        # TypeError, 2.5 ran 2 workers, True ran 1, "2" raised a bare TypeError
+        built = []
+        monkeypatch.setattr("afkit.bench.naf_for_process", lambda *args: built.append(args))
+        cfg = MCConfig(MovingAverage(), n=16, trials=2, estimators=("emaf",))
+        with pytest.raises(ValueError, match=f"threads must be an integer, got {threads!r}"):
+            run_bench(cfg, threads=threads)
+        assert built == []  # rejected before the reference build
 
     def test_worker_count_clamped(self, monkeypatch):
         monkeypatch.setattr("os.cpu_count", lambda: 4)

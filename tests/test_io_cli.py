@@ -625,6 +625,22 @@ class TestCsvFuzz:
 
 
 class TestCliPipeline:
+    @pytest.mark.parametrize("process", sorted(PROCESSES))
+    def test_naf_mask_is_the_reference_support(self, tmp_path, process):
+        n, ref, mask = 32, tmp_path / "ref.csv", tmp_path / "mask.csv"
+        assert main(["naf", "--process", process, "--n", str(n), "-o", str(ref), "--mask", str(mask)]) == 0
+        header, *lines = mask.read_text().splitlines()
+        assert header == f"# afkit-mask v1, n={n}"
+        rows = np.array([line.split(",") for line in lines], dtype=float)
+        lat = lattice(n)
+        taus, nus = np.meshgrid(lat.taus, lat.nus, indexing="ij")
+        np.testing.assert_array_equal(rows[:, 0], taus.ravel())
+        np.testing.assert_array_equal(rows[:, 1], nus.ravel())
+        assert set(rows[:, 2].tolist()) <= {0.0, 1.0}
+        want = naf_for_process(PROCESSES[process](), n)
+        np.testing.assert_array_equal(rows[:, 2].reshape(lat.shape) == 1, want.support_mask)
+        assert np.count_nonzero(rows[:, 2]) == want.cells_nonzero
+
     def test_gen_deterministic_bytes(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         argv = ["gen", "--process", "um", "--n", "64", "--f0", "0.09", "--seed", "7"]
@@ -971,6 +987,34 @@ class TestCliBench:
         monkeypatch.setenv("AFKIT_THREADS", "-1")
         assert main(args) == 2
         assert "AFKIT_THREADS" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("by", ["flag", "config"])
+    def test_repeated_estimator_exits_2(self, tmp_path, monkeypatch, capsys, by):
+        # it used to run every trial and then exit 1 with "afkit: 'teaf'"
+        built = []
+        monkeypatch.setattr("afkit.bench.naf_for_process", lambda *args: built.append(args))
+        cfgfile, out = tmp_path / "bench.cfg", tmp_path / "r.json"
+        cfgfile.write_text("process = um\nn = 16\ntrials = 4\nestimators = [emaf, teaf, teaf]\n")
+        argv = {
+            "flag": ["--process", "um", "--n", "16", "--trials", "4", "--estimators", "emaf,teaf,teaf"],
+            "config": ["--config", str(cfgfile)],
+        }[by]
+        assert main(["bench", *argv, "-o", str(out)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["afkit: estimator teaf is given twice"]
+        assert not out.exists() and built == []
+
+    @pytest.mark.parametrize("line, cause", [
+        ("trials 4", "bad config line: 'trials 4'"),
+        ("process = nope", "unknown process 'nope'"),
+    ])
+    def test_bad_config_line_exits_2(self, tmp_path, capsys, line, cause):
+        cfgfile, out = tmp_path / "bench.cfg", tmp_path / "r.json"
+        cfgfile.write_text(f"n = 16\n{line}\n")
+        assert main(["bench", "--config", str(cfgfile), "-o", str(out)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and cause in err[0], err
         assert not out.exists()
 
     def test_bad_estimator_exits_2(self, tmp_path):

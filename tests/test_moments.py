@@ -170,6 +170,12 @@ class TestSpectrumTable:
         with pytest.raises(ValueError, match="1-D"):
             SpectrumTable(np.ones((2**12 + 1, 1), dtype=complex), 0.0, 0.5)
 
+    def test_non_finite_value_rejected(self):
+        values = np.ones(2**12 + 1, dtype=complex)
+        values[7] = np.nan
+        with pytest.raises(ValueError, match="spectrum values must be finite"):
+            SpectrumTable(values, 0.0, 0.5)
+
     def test_zero_outside_support(self):
         tab = SpectrumTable(np.ones(2**12 + 1, dtype=complex), 0.0, 0.5)
         assert tab.at(-0.1) == 0.0
@@ -186,6 +192,14 @@ class TestSpectrumTable:
 
 
 class TestProp1:
+    def test_rejects_signal_of_another_length(self):
+        with pytest.raises(ValueError, match="signal length does not match n"):
+            prop1_moments(np.ones(17, dtype=complex), 0.5, 0.1, 2, 16)
+
+    def test_rejects_negative_noise_psd(self):
+        with pytest.raises(ValueError, match="noise PSD level must be >= 0"):
+            prop1_moments(np.ones(16, dtype=complex), -0.5, 0.1, 2, 16)
+
     def test_windowed_transform_equals_the_periodic_table(self, rng):
         # The periodic table prop1 used before, kept as the oracle: node k at
         # position k, the argument wrapped into [0, 1) and scaled by q.  The

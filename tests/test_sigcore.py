@@ -178,6 +178,10 @@ class TestGenerate:
             c = generate(spec, 128, 100)
             assert np.any(a != c) or isinstance(spec, ChirpInNoise) is False
 
+    def test_rejects_a_single_sample(self):
+        with pytest.raises(ValueError, match="need at least two samples"):
+            generate(MovingAverage(), 1, 0)
+
     def test_chirp_without_noise_starts_at_one(self):
         x = generate(ChirpInNoise(0.1, 9.0196e-4, 0.0), 256, 0)
         assert x[0] == pytest.approx(1.0 + 0.0j, abs=1e-12)

@@ -75,6 +75,14 @@ class TestTotalSpread:
             <= total_spread(big, region).total_spread
         )
 
+    def test_unknown_region_string_rejected(self):
+        with pytest.raises(ValueError, match="unknown region 'half'"):
+            total_spread(np.ones((7, 8), dtype=bool), "half")
+
+    def test_region_mask_of_another_shape_rejected(self):
+        with pytest.raises(ValueError, match="region mask shape mismatch"):
+            total_spread(np.ones((7, 8), dtype=bool), np.ones((8, 7), dtype=bool))
+
     def test_empty_region_rejected(self):
         mask = np.ones((7, 8), dtype=bool)
         with pytest.raises(ValueError):

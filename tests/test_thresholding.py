@@ -61,6 +61,18 @@ class TestThresholdLevel:
 
 
 class TestPartition:
+    @pytest.mark.parametrize("cfg, cause", [
+        (ThresholdConfig(region_count=0), "need at least one region"),
+        (ThresholdConfig(method="nope"), "unknown threshold method 'nope'"),
+    ])
+    def test_config_rejected(self, cfg, cause):
+        with pytest.raises(ValueError, match=cause):
+            cfg.validate()
+
+    def test_zero_regions_rejected(self):
+        with pytest.raises(ValueError, match="need at least one region"):
+            lattice(16).partition(0)
+
     def test_single_region(self):
         part = make_partition(64, 1)
         assert np.all(part.region_index == 0)
@@ -717,6 +729,11 @@ class TestBiasCorrect:
         g = compute_emaf(np.ones(8, dtype=complex))
         with pytest.raises(ValueError):
             bias_correct(g, -0.1)
+
+    def test_rejects_a_grid_that_is_not_raw(self):
+        g = compute_emaf(np.ones(8, dtype=complex))
+        with pytest.raises(ValueError, match="bias correction expects a raw grid"):
+            bias_correct(AmbiguityGrid(g.values, 8, "thresholded"), 0.1)
 
     def test_negative_zero_parts_on_even_lags_stay(self):
         # the bias basis is +-0 at even tau != 0; those rows are the input's,
