@@ -134,22 +134,22 @@ def mse_against_naf(estimate: AmbiguityGrid, naf: NAFReference):
         err = np.abs(values - naf.grid.values) ** 2
         return err, float(err.sum())
     half = np.empty((n, 2 * n))
-    _score(values[n - 1 :], None, naf, half)
+    _score(values[n - 1 :], None, naf, half, count=False)
     return _unfold(half), _folded_total(half)
 
 
-def _score(half, keep, naf: NAFReference, out: np.ndarray) -> tuple:
+def _score(half, keep, naf: NAFReference, out: np.ndarray, count: bool = True) -> tuple:
     """The one scoring rule: into out, the error of the tau >= 0 rows half
     of an estimate that is zero off keep (a mask of nonzero cells of half;
     None keeps every cell), |v - ref|^2 on naf.cells, |v|^2 on the other
     kept cells and 0 elsewhere.  Returns the cells of out it wrote (every
     other cell is 0) and the estimate's nonzero count on the whole plane
-    (_folded_count).  A kept estimate is never built: its |v|^2 is computed
-    on the kept cells alone."""
+    (_folded_count; False unless count).  A kept estimate is never built:
+    its |v|^2 is computed on the kept cells alone."""
     cells, v = naf.cells, half.flat[naf.cells]
     if keep is None:
-        whole = _power(half, out=out).all()  # |v|^2 > 0 implies v != 0
-        wrote, count = slice(None), 2 * half.size - half.shape[1] if whole else _folded_count(half)
+        _power(half, out=out)  # |v|^2 > 0 implies v != 0
+        wrote, count = slice(None), count and (2 * half.size - len(half[0]) if out.all() else _folded_count(half))
     else:
         out.fill(0.0)
         kept = np.flatnonzero(keep)
@@ -203,7 +203,7 @@ def _run_block(cfg: MCConfig, naf: NAFReference, kernel: SurvivorKernel, block) 
     kernel's scratch[1], free between its passes.  lbteaf comes last
     (ESTIMATORS order), as its correction overwrites the EMAF."""
     n, clock = cfg.n, dict.fromkeys(STAGES, 0.0)
-    err, keep = kernel.scratch[1][n - 1 :], {name: k[n - 1 :] for name, k in kernel.keep.items()}
+    err, keep = kernel.scratch[1], {name: k[n - 1 :] for name, k in kernel.keep.items()}
     out = {name: (np.zeros(n * 2 * n), [], []) for name in cfg.estimators}
     for trial in range(*block):
         t = time.perf_counter()

@@ -188,47 +188,38 @@ class Lattice:
 
     @property
     def base(self) -> np.ndarray:
-        """Variance profile (N-|tau|) * w(nu) of the flat-spectrum reference, built
-        per access: the lattice keeps inv_sqrt_base, 1 / sqrt(base), for standardize."""
+        """Variance profile (N-|tau|) w(nu) of a flat spectrum, built per access."""
         return _frozen(np.outer(self.n - np.abs(self.taus), self.w))
 
     @cached_property
-    def inv_sqrt_base(self) -> np.ndarray:
-        return _frozen(1.0 / np.sqrt(self.base))
-
-    def maxnorm_ratio(self, eps: float = 0.0) -> np.ndarray:
-        """max(|tau|/(N-1), |nu|/(1/2)) per cell, the denominators widened by eps."""
-        r_tau = np.abs(self.taus) / (self.n - 1.0 + eps)
-        r_nu = np.abs(self.nus) / (0.5 + eps)
-        return np.maximum(r_tau[:, None], r_nu[None, :])
+    def inv_sqrt_base(self) -> np.ndarray:  # 1 / sqrt(base) on the rows tau >= 0; tau < 0 reads [:0:-1]
+        return _frozen(1.0 / np.sqrt(np.outer(self.n - self.taus[self.n - 1 :], self.w)))
 
     def partition(self, k: int) -> RegionPartition:
-        """Centre square plus nested square annuli of equal max-norm width.
-
-        Cell (nu, tau) falls in region floor(K * max(|nu|/(1/2), |tau|/(N-1)))
-        capped at K-1; boundary cells stay in the inner region.
-        """
+        """Centre square plus nested square annuli of equal max-norm width: cell
+        (nu, tau) falls in region min(K-1, floor(K * max(|nu|/(1/2), |tau|/(N-1)))),
+        the larger of its two axis labels; boundary cells stay in the inner region."""
         _check_integer("region count", k)
         if k < 1:
             raise ValueError("need at least one region")
         if k not in self._partitions:
-            ratio = self.maxnorm_ratio(eps=_BOUNDARY_EPS)
-            idx = np.minimum(k - 1, np.floor(k * ratio)).astype(np.min_scalar_type(-k))
-            self._partitions[k] = RegionPartition(k, _frozen(idx))
+            tau, nu = (np.minimum(k - 1, np.floor(k * (np.abs(axis) / (half + _BOUNDARY_EPS)))).astype(
+                np.min_scalar_type(-k)) for axis, half in ((self.taus, self.n - 1.0), (self.nus, 0.5)))
+            self._partitions[k] = RegionPartition(k, _frozen(np.maximum.outer(tau, nu)))
         return self._partitions[k]
 
     def rim(self, fraction: float) -> np.ndarray:
-        """Boolean mask of the outer rim band of the ambiguity plane."""
+        """Boolean mask of the outer rim band: |tau|/(N-1) or |nu|/(1/2) >= 1 - fraction."""
         if not 0.0 < fraction < 0.5:
             raise ValueError("rim fraction must lie in (0, 1/2)")
         if fraction not in self._rims:
-            self._rims[fraction] = _frozen(self.maxnorm_ratio() >= 1.0 - fraction)
+            tau, nu = np.abs(self.taus) / (self.n - 1.0), np.abs(self.nus) / 0.5
+            self._rims[fraction] = _frozen(np.logical_or.outer(tau >= 1.0 - fraction, nu >= 1.0 - fraction))
         return self._rims[fraction]
 
     @cached_property
     def bias_basis(self) -> np.ndarray:
-        """Unit-variance mean surface of analytic white noise (white_noise_mean
-        on the lattice)."""
+        """Unit-variance mean surface of analytic white noise: white_noise_mean on the lattice."""
         return _frozen(white_noise_mean(self.nus[None, :], self.taus[:, None], self.n))
 
     def bias_rows(self, first: int = 0) -> tuple:
@@ -237,16 +228,19 @@ class Lattice:
         return slice(self.n - 1 - first, self.n - first), slice((self.n - first) % 2, None, 2)
 
     @cached_property
-    def half_bias_basis(self) -> np.ndarray:  # bias_basis's tau >= 0 rows, the same bits
-        return _frozen(white_noise_mean(self.nus[None, :], self.taus[self.n - 1 :, None], self.n))
+    def half_bias_basis(self) -> np.ndarray:  # bias_basis's rows tau = 0, 1, 3, 5, ..., the same bits
+        return _frozen(white_noise_mean(self.nus[None, :], np.r_[0, 1 : self.n : 2][:, None], self.n))
 
 
-@lru_cache(maxsize=8)
+_lattice = lru_cache(maxsize=8)(Lattice)  # keyed by a Python int
+
+
 def lattice(n: int) -> Lattice:
-    """The Lattice of a length-n record, shared by every caller."""
+    """The Lattice of a length-n record, shared by every caller: one per integer n."""
+    _check_integer("n", n)
     if n < 2:
         raise ValueError("need at least two samples")
-    return Lattice(n)
+    return _lattice(int(n))
 
 
 @dataclass
@@ -370,10 +364,12 @@ def standardize(grid: AmbiguityGrid, out: np.ndarray | None = None, half: bool =
         raise ValueError("standardize expects a raw or bias-corrected grid")
     if half and out is None:
         raise ValueError("a half standardization needs out")
-    rows = slice(grid.n - 1 if half else 0, None)
-    values = np.multiply(grid.values[rows], lattice(grid.n).inv_sqrt_base[rows],
-                         out=None if out is None else out[rows])
-    return AmbiguityGrid(values if out is None else out, grid.n, "standardized")
+    n, values, inv = grid.n, grid.values, lattice(grid.n).inv_sqrt_base
+    out = np.empty(values.shape, np.result_type(values, inv)) if out is None else out
+    np.multiply(values[n - 1 :], inv, out=out[n - 1 :])
+    if not half:
+        np.multiply(values[: n - 1], inv[:0:-1], out=out[: n - 1])
+    return AmbiguityGrid(out, n, "standardized")
 
 
 def to_db(grid) -> np.ndarray:

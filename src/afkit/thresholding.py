@@ -178,7 +178,8 @@ class SurvivorKernel:
     median counts a tau > 0 cell twice, once for its mirror, and keep
     holds the decisions of those rows only (the tau < 0 cell (-tau, -nu)
     shares the decision of (tau, nu)).  Otherwise rows is the whole plane.
-    A region, and the rim, is read as its _tiles, block by block.
+    Medians read their region's (and the rim's) _tiles, block by block; keep is
+    one compare per row band, against its per-column levels or its one level.
 
     survive(values) takes a record's raw values, keeps their |s|^2 in real
     and sets sigma2_w (the rim noise level sqrt(_sigma4 over the rim),
@@ -189,9 +190,9 @@ class SurvivorKernel:
     lbteaf's sigma4 and keep and returns ws[0], its tau < 0 rows as they
     were when half.
 
-    ws is two complex grids, real one real grid; scratch views ws[1] as two
-    real grids.  A pass takes its medians in scratch[0]; ws[1], not real, is
-    free between passes (bench._score writes each trial's errors in scratch[1]'s tau >= 0 rows).
+    ws is two complex grids, real one real grid; scratch views ws[1][rows],
+    free between passes, as two real grids shaped as real[rows]: a pass takes
+    its medians in scratch[0], bench._run_block its errors in scratch[1].
     """
 
     def __init__(self, n: int, cfg: ThresholdConfig, methods, part: RegionPartition | None = None,
@@ -214,17 +215,20 @@ class SurvivorKernel:
         tiles = {m: p.half if self.half else _tiles(p.merged[1], len(p.merged[0]), False)
                  for m, p in self.parts.items()}
         rim = _tiles(lat.rim(cfg.rim_fraction)[rows], 2, self.half)[1] if "lbteaf" in methods else None
-        if rim:
-            self.basis = lat.half_bias_basis if self.half else lat.bias_basis
-        lat.inv_sqrt_base
+        inv = lat.inv_sqrt_base if self.half else np.concatenate((lat.inv_sqrt_base[:0:-1], lat.inv_sqrt_base))
+        if rim:  # per Lattice.bias_rows slice: its rows in rows, their bias basis and 1 / sqrt(base)
+            at = np.split(lat.half_bias_basis, [1]) if self.half else [lat.bias_basis[b] for b in lat.bias_rows()]
+            self.bias = [(b, basis, inv[b]) for b, basis in zip(lat.bias_rows(rows.start), at)]
         self.ws, self.real = np.empty((2,) + lat.shape, dtype=complex), np.empty(lat.shape)
-        self.scratch = self.ws[1].view(float).reshape((2,) + lat.shape)
+        self.scratch = self.ws[1][rows].view(float).reshape((2,) + self.real[rows].shape)
         self.keep = {m: np.empty(lat.shape, dtype=bool) for m in methods}
         power = self.real[rows]
-        # method -> per region, (once, pairs, keep) views of its tiles in real and keep[method]
-        self.regions = {m: [([power[t] for t in once], [power[t] for t in pairs],
-                             [self.keep[m][rows][t] for t in (*once, *pairs)]) for once, pairs in tiles[m]]
+        # method -> per region, (once, pairs) views of its tiles in real; per row band, (rows, labels)
+        self.regions = {m: [([power[t] for t in once], [power[t] for t in pairs]) for once, pairs in tiles[m]]
                         for m in methods}
+        bands = {m: sorted({(t.start, t.stop) for region in tiles[m] for t, _ in sum(region, [])}) for m in tiles}
+        self.bands = {m: [(slice(*b), row if np.ptp(row) else row[:1]) for b in bands[m]
+                          for row in [self.parts[m].merged[1][rows][b[0]]]] for m in bands}
         self.rim = None if rim is None else tuple([power[t] for t in part] for part in rim)
         self.sigma4, self.sigma2_w = {}, None
 
@@ -234,24 +238,24 @@ class SurvivorKernel:
         self._decide([m for m in self.keep if m != "lbteaf"], self.rim)
 
     def corrected(self, values: np.ndarray) -> np.ndarray:
-        lat, rows, out = lattice(self.n), self.rows, self.ws[0]
+        rows, out = self.rows, self.ws[0]
         if not np.may_share_memory(values, out):
             np.copyto(out[rows], values[rows])
         corrected, temp, power = out[rows], self.ws[1][rows], self.real[rows]
-        for b in lat.bias_rows(rows.start):
-            np.subtract(corrected[b], np.multiply(self.sigma2_w, self.basis[b], out=temp[b]), out=corrected[b])
-            _power(np.multiply(corrected[b], lat.inv_sqrt_base[rows][b], out=temp[b]), out=power[b])
+        for b, basis, inv in self.bias:
+            np.subtract(corrected[b], np.multiply(self.sigma2_w, basis, out=temp[b]), out=corrected[b])
+            _power(np.multiply(corrected[b], inv, out=temp[b]), out=power[b])
         self._decide(["lbteaf"])
         return out
 
     def _decide(self, methods, rim=None) -> None:
         """Set sigma4 and keep of methods from real's |s|^2, sigma2_w given the rim."""
-        thr = self.scratch[0].reshape(-1)
+        thr, power = self.scratch[0].reshape(-1), self.real[self.rows]
         for m in methods:
-            self.sigma4[m] = np.array([_sigma4(once, thr, pairs) for once, pairs, _ in self.regions[m]])
-            for level, (once, pairs, keep) in zip(self.lam2 * self.sigma4[m], self.regions[m]):
-                for power, out in zip((*once, *pairs), keep):
-                    np.greater(power, level, out=out)
+            self.sigma4[m] = np.array([_sigma4(once, thr, pairs) for once, pairs in self.regions[m]])
+            level, keep = self.lam2 * self.sigma4[m], self.keep[m][self.rows]
+            for b, labels in self.bands[m]:
+                np.greater(power[b], level[labels], out=keep[b])
         if rim is not None:
             self.sigma2_w = math.sqrt(_sigma4(rim[0], thr, rim[1]))
 

@@ -1,9 +1,11 @@
 import os
 import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from afkit import bench
 from afkit.bench import (
     ACCUMULATION_BLOCK,
     STAGES,
@@ -17,7 +19,7 @@ from afkit.bench import (
     mse_against_naf,
     run_bench,
 )
-from afkit.emaf import AmbiguityGrid, _flip_lags, compute_emaf
+from afkit.emaf import AmbiguityGrid, _flip_lags, _lattice, compute_emaf, lattice
 from afkit.moments import NAFReference, naf_for_process, naf_um
 from afkit.sigcore import (
     DEFAULT_MA_WEIGHTS,
@@ -121,6 +123,25 @@ class TestScore:
 
 
 class TestMseAgainstNaf:
+    def test_the_symmetric_branch_counts_no_nonzero_cell(self, monkeypatch):
+        # mse_against_naf discards the nonzero count, so it never takes one,
+        # even for an estimate with zeros (the trial's emaf count would)
+        n = 32
+        estimate = teaf(compute_emaf(generate(MovingAverage(), n, 4)))
+        naf = naf_for_process(MovingAverage(), n)
+        assert (estimate.values == 0).any()
+        want = mse_against_naf(estimate, naf)
+
+        def counted(mask):
+            raise AssertionError("mse_against_naf took a nonzero count")
+
+        monkeypatch.setattr(bench, "_folded_count", counted)
+        got = mse_against_naf(estimate, naf)
+        np.testing.assert_array_equal(got[0].view(np.uint64), want[0].view(np.uint64))
+        assert got[1] == want[1]
+        with pytest.raises(AssertionError, match="nonzero count"):  # the trial's rule still counts
+            _score(estimate.values[n - 1 :], None, naf, np.empty((n, 2 * n)))
+
     def test_perfect_estimate(self):
         ref = naf_um(0.09, 64)
         grid, total = mse_against_naf(ref.grid, ref)
@@ -216,8 +237,10 @@ class TestHalfPlaneScoring:
 
 
     def test_a_trial_never_reads_a_tau_negative_row(self):
-        # NaN in the EMAF buffer's tau < 0 rows reaches no sum, and nothing
-        # writes those rows: the trial neither reads nor mirrors them
+        # NaN in the tau < 0 rows of the kernel's buffers (both workspace
+        # grids and real; a bit pattern in every keep) reaches no sum, and
+        # nothing writes those rows: the trial neither reads, mirrors nor
+        # takes its medians or errors in them
         n = 64
         configs = [
             (TimeVaryingMA(DEFAULT_MA_WEIGHTS, 0.042), ("emaf", "teaf", "lteaf")),
@@ -228,8 +251,13 @@ class TestHalfPlaneScoring:
             naf = naf_for_process(process, n)
             clean = _run_block(cfg, naf, _kernel(cfg), (0, 5))[0]
             kernel = _kernel(cfg)
-            lower = kernel.ws[0][: n - 1]
-            lower.fill(np.nan)
+            lower = [kernel.ws[0][: n - 1], kernel.ws[1][: n - 1], kernel.real[: n - 1]]
+            for rows in lower:
+                rows.fill(np.nan)
+            lower += [keep[: n - 1].view(np.uint8) for keep in kernel.keep.values()]
+            for rows in lower[3:]:
+                rows.fill(0xA5)
+            before = [rows.copy() for rows in lower]
             got = _run_block(cfg, naf, kernel, (0, 5))[0]
             flat = np.arange(n * 2 * n)
             for name in estimators:
@@ -237,8 +265,9 @@ class TestHalfPlaneScoring:
                 np.testing.assert_array_equal(values.view(np.uint64), want[1].view(np.uint64))
                 np.testing.assert_array_equal(flat[cells], flat[want[0]])
                 assert totals == want[2] and spreads == want[3]
-            nan_bits = np.full(lower.shape, np.nan, dtype=complex).view(np.uint64)
-            np.testing.assert_array_equal(lower.view(np.uint64), nan_bits, err_msg=str(process))
+            assert len(lower) == 3 + len(estimators) - 1
+            for rows, sentinel in zip(lower, before):
+                np.testing.assert_array_equal(rows.view(np.uint8), sentinel.view(np.uint8), err_msg=str(process))
 
 
 class TestMCConfigValidation:
@@ -295,6 +324,17 @@ class TestMCConfigValidation:
 
 
 class TestRunBench:
+    def test_a_numpy_n_shares_the_lattice_of_its_int(self):
+        # MCConfig(n=np.int64(n)) used to leave a second cache entry, every
+        # lattice table built and held twice
+        _lattice.cache_clear()
+        cfg = MCConfig(ChirpInNoise(0.1, 9.0196e-4 * 255 / 31, 1.2), n=np.int64(32), trials=3,
+                       estimators=("emaf", "teaf", "lbteaf"))
+        want = run_bench(replace(cfg, n=32)).to_dict()["results"]
+        assert run_bench(cfg).to_dict()["results"] == want
+        assert _lattice.cache_info().currsize == 1
+        assert lattice(np.int64(32)) is lattice(32)
+
     def test_single_trial_degenerate_std(self):
         cfg = MCConfig(MovingAverage(), n=64, trials=1, estimators=("emaf",))
         rep = run_bench(cfg)

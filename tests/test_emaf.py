@@ -10,6 +10,8 @@ from afkit.emaf import (
     to_db,
 )
 from afkit.sigcore import generate, MovingAverage
+from afkit.spread import lag_band
+from afkit.thresholding import make_partition
 
 from conftest import U, emaf_direct, gamma, random_complex_signal
 
@@ -45,6 +47,27 @@ class TestGridType:
     def test_rejects_bad_kind(self):
         with pytest.raises(ValueError):
             AmbiguityGrid(np.zeros((7, 8), dtype=complex), 4, "weird")
+
+
+class TestLatticeSize:
+    # a float n used to pass the shape check ((127.0, 128.0) == (127, 128)) and
+    # fail later with a bare TypeError, or build a second, float-shaped lattice
+    @pytest.mark.parametrize("bad", [64.0, np.float64(64.0), True, "64"])
+    def test_a_non_integer_n_is_rejected_in_one_line(self, bad):
+        calls = [
+            lambda: lattice(bad),
+            lambda: AmbiguityGrid(np.zeros((127, 128), dtype=complex), bad),
+            lambda: lag_band(bad, 0),
+            lambda: make_partition(bad, 8),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="^n must be an integer, got") as err:
+                call()
+            assert "\n" not in str(err.value)
+
+    def test_one_lattice_per_n(self):
+        assert lattice(np.int64(24)) is lattice(24) is lattice(np.int32(24))
+        assert type(lattice(np.int64(24)).n) is int
 
 
 class TestComputeEmaf:

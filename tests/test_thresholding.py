@@ -6,6 +6,7 @@ import pytest
 
 from afkit.emaf import (
     AmbiguityGrid,
+    Lattice,
     _conjugate_symmetric,
     _flip_lags,
     _mirror_lags,
@@ -120,6 +121,27 @@ class TestPartition:
         assert est.n == n
         assert lattice(n).partition(8).region_index.dtype.kind in "iu"
         assert make_partition(n, np.int64(8)) is lattice(n).partition(8)
+
+
+def test_separable_labels_and_rim_match_the_maxnorm_grid():
+    # partition and rim are built from per-axis labels; the formula they
+    # replace built the whole max-norm grid max(|tau|/(N-1+eps), |nu|/(1/2+eps))
+    def maxnorm_ratio(lat, eps=0.0):
+        r_tau = np.abs(lat.taus) / (lat.n - 1.0 + eps)
+        r_nu = np.abs(lat.nus) / (0.5 + eps)
+        return np.maximum(r_tau[:, None], r_nu[None, :])
+
+    for n in (2, 3, 7, 16, 31, 64, 128, 256, 512, 1000):
+        lat = Lattice(n)  # a private lattice: the shared cache keeps its own tables
+        ratio = maxnorm_ratio(lat, eps=1e-9)
+        for k in (1, 2, 3, 5, 8, 13, 64):
+            want = np.minimum(k - 1, np.floor(k * ratio)).astype(np.min_scalar_type(-k))
+            got = lat.partition(k).region_index
+            assert got.dtype == want.dtype, (n, k)
+            np.testing.assert_array_equal(got, want, err_msg=f"n={n} k={k}")
+        ratio = maxnorm_ratio(lat)
+        for fraction in (0.05, 0.1, 0.25, 0.49):
+            np.testing.assert_array_equal(lat.rim(fraction), ratio >= 1.0 - fraction, err_msg=f"n={n} f={fraction}")
 
 
 class TestRimRegion:
@@ -411,7 +433,7 @@ def gather_oracle(kernel, rim_fraction, raw):
         return float(np.median(np.concatenate([cells[:once], cells[once:], cells[once:]])) / math.log(2.0))
 
     def decide(values, methods):
-        power = np.square(np.abs(values * lat.inv_sqrt_base[rows]))
+        power = np.square(np.abs(values * (1.0 / np.sqrt(lat.base))[rows]))
         for m in methods:
             cell_region = kernel.parts[m].merged[1][rows]
             key = cell_region.astype(np.int64) * (2 if kernel.half else 1)
@@ -507,11 +529,19 @@ class TestStandardizedRule:
 
     @pytest.mark.parametrize("n", [3, 24, 33, 128, 512])
     def test_kernel_bias_basis_is_the_lattice_rows(self, n):
-        # the kernel builds only the tau >= 0 rows it reads, the same bits
-        kernel = SurvivorKernel(n, ThresholdConfig(region_count=1), ("lbteaf",))
-        assert kernel.half and kernel.basis.shape == (n, 2 * n)
-        want = lattice(n).bias_basis[n - 1 :]
-        np.testing.assert_array_equal(kernel.basis.view(np.uint64), want.view(np.uint64))
+        # the kernel builds only the rows it reads, tau = 0 and odd tau, the
+        # same bits; the tau >= 0 rows it leaves out are exactly zero
+        kernel, lat = SurvivorKernel(n, ThresholdConfig(region_count=1), ("lbteaf",)), lattice(n)
+        assert kernel.half and lat.half_bias_basis.shape == (1 + n // 2, 2 * n)
+        upper, at = lat.bias_basis[n - 1 :], 0
+        for b, basis, inv in kernel.bias:
+            want = upper[b]
+            np.testing.assert_array_equal(basis.view(np.uint64), want.view(np.uint64))
+            assert basis.base is lat.half_bias_basis and np.shares_memory(basis, lat.half_bias_basis[at:])
+            np.testing.assert_array_equal(inv.view(np.uint64), (1.0 / np.sqrt(lat.base))[n - 1 :][b].view(np.uint64))
+            at += len(want)
+        assert at == len(lat.half_bias_basis)
+        assert not upper[2::2].any()
 
     @pytest.mark.parametrize("n", [16, 33, 64])
     def test_agrees_with_the_raw_space_rule(self, n):
