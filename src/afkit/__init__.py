@@ -16,11 +16,7 @@ from .moments import (
     ma_analytic_autocorr,
     ma_analytic_spectrum,
     ma_dual_time_table,
-    naf_chirp,
     naf_for_process,
-    naf_ma,
-    naf_tvma,
-    naf_um,
     prop1_moments,
     prop2_moments,
     prop3_moments,

@@ -12,7 +12,6 @@ import argparse
 import dataclasses
 import functools
 import json
-import math
 import os
 import sys
 
@@ -20,6 +19,7 @@ from . import gridio
 from .bench import MCConfig, run_bench
 from .emaf import compute_emaf, to_db
 from .moments import (
+    _check_cell,
     ma_analytic_autocorr,
     ma_analytic_spectrum,
     ma_dual_time_table,
@@ -185,8 +185,7 @@ def _cmd_moments(args) -> int:
     if args.process not in (None, name):
         raise UsageError(f"--prop {args.prop} is for the {name} process, not {args.process}")
     n, nu, tau = args.n, args.nu, args.tau
-    if not math.isfinite(nu):
-        raise UsageError(f"--nu must be finite, not {nu}")
+    _check_cell(nu, tau, n)
     spec = _process_spec(name, vars(args))
     spec.validate(n)
     if args.prop == "thm1":

@@ -17,10 +17,12 @@ O(1) remainder terms are omitted from the returned values, so ensemble
 comparisons should use statistical tolerances.
 
 The reference grids ("expected ambiguity surface restricted to the true
-support") serve as ground truth for mean-square-error benchmarking.  Each
-is held as its support in the rows with tau >= 0 and, like every EMAF, is
-conjugate-symmetric bit for bit by construction: its tau < 0 rows are the
-emaf._mirror_lags of its tau > 0 rows, so scores fold onto tau >= 0.
+support") serve as ground truth for mean-square-error benchmarking.
+naf_for_process places the reference_lines of a process spec (each spec in
+sigcore defines its own) on the lattice.  Each grid is held as its support
+in the rows with tau >= 0 and, like every EMAF, is conjugate-symmetric bit
+for bit by construction: its tau < 0 rows are the emaf._mirror_lags of its
+tau > 0 rows, so scores fold onto tau >= 0.
 """
 
 from __future__ import annotations
@@ -30,16 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .emaf import AmbiguityGrid, _flip_lags, _mirror_lags, lattice
-from .sigcore import (
-    AnalyticWhiteNoise,
-    ChirpInNoise,
-    MovingAverage,
-    ProcessSpec,
-    TimeVaryingMA,
-    UniformlyModulated,
-    dirichlet,
-    white_noise_mean,
-)
+from .sigcore import ProcessSpec, dirichlet, white_noise_mean
 
 __all__ = [
     "DEFAULT_GRID_SIZE",
@@ -51,11 +44,7 @@ __all__ = [
     "ma_analytic_spectrum",
     "ma_dual_time_table",
     "ma_real_spectral_density",
-    "naf_chirp",
     "naf_for_process",
-    "naf_ma",
-    "naf_um",
-    "naf_tvma",
     "prop1_moments",
     "prop2_moments",
     "prop3_moments",
@@ -455,7 +444,9 @@ def ma_analytic_spectrum(weights, xi_var: float) -> SpectrumTable:
 
 def ma_dual_time_table(weights, xi_var: float, n: int, t_spread: int) -> np.ndarray:
     """Stationary dual-time second moment table M[t, tau'] of the analytic
-    MA process, truncated to |tau'| <= T-1 (rows constant in t)."""
+    MA process, truncated to |tau'| <= T-1 (rows constant in t), 1 <= T <= n."""
+    if not 1 <= t_spread <= n:
+        raise ValueError(f"spread bound T = {t_spread} must lie in [1, n = {n}]")
     taus = np.arange(-(t_spread - 1), t_spread)
     row = 2.0 * np.atleast_1d(ma_analytic_autocorr(weights, xi_var, taus))
     return np.tile(row, (n, 1))
@@ -528,6 +519,8 @@ def _reference(n: int, tau, nu, values) -> NAFReference:
     add in input order: each cell takes its first value and adds only the
     others, so a lone value keeps its bits, signed zeros included."""
     tau, nu, values = (np.ravel(a) for a in np.broadcast_arrays(tau, nu, values))
+    if not (np.isfinite(tau).all() and np.isfinite(nu).all()):
+        raise ValueError("a reference line needs a finite tau and nu")
     rows, cols = lattice(n).cell(tau, nu)
     if ((rows < n - 1) | (rows >= 2 * n - 1)).any():
         raise ValueError(f"a reference line needs 0 <= tau < N = {n}")
@@ -538,75 +531,8 @@ def _reference(n: int, tau, nu, values) -> NAFReference:
     return NAFReference(n, cells, sums)
 
 
-def naf_chirp(alpha: float, beta: float, n: int) -> NAFReference:
-    """Reference surface of the noise-free linear chirp.
-
-    Each lag row carries a single nonzero cell at the grid frequency
-    nearest beta*tau, with value
-    exp(j pi [2 alpha tau - beta tau^2 + (beta tau - nu)(N+tau-1)])
-    * D_{N-|tau|}(beta tau - nu), the noise-free EMAF there: the lag sum
-    runs over N-|tau| samples centred on t = (N-1+tau)/2.
-    """
-    ChirpInNoise(alpha, beta, 0.0).validate(n)
-    lat = lattice(n)
-    taus = lat.taus[n - 1 :]  # tau >= 0; _reference mirrors the rest
-    nu = (lat.cell(taus, beta * taus)[1] - n) / (2.0 * n)  # the snapped lattice frequency
-    delta = beta * taus - nu
-    phase = np.pi * (2.0 * alpha * taus - beta * taus**2 + delta * (n + taus - 1))
-    return _reference(n, taus, nu, np.exp(1j * phase) * dirichlet(n - np.abs(taus), delta))
-
-
-def naf_ma(weights, xi_var: float, n: int) -> NAFReference:
-    """Reference surface of the analytic MA process.
-
-    Support is the nu = 0 line at |tau| <= L (the support of the real
-    process' ambiguity surface); values are (N-|tau|) times the one-sided
-    spectral transform of :func:`ma_analytic_autocorr`.
-    """
-    MovingAverage(tuple(weights), xi_var).validate(n)
-    lags = np.arange(len(weights))  # 0 <= tau <= L; _reference mirrors the rest
-    auto = np.atleast_1d(ma_analytic_autocorr(weights, xi_var, lags))
-    return _reference(n, lags, 0.0, (n - np.abs(lags)) * auto)
-
-
-def naf_um(f0: float, n: int) -> NAFReference:
-    """Reference surface of uniformly modulated white noise: N at the
-    origin and -N(1/2 - |2 f0|) at (nu = +-2 f0, tau = 0), off-grid
-    frequencies snapped to the nearest bin."""
-    UniformlyModulated(f0).validate(n)
-    line = -n * (0.5 - abs(2.0 * f0))
-    return _reference(n, 0, [0.0, 2.0 * f0, -2.0 * f0], [float(n), line, line])
-
-
-def naf_tvma(weights, f0: float, n: int) -> NAFReference:
-    """Reference surface of the time-varying MA: three lag bands at
-    nu in {0, +-2 f0} and |tau| <= L, with values given by shifted-spectrum
-    integrals of the real MA density."""
-    TimeVaryingMA(tuple(weights), f0).validate(n)
-    lags = np.arange(len(weights))  # 0 <= tau <= L; _reference mirrors the rest
-
-    def dens(f):
-        return ma_real_spectral_density(weights, 1.0, f)
-
-    def band(fn, a, b):
-        # One quadrature for every lag: the lag axis runs down a column.
-        return _quad(lambda f: fn(f) * np.exp(2j * np.pi * f * lags[:, None]), a, b)
-
-    center = band(lambda f: dens(f - f0) + dens(f + f0), 0.0, 0.5)
-    plus = -band(lambda f: dens(f + f0), 0.0, 0.5 - 2.0 * f0)
-    minus = -band(lambda f: dens(f - f0), 2.0 * f0, 0.5)
-    values = (n - np.abs(lags)) * np.stack([center, plus, minus])
-    return _reference(n, lags, np.array([[0.0], [2.0 * f0], [-2.0 * f0]]), values)
-
-
-def naf_noise(psd: float, n: int) -> NAFReference:
-    """Reference surface of pure analytic white noise: the single cell at
-    the origin carries the mean N * psd / 2 (the real-noise ambiguity
-    support is the origin alone)."""
-    AnalyticWhiteNoise(psd).validate(n)
-    return _reference(n, 0, 0.0, n * psd / 2.0)
-
-
 def naf_for_process(spec: ProcessSpec, n: int) -> NAFReference:
-    """Reference surface for any registered process spec."""
-    return spec.reference(n)
+    """Reference surface of a process spec: its reference_lines placed on the
+    lattice of a length-n record."""
+    spec.validate(n)
+    return _reference(n, *spec.reference_lines(n))

@@ -128,13 +128,15 @@ def _ma_filter(xi: np.ndarray, weights) -> np.ndarray:
     return np.convolve(xi, np.asarray(weights, dtype=float), mode="valid")
 
 
-# Each process spec class carries its registry entry: `name` (the CLI
+# Each process spec class is the process' one definition: `name` (the CLI
 # --process value and the process= provenance field), `estimators` (the
 # estimators whose output means something for a record of the process:
 # the bias-corrected lbteaf for a deterministic signal in noise, the plain
 # local lteaf for a stochastic process), `validate(n)`, `_draw(n, rng)` and
-# `reference(n)`, which imports its naf_* function from moments at call
-# time because moments imports this module.
+# `reference_lines(n)`: the (tau, nu, values) of its reference surface at
+# 0 <= tau < N, which moments.naf_for_process places on the lattice.  The
+# spectral helpers are imported from moments at call time, because moments
+# imports this module.
 
 
 @dataclass(frozen=True)
@@ -177,9 +179,15 @@ class ChirpInNoise:
             g = g + _analytic_white_noise(n, self.noise_psd, rng)
         return g
 
-    def reference(self, n: int):
-        from .moments import naf_chirp
-        return naf_chirp(self.alpha, self.beta, n)
+    def reference_lines(self, n: int):
+        """The noise-free EMAF, in each lag row at the lattice nu nearest beta*tau:
+        exp(j pi [2 alpha tau - beta tau^2 + (beta tau - nu)(N+tau-1)]) D_{N-tau}(beta tau - nu),
+        as the lag sum runs over N-tau samples centred on t = (N-1+tau)/2."""
+        taus = np.arange(n)
+        nu = np.rint(self.beta * taus * 2 * n) / (2.0 * n)  # the snapped lattice frequency
+        delta = self.beta * taus - nu
+        phase = np.pi * (2.0 * self.alpha * taus - self.beta * taus**2 + delta * (n + taus - 1))
+        return taus, nu, np.exp(1j * phase) * dirichlet(n - taus, delta)
 
 
 @dataclass(frozen=True)
@@ -209,9 +217,14 @@ class MovingAverage:
         xi = rng.normal(0.0, np.sqrt(self.xi_var), n + order)
         return analytic_signal(_ma_filter(xi, self.weights))
 
-    def reference(self, n: int):
-        from .moments import naf_ma
-        return naf_ma(self.weights, self.xi_var, n)
+    def reference_lines(self, n: int):
+        """The nu = 0 line at 0 <= tau <= L (the real process' AF support):
+        (N-tau) times the one-sided transform of moments.ma_analytic_autocorr."""
+        from .moments import ma_analytic_autocorr
+
+        lags = np.arange(len(self.weights))
+        auto = np.atleast_1d(ma_analytic_autocorr(self.weights, self.xi_var, lags))
+        return lags, 0.0, (n - lags) * auto
 
 
 @dataclass(frozen=True)
@@ -232,9 +245,10 @@ class UniformlyModulated:
         xi = rng.standard_normal(n)
         return analytic_signal(np.sin(2.0 * np.pi * self.f0 * np.arange(n)) * xi)
 
-    def reference(self, n: int):
-        from .moments import naf_um
-        return naf_um(self.f0, n)
+    def reference_lines(self, n: int):
+        """N at the origin and -N(1/2 - |2 f0|) at (nu = +-2 f0, tau = 0)."""
+        line = -n * (0.5 - abs(2.0 * self.f0))
+        return 0, [0.0, 2.0 * self.f0, -2.0 * self.f0], [float(n), line, line]
 
 
 @dataclass(frozen=True)
@@ -258,9 +272,25 @@ class TimeVaryingMA:
         r = np.sin(2.0 * np.pi * self.f0 * np.arange(n)) * _ma_filter(xi, self.weights)
         return analytic_signal(r)
 
-    def reference(self, n: int):
-        from .moments import naf_tvma
-        return naf_tvma(self.weights, self.f0, n)
+    def reference_lines(self, n: int):
+        """Three lag bands at nu in {0, +-2 f0} and 0 <= tau <= L, with values
+        given by shifted-spectrum integrals of the real MA density."""
+        from .moments import _quad, ma_real_spectral_density
+
+        lags, f0 = np.arange(len(self.weights)), self.f0
+
+        def dens(f):
+            return ma_real_spectral_density(self.weights, 1.0, f)
+
+        def band(fn, a, b):
+            # One quadrature for every lag: the lag axis runs down a column.
+            return _quad(lambda f: fn(f) * np.exp(2j * np.pi * f * lags[:, None]), a, b)
+
+        center = band(lambda f: dens(f - f0) + dens(f + f0), 0.0, 0.5)
+        plus = -band(lambda f: dens(f + f0), 0.0, 0.5 - 2.0 * f0)
+        minus = -band(lambda f: dens(f - f0), 2.0 * f0, 0.5)
+        values = (n - lags) * np.stack([center, plus, minus])
+        return lags, np.array([[0.0], [2.0 * f0], [-2.0 * f0]]), values
 
 
 @dataclass(frozen=True)
@@ -279,9 +309,9 @@ class AnalyticWhiteNoise:
     def _draw(self, n: int, rng: np.random.Generator) -> np.ndarray:
         return _analytic_white_noise(n, self.psd, rng)
 
-    def reference(self, n: int):
-        from .moments import naf_noise
-        return naf_noise(self.psd, n)
+    def reference_lines(self, n: int):
+        """The origin alone (the real-noise AF support), at the mean N * psd / 2."""
+        return 0, 0.0, n * self.psd / 2.0
 
 
 # The process registry: name -> spec class.  The CLI choices, the

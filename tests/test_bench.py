@@ -20,7 +20,7 @@ from afkit.bench import (
     run_bench,
 )
 from afkit.emaf import AmbiguityGrid, _flip_lags, _lattice, compute_emaf, lattice
-from afkit.moments import NAFReference, naf_for_process, naf_um
+from afkit.moments import NAFReference, naf_for_process
 from afkit.sigcore import (
     DEFAULT_MA_WEIGHTS,
     AnalyticWhiteNoise,
@@ -143,28 +143,28 @@ class TestMseAgainstNaf:
             _score(estimate.values[n - 1 :], None, naf, np.empty((n, 2 * n)))
 
     def test_perfect_estimate(self):
-        ref = naf_um(0.09, 64)
+        ref = naf_for_process(UniformlyModulated(0.09), 64)
         grid, total = mse_against_naf(ref.grid, ref)
         assert total == 0.0
         assert np.all(grid == 0)
 
     def test_zero_estimate_against_um(self):
         n = 256
-        ref = naf_um(0.09, n)
+        ref = naf_for_process(UniformlyModulated(0.09), n)
         zero = AmbiguityGrid(np.zeros((2 * n - 1, 2 * n), dtype=complex), n)
         _, total = mse_against_naf(zero, ref)
         assert total == pytest.approx(256**2 + 2 * 81.92**2, rel=1e-9)
 
     def test_single_cell_error(self):
         n = 16
-        ref = naf_um(0.09, n)
+        ref = naf_for_process(UniformlyModulated(0.09), n)
         est = AmbiguityGrid(ref.grid.values.copy(), n, "thresholded")
         est.values[0, 0] += 3.0 - 4.0j
         _, total = mse_against_naf(est, ref)
         assert total == pytest.approx(25.0, rel=1e-12)
 
     def test_shape_mismatch(self):
-        ref = naf_um(0.09, 16)
+        ref = naf_for_process(UniformlyModulated(0.09), 16)
         est = AmbiguityGrid(np.zeros((63, 64), dtype=complex), 32)
         with pytest.raises(ValueError):
             mse_against_naf(est, ref)

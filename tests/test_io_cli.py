@@ -9,7 +9,7 @@ import pytest
 from afkit import gridio
 from afkit.cli import _parser, main
 from afkit.emaf import AmbiguityGrid, _conjugate_symmetric, _mirror_lags, compute_emaf, lattice
-from afkit.moments import naf_for_process, naf_um
+from afkit.moments import naf_for_process
 from afkit.sigcore import PROCESSES, MovingAverage, UniformlyModulated, generate
 from afkit.spread import indicator, total_spread
 from afkit.thresholding import ThresholdConfig, teaf, threshold_with_details
@@ -189,7 +189,7 @@ class TestGridCsv:
             gridio.load_grid(csv)
 
     def test_mask_rows(self, tmp_path):
-        ref = naf_um(0.09, 8)
+        ref = naf_for_process(UniformlyModulated(0.09), 8)
         path = tmp_path / "mask.csv"
         gridio.write_mask(path, ref.support_mask, 8)
         lines = path.read_text().splitlines()
@@ -597,7 +597,8 @@ class TestCsvFuzz:
             elif kind == "sparse-thresholded":
                 gridio.write_grid(path, _sparse_grid(rng, n, "thresholded"), process="chirp")
             elif kind == "reference":
-                ref = naf_um(0.09, n).grid if rng.random() < 0.5 else _sparse_grid(rng, n, "reference")
+                ref = (naf_for_process(UniformlyModulated(0.09), n).grid if rng.random() < 0.5
+                       else _sparse_grid(rng, n, "reference"))
                 gridio.write_grid(path, ref, process="um")
             elif kind == "v1":
                 _oracle_grid(path, compute_emaf(x), process="chirp")
@@ -869,6 +870,26 @@ class TestCliPipeline:
                      "-o", str(out)]) == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and "nu" in err[0], err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("cell", [["--nu", "0.7", "--tau", "0"], ["--nu", "0.1", "--tau", "300"],
+                                      ["--nu", "0.1", "--tau", "-256"]])
+    def test_moments_thm1_rejects_a_cell_off_the_plane(self, cell, tmp_path, capsys):
+        # at N = 256, nu = 0.7 used to print a variance of 1130.7 and tau = 300 one of 0.0
+        out = tmp_path / "m.json"
+        assert main(["moments", "--prop", "thm1", "--n", "256", *cell, "-o", str(out)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and ("nu" in err[0] or "tau" in err[0]), err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("t_spread", ["0", "65"])
+    def test_moments_thm1_rejects_a_spread_bound_off_the_record(self, t_spread, tmp_path, capsys):
+        # T = 300 at N = 256 used to exit 0, its quadrature peaking at 482 MB
+        out = tmp_path / "m.json"
+        assert main(["moments", "--prop", "thm1", "--n", "64", "--nu", "0.1", "--tau", "1",
+                     "--t-spread", t_spread, "-o", str(out)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"afkit: spread bound T = {t_spread} must lie in [1, n = 64]"]
         assert not out.exists()
 
     def test_list_flags(self, tmp_path, capsys):

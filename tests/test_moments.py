@@ -13,11 +13,7 @@ from afkit.moments import (
     ma_analytic_spectrum,
     ma_dual_time_table,
     ma_real_spectral_density,
-    naf_chirp,
     naf_for_process,
-    naf_ma,
-    naf_tvma,
-    naf_um,
     prop1_moments,
     prop2_moments,
     prop3_moments,
@@ -421,32 +417,32 @@ class TestVarianceFromAf:
 
 class TestNafChirp:
     def test_zero_lag_cell(self):
-        ref = naf_chirp(0.1, 9.0196e-4, 256)
+        ref = naf_for_process(ChirpInNoise(0.1, 9.0196e-4), 256)
         assert ref.grid.values[255, 256] == pytest.approx(256.0 + 0j)
 
     def test_support_count_and_spread(self):
-        ref = naf_chirp(0.1, 9.0196e-4, 256)
+        ref = naf_for_process(ChirpInNoise(0.1, 9.0196e-4), 256)
         assert ref.cells_nonzero == 511
         assert ref.cells_nonzero / ref.grid.values.size == pytest.approx(0.002, rel=0.03)
 
     def test_known_off_axis_cell(self):
         # tau = 100: nearest bin to beta*tau = 0.090196 is nu = 0.089844,
         # carrying |D_156(0.000352)| ~ 155.2
-        ref = naf_chirp(0.1, 9.0196e-4, 256)
+        ref = naf_for_process(ChirpInNoise(0.1, 9.0196e-4), 256)
         m = 100 + 255
         k = int(np.flatnonzero(ref.support_mask[m])[0])
         assert (k - 256) / 512.0 == pytest.approx(0.089844, abs=1e-6)
         assert abs(ref.grid.values[m, k]) == pytest.approx(155.2, abs=0.1)
 
     def test_one_cell_per_row(self):
-        ref = naf_chirp(0.05, 5e-4, 64)
+        ref = naf_for_process(ChirpInNoise(0.05, 5e-4), 64)
         assert np.all(ref.support_mask.sum(axis=1) == 1)
 
     @pytest.mark.parametrize("n", [16, 64, 256])
     def test_support_is_the_noise_free_emaf_on_both_lag_signs(self, n):
         # the phase used N + |tau| - 1: every tau < 0 cell was off by up to 0.37 of the peak
         spec = ChirpInNoise()
-        ref = naf_chirp(spec.alpha, spec.beta, n)
+        ref = naf_for_process(spec, n)
         emaf = compute_emaf(spec.chirp(n)).values
         taus = lattice(n).taus[:, None]
         for lags in (taus < 0, taus >= 0):
@@ -458,21 +454,21 @@ class TestNafChirp:
 
 class TestNafMa:
     def test_support_count_and_spread(self):
-        ref = naf_ma(DEFAULT_MA_WEIGHTS, 1.0, 256)
+        ref = naf_for_process(MovingAverage(DEFAULT_MA_WEIGHTS, 1.0), 256)
         assert ref.cells_nonzero == 11
         spread = ref.cells_nonzero / ref.grid.values.size
         assert spread == pytest.approx(4.2044e-5, rel=1e-3)
 
     def test_origin_value(self):
         # N times the lag-zero autocorrelation sum(w_i^2) = 1.241701
-        ref = naf_ma(DEFAULT_MA_WEIGHTS, 1.0, 256)
+        ref = naf_for_process(MovingAverage(DEFAULT_MA_WEIGHTS, 1.0), 256)
         v = ref.grid.values[255, 256]
         expected = 256 * sum(w * w for w in DEFAULT_MA_WEIGHTS)
         assert v.real == pytest.approx(expected, rel=1e-9)
         assert abs(v.imag) <= 1e-9 * abs(v.real)
 
     def test_off_axis_zero(self):
-        ref = naf_ma(DEFAULT_MA_WEIGHTS, 1.0, 64)
+        ref = naf_for_process(MovingAverage(DEFAULT_MA_WEIGHTS, 1.0), 64)
         off = ref.grid.values[:, np.arange(128) != 64]
         assert np.all(off == 0)
 
@@ -492,7 +488,7 @@ class TestNafMa:
 
 class TestNafUm:
     def test_three_cells(self):
-        ref = naf_um(0.09, 256)
+        ref = naf_for_process(UniformlyModulated(0.09), 256)
         assert ref.cells_nonzero == 3
         assert ref.grid.values[255, 256] == pytest.approx(256.0 + 0j)
         k2 = int(round(0.18 * 512)) + 256
@@ -500,19 +496,19 @@ class TestNafUm:
         assert ref.grid.values[255, 2 * 256 - k2] == pytest.approx(-256 * 0.32 + 0j)
 
     def test_spread(self):
-        ref = naf_um(0.09, 256)
+        ref = naf_for_process(UniformlyModulated(0.09), 256)
         spread = ref.cells_nonzero / ref.grid.values.size
         assert spread == pytest.approx(1.1466e-5, rel=1e-3)
 
 
 class TestNafTvma:
     def test_support_count(self):
-        ref = naf_tvma(DEFAULT_MA_WEIGHTS, 0.042, 256)
+        ref = naf_for_process(TimeVaryingMA(DEFAULT_MA_WEIGHTS, 0.042), 256)
         assert ref.cells_nonzero == 33
 
     def test_off_band_zero(self):
         n = 256
-        ref = naf_tvma(DEFAULT_MA_WEIGHTS, 0.042, n)
+        ref = naf_for_process(TimeVaryingMA(DEFAULT_MA_WEIGHTS, 0.042), n)
         k2 = int(round(2 * 0.042 * 2 * n))
         bands = {n, n + k2, n - k2}
         for k in range(2 * n):
@@ -523,7 +519,7 @@ class TestNafTvma:
         # expected origin value N * M_R[0]; time-domain check via the
         # modulated-process variance accumulated over the record
         n, f0 = 256, 0.042
-        ref = naf_tvma(DEFAULT_MA_WEIGHTS, f0, n)
+        ref = naf_for_process(TimeVaryingMA(DEFAULT_MA_WEIGHTS, f0), n)
         m_r0 = sum(w * w for w in DEFAULT_MA_WEIGHTS)
         t = np.arange(n)
         time_domain = 2.0 * m_r0 * np.sum(np.sin(2 * np.pi * f0 * t) ** 2)
@@ -533,8 +529,8 @@ class TestNafTvma:
 
     def test_reduces_to_um_for_unit_weights(self):
         n, f0 = 128, 0.09
-        ref = naf_tvma((1.0,), f0, n)
-        um = naf_um(f0, n)
+        ref = naf_for_process(TimeVaryingMA((1.0,), f0), n)
+        um = naf_for_process(UniformlyModulated(f0), n)
         np.testing.assert_allclose(
             ref.grid.values[n - 1], um.grid.values[n - 1], rtol=1e-6, atol=1e-9
         )
@@ -609,10 +605,10 @@ class TestReferencePlacement:
                 spec.validate(n)
             except ValueError:
                 continue
-            ref = spec.reference(n)
+            ref = naf_for_process(spec, n)
             with monkeypatch.context() as m:
                 m.setattr("afkit.moments._reference", _dense_reference)
-                dense = spec.reference(n)
+                dense = naf_for_process(spec, n)
             _assert_dense_bits(ref, dense, str(spec))
             checked += 1
         assert checked >= 5
@@ -658,9 +654,9 @@ class TestReferencePlacement:
             assert ref.cells_nonzero == np.count_nonzero(ref.support_mask), spec
 
     def test_coinciding_lines_add(self):
-        # all three lines of naf_um(1e-5, 64) snap to the origin; the last one
-        # used to overwrite the others, leaving -31.99872
-        ref = naf_um(1e-5, 64)
+        # all three lines of UniformlyModulated(1e-5) at N = 64 snap to the
+        # origin; the last one used to overwrite the others, leaving -31.99872
+        ref = naf_for_process(UniformlyModulated(1e-5), 64)
         assert ref.cells_nonzero == 1
         assert ref.grid.values[63, 64] == pytest.approx(64 - 128 * (0.5 - 2e-5), rel=1e-12)
 
@@ -669,7 +665,7 @@ class TestReferencePlacement:
         # beta (N-1) snaps to nu = +1/2, which is the column of nu = -1/2; the
         # value there is still the noise-free EMAF
         spec = _edge_specs(n)[-1]
-        ref = naf_chirp(spec.alpha, spec.beta, n)
+        ref = naf_for_process(spec, n)
         assert ref.support_mask[2 * n - 2, 0]
         emaf = compute_emaf(spec.chirp(n)).values
         assert np.abs(ref.grid.values - emaf)[ref.support_mask].max() <= 1e-12 * n
@@ -677,7 +673,7 @@ class TestReferencePlacement:
     @pytest.mark.parametrize("n", [16, 64, 256])
     @pytest.mark.parametrize("f0", [0.09, 0.2499, 1e-5])
     def test_um_lines_keep_their_total(self, n, f0):
-        ref = naf_um(f0, n)
+        ref = naf_for_process(UniformlyModulated(f0), n)
         assert ref.grid.values.sum() == pytest.approx(n - 2 * n * (0.5 - 2 * f0), rel=1e-12)
 
     @pytest.mark.parametrize("n", [16, 64, 256])
@@ -687,7 +683,7 @@ class TestReferencePlacement:
         # at most (sum |w|)^2, so it is at most (N - |tau|) 4 f0 (sum |w|)^2;
         # one band alone (the last one used to overwrite the others) is O(N)
         f0 = 1e-5
-        ref = naf_tvma(DEFAULT_MA_WEIGHTS, f0, n)
+        ref = naf_for_process(TimeVaryingMA(DEFAULT_MA_WEIGHTS, f0), n)
         assert ref.cells_nonzero == len(DEFAULT_MA_WEIGHTS) * 2 - 1
         assert np.count_nonzero(ref.support_mask[:, n]) == ref.cells_nonzero
         bound = n * 4 * f0 * sum(abs(w) for w in DEFAULT_MA_WEIGHTS) ** 2

@@ -15,7 +15,7 @@ from afkit import gridio, sigcore
 from afkit.bench import ESTIMATORS, MCConfig, run_bench
 from afkit.cli import _build_parser, _flags, main
 from afkit.emaf import compute_emaf
-from afkit.moments import _reference, naf_for_process, naf_noise
+from afkit.moments import naf_for_process
 from afkit.sigcore import PROCESSES, generate
 from afkit.thresholding import ThresholdConfig
 
@@ -85,16 +85,16 @@ class _Toy:
     def _draw(self, n, rng):
         return self.level * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
 
-    def reference(self, n):
-        return naf_noise(4.0 * self.level**2, n)
+    def reference_lines(self, n):
+        return sigcore.AnalyticWhiteNoise(4.0 * self.level**2).reference_lines(n)
 
 
 @dataclass(frozen=True)
 class _NanToy(_Toy):
     name: ClassVar[str] = "nantoy"
 
-    def reference(self, n):
-        return _reference(n, 0, 0.0, float("nan"))  # the origin, on the tau = 0 row
+    def reference_lines(self, n):
+        return 0, 0.0, float("nan")  # the origin, on the tau = 0 row
 
 
 def test_non_finite_reference_stops_a_bench_before_any_trial(monkeypatch):
@@ -112,8 +112,8 @@ class _OffPlaneToy(_Toy):
     name: ClassVar[str] = "offplanetoy"
     line_lag: int = 0
 
-    def reference(self, n):
-        return _reference(n, self.line_lag, 0.125, 5.0)
+    def reference_lines(self, n):
+        return self.line_lag, 0.125, 5.0
 
 
 @pytest.mark.parametrize("tau", [-2, 16])
@@ -125,6 +125,29 @@ def test_off_plane_reference_line_exits_2(tmp_path, monkeypatch, capsys, tau):
     assert main(["naf", "--process", "offplanetoy", "--n", "16", f"--line-lag={tau}", "-o", str(out)]) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert err == ["afkit: a reference line needs 0 <= tau < N = 16"] and not out.exists()
+
+
+@dataclass(frozen=True)
+class _NonFiniteLineToy(_Toy):
+    name: ClassVar[str] = "nonfinitelinetoy"
+    line_tau: float = 1.0
+    line_nu: float = 0.125
+
+    def reference_lines(self, n):
+        return self.line_tau, self.line_nu, 5.0
+
+
+@pytest.mark.parametrize("flag", ["line-tau", "line-nu"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_reference_line_exits_2(tmp_path, monkeypatch, capsys, flag, value):
+    # a NaN nu used to land silently on the nu = 0 cell of its row (flat cell
+    # 48 at tau = 1, N = 16), with only a RuntimeWarning from the int cast
+    monkeypatch.setitem(sigcore.PROCESSES, _NonFiniteLineToy.name, _NonFiniteLineToy)
+    out = tmp_path / "naf.csv"
+    argv = ["naf", "--process", "nonfinitelinetoy", "--n", "16", f"--{flag}={value}", "-o", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["afkit: a reference line needs a finite tau and nu"] and not out.exists()
 
 
 def test_new_process_needs_one_class(tmp_path, monkeypatch):
@@ -176,7 +199,7 @@ def _float_flags(cls) -> list:
 
 _NON_FINITE_CASES = [
     *[(command, name, flag) for name, cls in PROCESSES.items() for flag in _float_flags(cls)
-      for command in ("gen", "bench")],
+      for command in ("gen", "naf", "bench")],
     *[(command, "ma", flag) for flag in _float_flags(ThresholdConfig)
       for command in ("threshold", "bench")],
 ]
@@ -203,6 +226,16 @@ def test_non_finite_parameter_exits_2(tmp_path, capsys, command, name, flag, val
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1, err
     assert not out.exists() and not meta.exists()
+
+
+@pytest.mark.parametrize("command", ["gen", "naf"])
+def test_negative_noise_psd_exits_2(tmp_path, capsys, command):
+    # naf validated the chirp with a zero noise PSD, so --noise-psd -1 exited 0
+    out = tmp_path / "out"
+    assert main([command, "--process", "chirp", "--n", "64", "--noise-psd", "-1", "-o", str(out)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "PSD" in err[0], err
+    assert not out.exists()
 
 
 def test_every_exported_name_resolves():

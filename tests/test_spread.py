@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from afkit.emaf import AmbiguityGrid, compute_emaf
-from afkit.moments import naf_chirp, naf_ma, naf_um
-from afkit.sigcore import MovingAverage, generate
+from afkit.moments import naf_for_process
+from afkit.sigcore import ChirpInNoise, MovingAverage, UniformlyModulated, generate
 from afkit.spread import indicator, lag_band, total_spread
 from afkit.thresholding import teaf
 
@@ -18,7 +18,7 @@ class TestIndicator:
         assert not indicator(g).any()
 
     def test_reference_support(self):
-        ref = naf_um(0.09, 256)
+        ref = naf_for_process(UniformlyModulated(0.09), 256)
         assert indicator(ref.grid).sum() == 3
         np.testing.assert_array_equal(indicator(ref.grid), ref.support_mask)
 
@@ -46,14 +46,14 @@ class TestTotalSpread:
         assert rep.nonzero_cells == rep.region_cells == mask.size
 
     def test_ma_reference_spread(self):
-        ref = naf_ma((1.0, 0.33, 0.266, 0.2, 0.133, 0.066), 1.0, 256)
+        ref = naf_for_process(MovingAverage((1.0, 0.33, 0.266, 0.2, 0.133, 0.066), 1.0), 256)
         rep = total_spread(indicator(ref.grid))
         assert rep.total_spread == pytest.approx(4.2044e-5, rel=1e-3)
         assert rep.nonzero_cells == 11
         assert rep.region_cells == 512 * 511
 
     def test_chirp_single_lag_band(self):
-        ref = naf_chirp(0.1, 9.0196e-4, 256)
+        ref = naf_for_process(ChirpInNoise(0.1, 9.0196e-4), 256)
         rep = total_spread(indicator(ref.grid), lag_band(256, 0))
         assert rep.total_spread == pytest.approx(1.0 / 512.0, rel=1e-12)
         assert rep.region_cells == 512
