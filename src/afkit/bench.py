@@ -209,7 +209,7 @@ def _run_block(cfg: MCConfig, naf: NAFReference, kernel: SurvivorKernel, block) 
         t = time.perf_counter()
         x = generate(cfg.process, n, derive_trial_seed(cfg.base_seed, trial))
         t = _lap(clock, "generate", t)
-        values = compute_emaf(x, kernel.ws, half=kernel.half).values
+        values = compute_emaf(x, kernel.ws).values
         t = _lap(clock, "emaf", t)
         kernel.survive(values)
         t = _lap(clock, "survivor_pass", t)

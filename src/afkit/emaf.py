@@ -19,8 +19,8 @@ A grid whose tau < 0 rows are that mirror (_conjugate_symmetric) holds no
 information outside its N rows with tau >= 0, so the estimators and the
 scoring take every plane-wide statistic from those rows, each tau > 0 cell
 standing for itself and its mirror.
-With half, compute_emaf and standardize work on those rows alone, which is how
-a Monte Carlo trial runs: it never computes a tau < 0 row.
+Given a buffer, compute_emaf and standardize fill those rows alone, which is
+how a Monte Carlo trial runs: it never computes a tau < 0 row.
 """
 
 from __future__ import annotations
@@ -154,7 +154,7 @@ class Lattice:
     def __init__(self, n: int):
         self.n = n
         self.shape = (2 * n - 1, 2 * n)
-        self._partitions, self._rims = {}, {}
+        self._partitions, self._rims, self._bias = {}, {}, {}
 
     @cached_property
     def taus(self) -> np.ndarray:
@@ -217,19 +217,17 @@ class Lattice:
             self._rims[fraction] = _frozen(np.logical_or.outer(tau >= 1.0 - fraction, nu >= 1.0 - fraction))
         return self._rims[fraction]
 
-    @cached_property
-    def bias_basis(self) -> np.ndarray:
-        """Unit-variance mean surface of analytic white noise: white_noise_mean on the lattice."""
-        return _frozen(white_noise_mean(self.nus[None, :], self.taus[:, None], self.n))
-
-    def bias_rows(self, first: int = 0) -> tuple:
-        """The rows from row first on where bias_basis can be nonzero, as two
-        slices: tau = 0 and odd tau (white_noise_mean is zero at even tau != 0)."""
-        return slice(self.n - 1 - first, self.n - first), slice((self.n - first) % 2, None, 2)
-
-    @cached_property
-    def half_bias_basis(self) -> np.ndarray:  # bias_basis's rows tau = 0, 1, 3, 5, ..., the same bits
-        return _frozen(white_noise_mean(self.nus[None, :], np.r_[0, 1 : self.n : 2][:, None], self.n))
+    def bias(self, first: int = 0) -> tuple:
+        """white_noise_mean, the unit-variance mean surface of analytic white
+        noise, on the rows from row first on where it can be nonzero: tau = 0
+        and odd tau (it is zero at even tau != 0).  One (rows, values) pair per
+        row slice, rows counted from row first; built once per first."""
+        if first not in self._bias:
+            taus = self.taus[first:, None]
+            self._bias[first] = tuple((rows, _frozen(white_noise_mean(self.nus[None, :], taus[rows], self.n)))
+                                      for rows in (slice(self.n - 1 - first, self.n - first),
+                                                   slice((self.n - first) % 2, None, 2)))
+        return self._bias[first]
 
 
 _lattice = lru_cache(maxsize=8)(Lattice)  # keyed by a Python int
@@ -269,27 +267,25 @@ class AmbiguityGrid:
         return self.values.shape
 
 
-def compute_emaf(x, workspace: np.ndarray | None = None, half: bool = False) -> AmbiguityGrid:
+def compute_emaf(x, workspace: np.ndarray | None = None) -> AmbiguityGrid:
     """Empirical ambiguity function of a complex sample, kind="raw".
 
     For each lag tau >= 0 the product sequence m_tau[t] = x[t] x*[t-tau] is
     laid out on t = 0..N-1 (zero outside the valid range), zero-padded to
     length 2N and transformed; FFT bin q lands in column k = (q + N) mod 2N
     so that columns run over nu = (k-N)/(2N) in increasing order.  The
-    tau < 0 rows are the _mirror_lags of the tau > 0 rows; with half they
-    are skipped and the workspace's tau < 0 rows are left as they were.
+    tau < 0 rows are the _mirror_lags of the tau > 0 rows.
 
     workspace, a complex (2, 2N-1, 2N) array, lends the two buffers the
     computation needs so that repeated calls allocate nothing: the result
-    views workspace[0] and is overwritten by the next call, and
-    workspace[1] is left free as scratch.  Without one, fresh buffers are
-    allocated; half needs one.
+    views workspace[0], is overwritten by the next call and holds the rows
+    with tau >= 0 alone, its tau < 0 rows left as they were; workspace[1]
+    is left free as scratch.  Without one, fresh buffers are allocated and
+    every row is computed.
     """
     x = np.asarray(x, dtype=complex)
     n = x.size
     shape = lattice(n).shape
-    if half and workspace is None:
-        raise ValueError("a half EMAF needs a workspace")
     if workspace is None:
         rows, spectrum = np.empty(shape, dtype=complex), np.empty((n, 2 * n), dtype=complex)
     elif workspace.shape != (2,) + shape or workspace.dtype != complex:
@@ -306,7 +302,7 @@ def compute_emaf(x, workspace: np.ndarray | None = None, half: bool = False) -> 
     # fftshift by a half-swap: bins q >= N hold the negative frequencies
     upper[:, :n] = spectrum[:, n:]
     upper[:, n:] = spectrum[:, :n]
-    if not half:
+    if workspace is None:
         _mirror_lags(rows, rows[: n - 1])
     return AmbiguityGrid(rows, n, "raw")
 
@@ -349,26 +345,24 @@ def _conjugate_symmetric(values: np.ndarray, exact: bool = False) -> bool:
     return np.array_equal(mirror, values[: n - 1])
 
 
-def standardize(grid: AmbiguityGrid, out: np.ndarray | None = None, half: bool = False) -> AmbiguityGrid:
+def standardize(grid: AmbiguityGrid, out: np.ndarray | None = None) -> AmbiguityGrid:
     """Divide each cell by sqrt((N-|tau|) * w(nu)), kind="standardized".
 
     Under a flat one-sided spectrum the standardized cells have constant
     variance, which is what the median-based variance estimators rely on.
-    Accepts raw or bias-corrected grids; out, a complex array of the grid's
-    shape, receives the values (default: a new array).  With half only the
-    rows with tau >= 0 are standardized, and out's tau < 0 rows are left as
-    they were; half needs out.  Multiplying by 1 / sqrt(base) gives numpy's
-    division bits but for the sign of a zero part.
+    Accepts raw or bias-corrected grids.  out, a complex array of the grid's
+    shape, receives the rows with tau >= 0 alone, its tau < 0 rows left as
+    they were; without it every row goes into a new array.  Multiplying by
+    1 / sqrt(base) gives numpy's division bits but for the sign of a zero
+    part.
     """
     if grid.kind not in ("raw", "bias_corrected"):
         raise ValueError("standardize expects a raw or bias-corrected grid")
-    if half and out is None:
-        raise ValueError("a half standardization needs out")
     n, values, inv = grid.n, grid.values, lattice(grid.n).inv_sqrt_base
-    out = np.empty(values.shape, np.result_type(values, inv)) if out is None else out
-    np.multiply(values[n - 1 :], inv, out=out[n - 1 :])
-    if not half:
+    if out is None:
+        out = np.empty(values.shape, np.result_type(values, inv))
         np.multiply(values[: n - 1], inv[:0:-1], out=out[: n - 1])
+    np.multiply(values[n - 1 :], inv, out=out[n - 1 :])
     return AmbiguityGrid(out, n, "standardized")
 
 

@@ -330,13 +330,14 @@ def prop3_moments(
     return MomentTriple(complex(mean), float(variance), complex(relation))
 
 
-def _checked_table(m_table, t_spread: int) -> np.ndarray:
-    """m_table as a complex array, checked to be 2-D with 2T-1 lag columns."""
+def _checked_table(m_table, t_spread: int, nu: float, tau: int) -> np.ndarray:
+    """m_table as a complex array, checked to be 2-D with 2T-1 lag columns, with (nu, tau) on its plane."""
     if t_spread < 1:
         raise ValueError("spread bound must be >= 1")
     m_table = np.asarray(m_table, dtype=complex)
     if m_table.ndim != 2 or m_table.shape[1] != 2 * t_spread - 1:
         raise ValueError("moment table must be 2-D with 2*T-1 lag columns")
+    _check_cell(nu, tau, len(m_table))
     return m_table
 
 
@@ -346,13 +347,11 @@ def underspread_variance(m_table: np.ndarray, t_spread: int, nu: float, tau: int
 
     m_table[t, j] holds M[t, tau'] with tau' = j - (T-1) for |tau'| <= T-1;
     the variance is sum_t sum_tau' e^{-j2 pi nu tau'} M[t,tau'] M*[t-tau,tau']
-    with out-of-range factors treated as zero.  The sum is real up to
-    symmetry; the real part is returned.
+    with out-of-range factors treated as zero, at a (nu, tau) on the plane
+    of the table's rows.  The sum is real up to symmetry; the real part is returned.
     """
-    m_table = _checked_table(m_table, t_spread)
+    m_table = _checked_table(m_table, t_spread, nu, tau)
     n_t = m_table.shape[0]
-    if abs(tau) >= n_t:
-        return 0.0
     taus_p = np.arange(-(t_spread - 1), t_spread)
     phase = np.exp(-2j * np.pi * nu * taus_p)
     lo, hi = max(tau, 0), n_t + min(tau, 0)  # rows t with t and t - tau in range
@@ -367,11 +366,12 @@ def underspread_relation(m_table: np.ndarray, t_spread: int, nu: float, tau: int
     Zero for |tau| >= T (the residual there is logarithmic in N and not
     computable from the table); for |tau| < T it is the direct double sum
     sum_t sum_tau' e^{-j2 pi nu (2t - tau')} M[t, tau'+tau] M*[t-tau, tau'-tau]
-    over both lag signs, with out-of-range factors treated as zero.
+    over both lag signs, with out-of-range factors treated as zero, at a
+    (nu, tau) on the plane of the table's rows.
     """
-    m_table = _checked_table(m_table, t_spread)
+    m_table = _checked_table(m_table, t_spread, nu, tau)
     n_t, c = m_table.shape[0], t_spread - 1
-    if abs(tau) >= min(t_spread, n_t):  # beyond the spread, or no row pair
+    if abs(tau) >= t_spread:
         return 0.0 + 0.0j
     padded = np.pad(m_table, ((0, 0), (c, c)))  # column j holds lag j - 2c
     lo, hi = max(tau, 0), n_t + min(tau, 0)

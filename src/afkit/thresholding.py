@@ -149,16 +149,16 @@ def _sigma4(power, scratch: np.ndarray | None = None, pairs=()) -> float:
 
 def bias_correct(grid: AmbiguityGrid, sigma2_w: float) -> AmbiguityGrid:
     """Subtract the analytic-white-noise mean surface scaled by sigma2_w.
-    It is zero off Lattice.bias_rows and conjugate-symmetric, so a
+    It is zero off the Lattice.bias rows and conjugate-symmetric, so a
     conjugate-symmetric grid stays so exactly: its corrected tau < 0 rows are
     the _mirror_lags of its corrected tau > 0 rows, as lbteaf's are."""
     if grid.kind != "raw":
         raise ValueError("bias correction expects a raw grid")
     if sigma2_w < 0:
         raise ValueError("noise variance must be >= 0")
-    lat, values = lattice(grid.n), grid.values.copy()
-    for rows in lat.bias_rows():
-        values[rows] -= sigma2_w * lat.bias_basis[rows]
+    values = grid.values.copy()
+    for rows, basis in lattice(grid.n).bias():
+        values[rows] -= sigma2_w * basis
     if _conjugate_symmetric(grid.values):
         _mirror_lags(values, values[: grid.n - 1])
     return AmbiguityGrid(values, grid.n, "bias_corrected")
@@ -177,7 +177,8 @@ class SurvivorKernel:
     and never computes a tau < 0 row: it standardizes those rows alone, each
     median counts a tau > 0 cell twice, once for its mirror, and keep
     holds the decisions of those rows only (the tau < 0 cell (-tau, -nu)
-    shares the decision of (tau, nu)).  Otherwise rows is the whole plane.
+    shares the decision of (tau, nu)).  Otherwise rows is the whole plane,
+    which survive standardizes into a new grid.
     Medians read their region's (and the rim's) _tiles, block by block; keep is
     one compare per row band, against its per-column levels or its one level.
 
@@ -186,7 +187,7 @@ class SurvivorKernel:
     lbteaf only), then sigma4[m] and keep[m] for teaf and lteaf.
     corrected(values), given survive's values, writes the rows of values -
     sigma2_w * bias basis into ws[0] (in place when values is ws[0], else
-    copied first), recomputes |s|^2 on the Lattice.bias_rows alone, sets
+    copied first), recomputes |s|^2 on the Lattice.bias rows alone, sets
     lbteaf's sigma4 and keep and returns ws[0], its tau < 0 rows as they
     were when half.
 
@@ -216,9 +217,8 @@ class SurvivorKernel:
                  for m, p in self.parts.items()}
         rim = _tiles(lat.rim(cfg.rim_fraction)[rows], 2, self.half)[1] if "lbteaf" in methods else None
         inv = lat.inv_sqrt_base if self.half else np.concatenate((lat.inv_sqrt_base[:0:-1], lat.inv_sqrt_base))
-        if rim:  # per Lattice.bias_rows slice: its rows in rows, their bias basis and 1 / sqrt(base)
-            at = np.split(lat.half_bias_basis, [1]) if self.half else [lat.bias_basis[b] for b in lat.bias_rows()]
-            self.bias = [(b, basis, inv[b]) for b, basis in zip(lat.bias_rows(rows.start), at)]
+        if rim:  # per Lattice.bias slice: its rows in rows, their bias basis and 1 / sqrt(base)
+            self.bias = [(b, basis, inv[b]) for b, basis in lat.bias(rows.start)]
         self.ws, self.real = np.empty((2,) + lat.shape, dtype=complex), np.empty(lat.shape)
         self.scratch = self.ws[1][rows].view(float).reshape((2,) + self.real[rows].shape)
         self.keep = {m: np.empty(lat.shape, dtype=bool) for m in methods}
@@ -233,7 +233,7 @@ class SurvivorKernel:
         self.sigma4, self.sigma2_w = {}, None
 
     def survive(self, values: np.ndarray) -> None:
-        std = standardize(AmbiguityGrid(values, self.n), out=self.ws[1], half=self.half).values
+        std = standardize(AmbiguityGrid(values, self.n), out=self.ws[1] if self.half else None).values
         _power(std[self.rows], out=self.real[self.rows])
         self._decide([m for m in self.keep if m != "lbteaf"], self.rim)
 

@@ -9,8 +9,8 @@ import pytest
 from afkit import gridio
 from afkit.cli import _parser, main
 from afkit.emaf import AmbiguityGrid, _conjugate_symmetric, _mirror_lags, compute_emaf, lattice
-from afkit.moments import naf_for_process
-from afkit.sigcore import PROCESSES, MovingAverage, UniformlyModulated, generate
+from afkit.moments import naf_for_process, prop1_moments
+from afkit.sigcore import PROCESSES, ChirpInNoise, MovingAverage, UniformlyModulated, generate
 from afkit.spread import indicator, total_spread
 from afkit.thresholding import ThresholdConfig, teaf, threshold_with_details
 
@@ -828,6 +828,24 @@ class TestCliPipeline:
                      "--nu", "0.1", "--tau", "2", "--t-spread", "8"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["variance"] > 0
+
+    @pytest.mark.parametrize("nu, tau", [(0.1, 5), (-0.2, -7)])
+    def test_moments_prop1(self, nu, tau, capsys):
+        # the JSON is prop1_moments of the default chirp in noise, bit for bit
+        n, spec = 64, ChirpInNoise()
+        assert main(["moments", "--prop", "1", "--n", str(n), "--nu", str(nu), "--tau", str(tau)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        want = prop1_moments(spec.chirp(n), spec.noise_psd, nu, tau, n)
+        mean, relation = ({"re": v.real, "im": v.imag} for v in (want.mean, want.relation))
+        assert payload == {"prop": "1", "nu": nu, "tau": tau, "n": n,
+                           "mean": mean, "variance": want.variance, "relation": relation}
+        assert main(["moments", "--prop", "1", "--process", "ma", "--n", str(n), "--nu", "0.1", "--tau", "5"]) == 2
+
+    @pytest.mark.parametrize("argv", [["--help"], ["bench", "--help"]], ids=["main", "bench"])
+    def test_help_prints_usage_and_exits_0(self, argv, capsys):
+        assert main(argv) == 0
+        out = capsys.readouterr()
+        assert out.out.startswith("usage: ") and not out.err
 
     def test_moments_defaults_follow_the_proposition(self, capsys):
         # --prop 3 used to take the tvma f0 = 0.042 because --process defaulted to ma

@@ -339,6 +339,15 @@ class TestUnderspread:
         total = np.sum((lead * lag) @ phase)
         assert abs(total.imag) <= 1e-9 * abs(total.real)
 
+    @pytest.mark.parametrize("fn", [underspread_variance, underspread_relation])
+    @pytest.mark.parametrize("nu, tau", [(0.1, 300), (0.7, 0)])
+    def test_cell_off_the_plane_rejected(self, fn, nu, tau):
+        # on this N = 256 table tau = 300 used to give 0.0 and 0j, and nu = 0.7
+        # the values of nu = -0.3 (843.84 and 3.296 - 3.8e-12j)
+        table = ma_dual_time_table((1.0, 0.5), 1.0, 256, 12)
+        with pytest.raises(ValueError, match="nu = 0.7|tau"):
+            fn(table, 12, nu, tau)
+
     def test_table_shape_checked(self):
         with pytest.raises(ValueError):
             underspread_variance(np.ones((8, 4), dtype=complex), 3, 0.0, 0)

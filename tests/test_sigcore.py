@@ -87,12 +87,16 @@ class TestLatticeTablesKeepTheirBits:
             * sinc_half
         )
         np.testing.assert_array_equal(white_noise_mean(nu, tau, n).view(np.uint64), want.view(np.uint64))
-        # the half basis holds the rows tau = 0, 1, 3, 5, ... in order; the rows it drops are exactly zero
-        upper, kept = want[n - 1 :], np.r_[0, 1:n:2]
-        np.testing.assert_array_equal(lat.half_bias_basis.view(np.uint64), upper[kept].view(np.uint64))
-        dropped = np.setdiff1d(np.arange(n), kept)
-        assert dropped.size == n - 1 - n // 2 and not upper[dropped].any()
-        assert lat.half_bias_basis.shape == (1 + n // 2, 2 * n)
+        # Lattice.bias holds the rows tau = 0 and odd tau from its first row on, the same
+        # bits; the rows it drops are exactly zero
+        for first, rows in ((0, 1 + n - n % 2), (n - 1, 1 + n // 2)):
+            kept, tail = np.zeros(2 * n - 1 - first, bool), want[first:]
+            for at, basis in lat.bias(first):
+                np.testing.assert_array_equal(basis.view(np.uint64), tail[at].view(np.uint64))
+                kept[at] = True
+            tau = lat.taus[first:]
+            np.testing.assert_array_equal(kept, (tau == 0) | (tau % 2 == 1))
+            assert np.count_nonzero(kept) == rows and not tail[~kept].any()
 
 
 class TestAnalyticSignal:

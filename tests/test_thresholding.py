@@ -4,11 +4,13 @@ import math
 import numpy as np
 import pytest
 
+from afkit.bench import MCConfig, _kernel
 from afkit.emaf import (
     AmbiguityGrid,
     Lattice,
     _conjugate_symmetric,
     _flip_lags,
+    _lattice,
     _mirror_lags,
     _tiles,
     compute_emaf,
@@ -24,6 +26,7 @@ from afkit.sigcore import (
     TimeVaryingMA,
     UniformlyModulated,
     generate,
+    white_noise_mean,
 )
 from afkit.thresholding import (
     METHODS,
@@ -413,8 +416,14 @@ class TestHalfPlane:
         values = g.values.copy()
         values[3, 7] += 1e-9  # no longer the mirror: corrected cell by cell
         np.testing.assert_array_equal(
-            bias_correct(AmbiguityGrid(values, n), 0.4).values, values - 0.4 * lattice(n).bias_basis
+            bias_correct(AmbiguityGrid(values, n), 0.4).values, values - 0.4 * _bias_surface(n, slice(None))
         )
+
+
+def _bias_surface(n, rows):
+    """white_noise_mean on the given rows of the lattice of n."""
+    lat = lattice(n)
+    return white_noise_mean(lat.nus[None, :], lat.taus[rows, None], n)
 
 
 def gather_oracle(kernel, rim_fraction, raw):
@@ -450,7 +459,7 @@ def gather_oracle(kernel, rim_fraction, raw):
     power = decide(raw[rows], [m for m in kernel.keep if m != "lbteaf"])
     rim = lat.rim(rim_fraction)[rows]
     sigma2_w = math.sqrt(median(power[rim], np.count_nonzero(rim[0]) if kernel.half else power.size))
-    corrected = raw[rows] - sigma2_w * lat.bias_basis[rows]
+    corrected = raw[rows] - sigma2_w * _bias_surface(n, rows)
     decide(corrected, ["lbteaf"])
     return sigma4, keep, sigma2_w, corrected
 
@@ -470,12 +479,15 @@ class TestKernelOracle:
         for m in kernel.keep:
             np.testing.assert_array_equal(kernel.sigma4[m].view(np.uint64), sigma4[m].view(np.uint64))
             np.testing.assert_array_equal(kernel.keep[m][rows], keep[m])
-        for b in lattice(n).bias_rows(rows.start):
+        for b, _ in lattice(n).bias(rows.start):
             np.testing.assert_array_equal(out[b].view(np.uint64), corrected[b].view(np.uint64))
         np.testing.assert_array_equal(out, corrected)  # the other rows by value: the input's
 
     @pytest.mark.parametrize("half", [True, False])
     def test_kernel_matches_the_gather_oracle(self, half):
+        # ws[0] holds the record's rows: its tau >= 0 rows computed there on
+        # the half plane (compute_emaf fills no others), the whole record copied
+        # on the full plane
         cases = [(PROCESSES[name](), 64, METHODS, None) for name in PROCESSES]
         cases += [(ChirpInNoise(), n, ("lbteaf",), None) for n in (16, 64, 256)]
         labels = np.random.default_rng(7).integers(0, 3, (63, 64))  # not mirror-symmetric
@@ -488,7 +500,10 @@ class TestKernelOracle:
                 x = generate(process, n, seed)
                 raw = compute_emaf(x).values
                 self._check(kernel, raw, raw)
-                compute_emaf(x, kernel.ws, half=kernel.half)
+                if kernel.half:
+                    compute_emaf(x, kernel.ws)
+                else:
+                    np.copyto(kernel.ws[0], raw)
                 self._check(kernel, raw, kernel.ws[0])
 
 
@@ -529,19 +544,31 @@ class TestStandardizedRule:
 
     @pytest.mark.parametrize("n", [3, 24, 33, 128, 512])
     def test_kernel_bias_basis_is_the_lattice_rows(self, n):
-        # the kernel builds only the rows it reads, tau = 0 and odd tau, the
-        # same bits; the tau >= 0 rows it leaves out are exactly zero
+        # the kernel reads the lattice's bias rows with tau >= 0, tau = 0 and
+        # odd tau, the same bits; the tau >= 0 rows they leave out are exactly zero
         kernel, lat = SurvivorKernel(n, ThresholdConfig(region_count=1), ("lbteaf",)), lattice(n)
-        assert kernel.half and lat.half_bias_basis.shape == (1 + n // 2, 2 * n)
-        upper, at = lat.bias_basis[n - 1 :], 0
-        for b, basis, inv in kernel.bias:
-            want = upper[b]
-            np.testing.assert_array_equal(basis.view(np.uint64), want.view(np.uint64))
-            assert basis.base is lat.half_bias_basis and np.shares_memory(basis, lat.half_bias_basis[at:])
+        assert kernel.half and len(kernel.bias) == len(lat.bias(n - 1)) == 2
+        upper = _bias_surface(n, slice(n - 1, None))
+        for (b, basis, inv), (rows, table) in zip(kernel.bias, lat.bias(n - 1)):
+            assert b == rows and basis is table
+            np.testing.assert_array_equal(basis.view(np.uint64), upper[b].view(np.uint64))
             np.testing.assert_array_equal(inv.view(np.uint64), (1.0 / np.sqrt(lat.base))[n - 1 :][b].view(np.uint64))
-            at += len(want)
-        assert at == len(lat.half_bias_basis)
+        assert sum(len(basis) for _, basis, _ in kernel.bias) == 1 + n // 2
         assert not upper[2::2].any()
+
+    def test_the_lattice_builds_the_bias_rows_it_is_asked_for(self):
+        # a bench worker's kernel builds the 1 + N/2 rows with tau >= 0 alone;
+        # bias_correct adds the 1 + N rows of the whole plane, 8.4 MB at N = 512
+        n = 512
+        _lattice.cache_clear()
+        lat = lattice(n)
+        process = ChirpInNoise(0.1, 9.0196e-4 * 255 / 511, 1.2)  # the default sweep, rescaled to N = 512
+        _kernel(MCConfig(process, n=n, trials=1, estimators=("emaf", "teaf", "lbteaf")))
+        assert list(lat._bias) == [n - 1]
+        assert sum(len(basis) for _, basis in lat.bias(n - 1)) == 1 + n // 2
+        bias_correct(AmbiguityGrid(np.zeros(lat.shape, dtype=complex), n), 0.4)
+        assert sorted(lat._bias) == [0, n - 1]
+        assert sum(basis.nbytes for _, basis in lat.bias()) == (1 + n) * 2 * n * 16
 
     @pytest.mark.parametrize("n", [16, 33, 64])
     def test_agrees_with_the_raw_space_rule(self, n):
