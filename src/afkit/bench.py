@@ -29,9 +29,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .emaf import AmbiguityGrid, _check_integer, _conjugate_symmetric, _flip_lags, compute_emaf
+from .emaf import AmbiguityGrid, _conjugate_symmetric, _fold, _unfold, compute_emaf
 from .moments import NAFReference, naf_for_process
-from .sigcore import ProcessSpec, generate
+from .sigcore import ProcessSpec, _check_integer, generate
 from .thresholding import METHODS, SurvivorKernel, ThresholdConfig, _power
 
 __all__ = [
@@ -135,7 +135,7 @@ def mse_against_naf(estimate: AmbiguityGrid, naf: NAFReference):
         return err, float(err.sum())
     half = np.empty((n, 2 * n))
     _score(values[n - 1 :], None, naf, half, count=False)
-    return _unfold(half), _folded_total(half)
+    return _unfold(half), float(_fold(np.sum, half))
 
 
 def _score(half, keep, naf: NAFReference, out: np.ndarray, count: bool = True) -> tuple:
@@ -144,41 +144,20 @@ def _score(half, keep, naf: NAFReference, out: np.ndarray, count: bool = True) -
     None keeps every cell), |v - ref|^2 on naf.cells, |v|^2 on the other
     kept cells and 0 elsewhere.  Returns the cells of out it wrote (every
     other cell is 0) and the estimate's nonzero count on the whole plane
-    (_folded_count; False unless count).  A kept estimate is never built:
-    its |v|^2 is computed on the kept cells alone."""
+    (emaf._fold; False unless count).  A kept estimate is never built: its
+    |v|^2 is computed on the kept cells alone."""
     cells, v = naf.cells, half.flat[naf.cells]
     if keep is None:
         _power(half, out=out)  # |v|^2 > 0 implies v != 0
-        wrote, count = slice(None), count and (2 * half.size - len(half[0]) if out.all() else _folded_count(half))
+        wrote, count = slice(None), count and _fold(np.size if out.all() else np.count_nonzero, half)
     else:
         out.fill(0.0)
         kept = np.flatnonzero(keep)
         out.flat[kept] = _power(half.flat[kept])
         on = keep.flat[cells]
-        wrote, count, v = np.concatenate((kept, cells[~on])), _folded_count(keep), np.where(on, v, 0)
+        wrote, count, v = np.concatenate((kept, cells[~on])), _fold(np.count_nonzero, keep), np.where(on, v, 0)
     out.flat[cells] = _power(v - naf.values)
     return wrote, count
-
-
-def _folded_total(half: np.ndarray) -> float:
-    """Plane sum of the half-plane fold: row tau = 0 once, the tau > 0 rows
-    twice (for their mirrors)."""
-    return float(half[0].sum() + 2.0 * half[1:].sum())
-
-
-def _folded_count(mask: np.ndarray) -> int:
-    """Nonzero cells of a plane whose tau < 0 rows mirror mask's tau > 0 rows."""
-    return np.count_nonzero(mask[0]) + 2 * np.count_nonzero(mask[1:])
-
-
-def _unfold(half: np.ndarray) -> np.ndarray:
-    """The (2N-1, 2N) error grid of the half-plane fold: half on the rows with
-    tau >= 0, its mirror on those with tau < 0."""
-    n = half.shape[0]
-    full = np.empty((2 * n - 1, 2 * n))
-    full[n - 1 :] = half
-    _flip_lags(full, full[: n - 1])
-    return full
 
 
 def _lap(clock: dict, stage: str, start: float) -> float:
@@ -221,7 +200,7 @@ def _run_block(cfg: MCConfig, naf: NAFReference, kernel: SurvivorKernel, block) 
             cells, count = _score(values[n - 1 :], keep.get(name), naf, err)
             sq, totals, spreads = out[name]
             sq[cells] += err.reshape(-1)[cells]
-            totals.append(_folded_total(err))
+            totals.append(float(_fold(np.sum, err)))
             spreads.append(count / values.size)
         _lap(clock, "scoring", t)
     for name, (sq, totals, spreads) in out.items():

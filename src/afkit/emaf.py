@@ -30,7 +30,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .sigcore import white_noise_mean
+from .sigcore import _check_integer, white_noise_mean
 
 __all__ = [
     "GRID_KINDS",
@@ -54,12 +54,6 @@ DB_FLOOR = -300.0
 MIN_REGION_CELLS = 16
 
 _BOUNDARY_EPS = 1e-9
-
-
-def _check_integer(name: str, value) -> None:
-    """Reject a value that is not an integer, a bool included, by name."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -284,6 +278,8 @@ def compute_emaf(x, workspace: np.ndarray | None = None) -> AmbiguityGrid:
     every row is computed.
     """
     x = np.asarray(x, dtype=complex)
+    if x.ndim != 1:
+        raise ValueError(f"x must be a 1-D record, got shape {x.shape}")
     n = x.size
     shape = lattice(n).shape
     if workspace is None:
@@ -328,6 +324,22 @@ def _flip_lags(values: np.ndarray, out: np.ndarray) -> np.ndarray:
     out[:, 0] = source[:, 0]
     out[:, 1:] = source[:, :0:-1]
     return out
+
+
+def _fold(reduce, half: np.ndarray):
+    """reduce over the plane of a grid whose tau < 0 rows mirror the tau > 0
+    rows of half, its rows with tau >= 0: row tau = 0 once, the others twice."""
+    return reduce(half[0]) + 2 * reduce(half[1:])
+
+
+def _unfold(half: np.ndarray, mirror=_flip_lags) -> np.ndarray:
+    """The (2N-1, 2N) grid whose rows with tau >= 0 are half and whose tau < 0
+    rows are mirror (_flip_lags, or _mirror_lags for complex values) of them."""
+    n = len(half)
+    full = np.empty((2 * n - 1, 2 * n), half.dtype)
+    full[n - 1 :] = half
+    mirror(full, full[: n - 1])
+    return full
 
 
 def _conjugate_symmetric(values: np.ndarray, exact: bool = False) -> bool:

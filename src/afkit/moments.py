@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .emaf import AmbiguityGrid, _flip_lags, _mirror_lags, lattice
+from .emaf import AmbiguityGrid, _fold, _mirror_lags, _unfold, lattice
 from .sigcore import ProcessSpec, dirichlet, white_noise_mean
 
 __all__ = [
@@ -113,8 +113,6 @@ class SpectrumTable:
 
 def _quad(fn, a: float, b: float, q: int = DEFAULT_GRID_SIZE):
     """Trapezoid rule of fn over [a, b] on q+1 uniform nodes."""
-    if b <= a:
-        return 0.0
     xs = np.linspace(a, b, q + 1)
     return np.trapezoid(fn(xs), xs)
 
@@ -483,7 +481,7 @@ def um_modulation_spectrum(f0: float, n: int) -> SpectrumTable:
 class NAFReference:
     """Sparse reference surface: flat indices `cells` of its support in the N
     rows with tau >= 0, and its finite `values` there.  The dense views, built
-    per access, mirror the tau > 0 rows (_mirror_lags, _flip_lags), so they are
+    per access, _unfold those rows (by _mirror_lags for the grid), so they are
     conjugate-symmetric and zero off the support by construction."""
 
     n: int
@@ -496,21 +494,19 @@ class NAFReference:
 
     @property
     def grid(self) -> AmbiguityGrid:
-        grid = np.zeros(lattice(self.n).shape, dtype=complex)
-        grid[self.n - 1 :].flat[self.cells] = self.values
-        _mirror_lags(grid, grid[: self.n - 1])
-        return AmbiguityGrid(grid, self.n, "reference")
+        half = np.zeros((self.n, 2 * self.n), dtype=complex)
+        half.flat[self.cells] = self.values
+        return AmbiguityGrid(_unfold(half, _mirror_lags), self.n, "reference")
 
     @property
     def support_mask(self) -> np.ndarray:
-        mask = np.zeros(lattice(self.n).shape, dtype=bool)
-        mask[self.n - 1 :].flat[self.cells] = True
-        _flip_lags(mask, mask[: self.n - 1])
-        return mask
+        half = np.zeros((self.n, 2 * self.n), dtype=bool)
+        half.flat[self.cells] = True
+        return _unfold(half)
 
     @property
-    def cells_nonzero(self) -> int:  # the tau = 0 row's cells once, the others with their mirrors
-        return 2 * self.cells.size - int(np.count_nonzero(self.cells < 2 * self.n))
+    def cells_nonzero(self) -> int:
+        return int(_fold(np.count_nonzero, self.support_mask[self.n - 1 :]))
 
 
 def _reference(n: int, tau, nu, values) -> NAFReference:

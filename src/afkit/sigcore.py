@@ -38,6 +38,12 @@ DEFAULT_MA_WEIGHTS = (1.0, 0.33, 0.266, 0.2, 0.133, 0.066)
 _INT_EPS = 1e-9  # |f - round(f)| below this hits the removable singularity
 
 
+def _check_integer(name: str, value) -> None:
+    """Reject a value that is not an integer, a bool included, by name."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def dirichlet(n, f):
     """Dirichlet kernel sin(pi*f*n)/sin(pi*f).
 
@@ -332,6 +338,7 @@ def generate(spec: ProcessSpec, n: int, seed: int) -> np.ndarray:
     the time domain and passed through :func:`analytic_signal`.
     Pure in (spec, n, seed).
     """
+    _check_integer("n", n)
     if n < 2:
         raise ValueError("need at least two samples")
     spec.validate(n)

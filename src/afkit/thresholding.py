@@ -27,7 +27,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .emaf import MIN_REGION_CELLS, AmbiguityGrid, RegionPartition, lattice, standardize
-from .emaf import _check_integer, _conjugate_symmetric, _flip_lags, _mirror_lags, _tiles
+from .emaf import _conjugate_symmetric, _flip_lags, _mirror_lags, _tiles, _unfold
+from .sigcore import _check_integer
 
 __all__ = [
     "METHODS",
@@ -178,7 +179,7 @@ class SurvivorKernel:
     median counts a tau > 0 cell twice, once for its mirror, and keep
     holds the decisions of those rows only (the tau < 0 cell (-tau, -nu)
     shares the decision of (tau, nu)).  Otherwise rows is the whole plane,
-    which survive standardizes into a new grid.
+    which survive standardizes into ws[1] as well, its tau < 0 rows by inv.
     Medians read their region's (and the rim's) _tiles, block by block; keep is
     one compare per row band, against its per-column levels or its one level.
 
@@ -216,9 +217,9 @@ class SurvivorKernel:
         tiles = {m: p.half if self.half else _tiles(p.merged[1], len(p.merged[0]), False)
                  for m, p in self.parts.items()}
         rim = _tiles(lat.rim(cfg.rim_fraction)[rows], 2, self.half)[1] if "lbteaf" in methods else None
-        inv = lat.inv_sqrt_base if self.half else np.concatenate((lat.inv_sqrt_base[:0:-1], lat.inv_sqrt_base))
+        self.inv = lat.inv_sqrt_base if self.half else _unfold(lat.inv_sqrt_base)  # 1 / sqrt(base) on rows
         if rim:  # per Lattice.bias slice: its rows in rows, their bias basis and 1 / sqrt(base)
-            self.bias = [(b, basis, inv[b]) for b, basis in lat.bias(rows.start)]
+            self.bias = [(b, basis, self.inv[b]) for b, basis in lat.bias(rows.start)]
         self.ws, self.real = np.empty((2,) + lat.shape, dtype=complex), np.empty(lat.shape)
         self.scratch = self.ws[1][rows].view(float).reshape((2,) + self.real[rows].shape)
         self.keep = {m: np.empty(lat.shape, dtype=bool) for m in methods}
@@ -233,7 +234,9 @@ class SurvivorKernel:
         self.sigma4, self.sigma2_w = {}, None
 
     def survive(self, values: np.ndarray) -> None:
-        std = standardize(AmbiguityGrid(values, self.n), out=self.ws[1] if self.half else None).values
+        std = standardize(AmbiguityGrid(values, self.n), out=self.ws[1]).values
+        if not self.half:  # standardize filled the rows with tau >= 0 alone
+            np.multiply(values[: self.n - 1], self.inv[: self.n - 1], out=std[: self.n - 1])
         _power(std[self.rows], out=self.real[self.rows])
         self._decide([m for m in self.keep if m != "lbteaf"], self.rim)
 

@@ -10,7 +10,6 @@ from afkit.bench import (
     ACCUMULATION_BLOCK,
     STAGES,
     MCConfig,
-    _folded_count,
     _kernel,
     _run_block,
     _score,
@@ -19,7 +18,7 @@ from afkit.bench import (
     mse_against_naf,
     run_bench,
 )
-from afkit.emaf import AmbiguityGrid, _flip_lags, _lattice, compute_emaf, lattice
+from afkit.emaf import AmbiguityGrid, _flip_lags, _fold, _lattice, compute_emaf, lattice
 from afkit.moments import NAFReference, naf_for_process
 from afkit.sigcore import (
     DEFAULT_MA_WEIGHTS,
@@ -94,9 +93,9 @@ class TestScore:
     def test_a_keep_mask_scores_as_the_estimate_it_keeps(self, n):
         # _score(half, keep) is _score of the estimate zero off keep, bit for
         # bit on every cell; the cells it returns hold every nonzero error and
-        # its count is the estimate's _folded_count.  keep marks nonzero cells
-        # only, as a survivor mask does; halves carry -0.0 parts and exact
-        # zeros, and the reference signed zeros and zero values
+        # its count is the estimate's _fold of np.count_nonzero.  keep marks
+        # nonzero cells only, as a survivor mask does; halves carry -0.0 parts
+        # and exact zeros, and the reference signed zeros and zero values
         rng = np.random.default_rng(n)
         shape = (n, 2 * n)
         for zeros in (0.0, 0.2):
@@ -119,7 +118,7 @@ class TestScore:
                 written = np.zeros(got.size, dtype=bool)
                 written[wrote] = True
                 assert not got.reshape(-1)[~written].any()
-                assert count == want_count == _folded_count(estimate)
+                assert count == want_count == _fold(np.count_nonzero, estimate)
 
 
 class TestMseAgainstNaf:
@@ -132,10 +131,12 @@ class TestMseAgainstNaf:
         assert (estimate.values == 0).any()
         want = mse_against_naf(estimate, naf)
 
-        def counted(mask):
-            raise AssertionError("mse_against_naf took a nonzero count")
+        def counted(reduce, half):
+            if reduce is not np.sum:
+                raise AssertionError("mse_against_naf took a nonzero count")
+            return _fold(reduce, half)
 
-        monkeypatch.setattr(bench, "_folded_count", counted)
+        monkeypatch.setattr(bench, "_fold", counted)
         got = mse_against_naf(estimate, naf)
         np.testing.assert_array_equal(got[0].view(np.uint64), want[0].view(np.uint64))
         assert got[1] == want[1]

@@ -3,7 +3,9 @@ import pytest
 
 from afkit.emaf import (
     AmbiguityGrid,
+    _fold,
     _mirror_lags,
+    _unfold,
     compute_emaf,
     lattice,
     standardize,
@@ -59,6 +61,7 @@ class TestLatticeSize:
             lambda: AmbiguityGrid(np.zeros((127, 128), dtype=complex), bad),
             lambda: lag_band(bad, 0),
             lambda: make_partition(bad, 8),
+            lambda: generate(MovingAverage(), bad, 1),  # used to quote n plus the MA order
         ]
         for call in calls:
             with pytest.raises(ValueError, match="^n must be an integer, got") as err:
@@ -142,6 +145,13 @@ class TestComputeEmaf:
     def test_too_short(self):
         with pytest.raises(ValueError):
             compute_emaf(np.array([1.0 + 0j]))
+
+    @pytest.mark.parametrize("shape", [(4, 8), (1, 16), (16, 1), ()])
+    def test_a_record_that_is_not_1d_is_rejected_in_one_line(self, shape):
+        # a 2-D record used to fail inside sliding_window_view
+        with pytest.raises(ValueError, match=r"^x must be a 1-D record, got shape \(") as err:
+            compute_emaf(np.ones(shape))
+        assert "\n" not in str(err.value)
 
     def test_workspace_matches_fresh_buffers(self, rng):
         # a reused workspace gives the rows with tau >= 0 the same bits on
@@ -241,6 +251,37 @@ class TestHalf:
         got = standardize(grid, out)
         assert got.kind == "standardized" and got.values is out
         self.assert_half(out, standardize(grid).values, n)
+
+
+class TestFoldUnfold:
+    # the half-plane rule: a plane-wide reduction takes row tau = 0 once and
+    # the rows below it twice, and the tau < 0 rows are a mirror of them
+    @pytest.mark.parametrize("n", [2, 3, 16, 127, 128, 512])
+    def test_unfolded_profile_is_the_reversed_concatenation(self, n):
+        # w(nu) = w(-nu) exactly on the lattice, so flipping the rows and the
+        # columns gives the rows reversed, bit for bit
+        inv = lattice(n).inv_sqrt_base
+        want = np.concatenate((inv[:0:-1], inv))
+        np.testing.assert_array_equal(_unfold(inv).view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("n", [2, 3, 16, 127, 128])
+    def test_unfolded_half_emaf_is_the_full_emaf(self, n, rng):
+        ws = np.full((2, 2 * n - 1, 2 * n), np.nan, dtype=complex)
+        for signal in _loop_inputs(n, rng):
+            half = compute_emaf(signal, ws).values[n - 1 :]
+            got = _unfold(half, _mirror_lags)
+            assert got.shape == (2 * n - 1, 2 * n) and not np.shares_memory(got, ws)
+            np.testing.assert_array_equal(got.view(np.uint64), compute_emaf(signal).values.view(np.uint64))
+
+    @pytest.mark.parametrize("n", [2, 3, 16, 33])
+    def test_fold(self, n, rng):
+        h = rng.standard_normal((n, 2 * n))
+        h[rng.random(h.shape) < 0.3] = 0.0
+        assert np.float64(_fold(np.sum, h)).tobytes() == np.float64(h[0].sum() + 2.0 * h[1:].sum()).tobytes()
+        assert _fold(np.size, h) == 2 * h.size - len(h[0]) == (2 * n - 1) * 2 * n
+        full = _unfold(h)
+        assert _fold(np.count_nonzero, h) == np.count_nonzero(full)
+        assert _fold(np.count_nonzero, h != 0) == np.count_nonzero(full)
 
 
 def _emaf_per_lag_loop(x):

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -867,14 +868,19 @@ class TestLbteaf:
 
 class TestThresholdWithDetails:
     def test_metadata_fields(self):
-        # one case per estimator
-        for method, estimator in (("teaf", teaf), ("lteaf", lteaf), ("lbteaf", lbteaf)):
+        # one case per estimator, on the half plane and, with one tau < 0 cell
+        # moved off its mirror, on the full plane
+        estimators = (("teaf", teaf), ("lteaf", lteaf), ("lbteaf", lbteaf))
+        for (method, estimator), symmetric in [(e, s) for e in estimators for s in (True, False)]:
             x = generate(ChirpInNoise() if method == "lbteaf" else MovingAverage(), 64, 1)
             g = compute_emaf(x)
+            if not symmetric:
+                g.values[5, 9] += 1.0
+            assert _conjugate_symmetric(g.values) == symmetric
             cfg = ThresholdConfig(method=method)
             before = g.values.copy()
             est, meta = threshold_with_details(g, cfg)
-            np.testing.assert_array_equal(g.values, before)  # the input grid is never written
+            np.testing.assert_array_equal(g.values.view(np.uint64), before.view(np.uint64))  # never written
             assert meta["method"] == method
             assert meta["lambda2"] == pytest.approx(threshold_level(128, 1.0))
             assert set(meta["sigma4"]) and all(v > 0 for v in meta["sigma4"].values())
@@ -885,6 +891,30 @@ class TestThresholdWithDetails:
             assert sum(meta["survivors"].values()) == np.count_nonzero(est.values)
             np.testing.assert_array_equal(est.values, estimator(g, cfg=cfg).values)
             json.dumps(meta, allow_nan=False)
+
+    def test_a_full_plane_pass_allocates_no_grid_beside_the_kernel(self):
+        # On a grid that is not conjugate-symmetric the kernel standardizes
+        # every row into its own ws[1], so a call's traced peak is its buffers
+        # (ws, real, keep and the full-plane 1 / sqrt(base)) plus less than a
+        # quarter of a complex grid; a standardized copy of the plane (16
+        # bytes a cell) used to come on top.  The output grid is allocated
+        # once the kernel is gone, beside no more than ws and keep.
+        n = 256
+        g = compute_emaf(generate(ChirpInNoise(), n, 3))
+        g.values[5, 9] += 1.0
+        for method in METHODS:
+            cfg = ThresholdConfig(method=method)
+            kernel = SurvivorKernel(n, cfg, (method,), half=False)
+            buffers = sum(a.nbytes for a in (kernel.ws, kernel.real, kernel.inv, kernel.keep[method]))
+            del kernel
+            threshold_with_details(g, cfg)  # the lattice tables are built outside the trace
+            tracemalloc.start()
+            try:
+                threshold_with_details(g, cfg)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= buffers + 4 * g.values.size, (method, peak, buffers)
 
     def test_hand_built_partition_honoured(self):
         # two halves along tau: the merged regions follow the given labels
