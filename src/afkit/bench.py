@@ -167,7 +167,7 @@ def _lap(clock: dict, stage: str, start: float) -> float:
 
 
 def _kernel(cfg: MCConfig) -> SurvivorKernel:
-    """cfg's survivor pass; its workspace also receives each trial's EMAF."""
+    """cfg's survivor pass; its ws[0] also receives each trial's EMAF."""
     return SurvivorKernel(cfg.n, cfg.threshold, [name for name in cfg.estimators if name != "emaf"])
 
 
@@ -188,7 +188,7 @@ def _run_block(cfg: MCConfig, naf: NAFReference, kernel: SurvivorKernel, block) 
         t = time.perf_counter()
         x = generate(cfg.process, n, derive_trial_seed(cfg.base_seed, trial))
         t = _lap(clock, "generate", t)
-        values = compute_emaf(x, kernel.ws).values
+        values = compute_emaf(x, kernel.ws[0]).values
         t = _lap(clock, "emaf", t)
         kernel.survive(values)
         t = _lap(clock, "survivor_pass", t)

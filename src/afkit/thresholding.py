@@ -192,9 +192,9 @@ class SurvivorKernel:
     lbteaf's sigma4 and keep and returns ws[0], its tau < 0 rows as they
     were when half.
 
-    ws is two complex grids, real one real grid; scratch views ws[1][rows],
-    free between passes, as two real grids shaped as real[rows]: a pass takes
-    its medians in scratch[0], bench._run_block its errors in scratch[1].
+    ws is two complex grids (ws[0] receives the EMAF), real one real grid;
+    scratch views ws[1][rows], free between passes, as two real grids shaped
+    as real[rows]: a pass's medians go in scratch[0], a trial's errors in [1].
     """
 
     def __init__(self, n: int, cfg: ThresholdConfig, methods, part: RegionPartition | None = None,

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from afkit import bench
+from afkit import bench, thresholding
 from afkit.bench import (
     ACCUMULATION_BLOCK,
     STAGES,
@@ -402,6 +402,33 @@ class TestRunBench:
                 m.setattr(NAFReference, "support_mask", property(dense))
                 run_bench(cfg, threads=1)
                 mse_against_naf(raw, naf)
+
+    def test_a_trial_calls_compute_emaf_and_standardize_by_module_name(self, monkeypatch):
+        # perfbench's trace wraps afkit.bench.compute_emaf and
+        # afkit.thresholding.standardize and reads their spans per trial:
+        # one block calls each once per trial and returns the unpatched results
+        cfg = MCConfig(ChirpInNoise(0.1, 9.0196e-4 * 255 / 31, 1.2), n=32, trials=ACCUMULATION_BLOCK,
+                       estimators=("emaf", "teaf", "lbteaf"))
+        want = run_bench(cfg, threads=1)
+        calls = {}
+
+        def counted(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(bench, "compute_emaf")
+        counted(thresholding, "standardize")
+        got = run_bench(cfg, threads=1)
+        assert calls == {"compute_emaf": cfg.trials, "standardize": cfg.trials}
+        assert got.to_dict()["results"] == want.to_dict()["results"]
+        for name in cfg.estimators:
+            np.testing.assert_array_equal(got.per_estimator[name].mse_grid.view(np.uint64),
+                                          want.per_estimator[name].mse_grid.view(np.uint64))
 
     def test_environment_is_metadata_only(self):
         # the environment a report was measured in goes to metadata; results

@@ -153,18 +153,29 @@ class TestComputeEmaf:
             compute_emaf(np.ones(shape))
         assert "\n" not in str(err.value)
 
-    def test_workspace_matches_fresh_buffers(self, rng):
-        # a reused workspace gives the rows with tau >= 0 the same bits on
-        # every call, stale contents included
-        n = 24
-        ws = np.full((2, 2 * n - 1, 2 * n), np.nan + 1j, dtype=complex)
-        for _ in range(3):
-            x = random_complex_signal(rng, n)
-            got = compute_emaf(x, ws)
-            assert np.shares_memory(got.values, ws)
-            np.testing.assert_array_equal(got.values[n - 1 :], compute_emaf(x).values[n - 1 :])
-        with pytest.raises(ValueError):
-            compute_emaf(x, np.empty((2, 2 * n - 1, 2 * n)))
+    # below, at and just past the boundaries of the FFT's row tiles
+    @pytest.mark.parametrize("n", [2, 5, 31, 32, 33, 64, 65])
+    def test_out_matches_a_fresh_call(self, n, rng):
+        # a reused out gives the rows with tau >= 0 a fresh call's bits on
+        # every call, stale contents included, and leaves its tau < 0 rows
+        out = np.full((2 * n - 1, 2 * n), complex(np.nan, 1.0))
+        lower = out[: n - 1].copy()
+        for x in _loop_inputs(n, rng):
+            got = compute_emaf(x, out)
+            assert got.kind == "raw" and got.values is out
+            np.testing.assert_array_equal(out[n - 1 :].view(np.uint64),
+                                          compute_emaf(x).values[n - 1 :].view(np.uint64))
+            np.testing.assert_array_equal(out[: n - 1].view(np.uint64), lower.view(np.uint64))
+
+    @pytest.mark.parametrize("n", [2, 5, 31, 32, 33, 64, 65])
+    def test_out_that_is_not_one_complex_plane_is_rejected_in_one_line(self, n, rng):
+        # the two-plane workspace compute_emaf used to take, a wrong shape, a float plane
+        x = random_complex_signal(rng, n)
+        for out in (np.empty((2, 2 * n - 1, 2 * n), dtype=complex), np.empty((2 * n, 2 * n), dtype=complex),
+                    np.empty((2 * n - 1, 2 * n))):
+            with pytest.raises(ValueError, match=r"^EMAF out must be a complex array of shape") as err:
+                compute_emaf(x, out)
+            assert "\n" not in str(err.value)
 
 
 class TestStandardize:
@@ -240,9 +251,9 @@ class TestHalf:
 
     def test_half_emaf(self, n, rng):
         x = random_complex_signal(rng, n)
-        ws = np.full((2, 2 * n - 1, 2 * n), self.SENTINEL)
-        got = compute_emaf(x, ws).values
-        assert np.shares_memory(got, ws)
+        out = np.full((2 * n - 1, 2 * n), self.SENTINEL)
+        got = compute_emaf(x, out).values
+        assert got is out
         self.assert_half(got, compute_emaf(x).values, n)
 
     def test_half_standardize(self, n, rng):
@@ -266,11 +277,11 @@ class TestFoldUnfold:
 
     @pytest.mark.parametrize("n", [2, 3, 16, 127, 128])
     def test_unfolded_half_emaf_is_the_full_emaf(self, n, rng):
-        ws = np.full((2, 2 * n - 1, 2 * n), np.nan, dtype=complex)
+        out = np.full((2 * n - 1, 2 * n), np.nan, dtype=complex)
         for signal in _loop_inputs(n, rng):
-            half = compute_emaf(signal, ws).values[n - 1 :]
+            half = compute_emaf(signal, out).values[n - 1 :]
             got = _unfold(half, _mirror_lags)
-            assert got.shape == (2 * n - 1, 2 * n) and not np.shares_memory(got, ws)
+            assert got.shape == (2 * n - 1, 2 * n) and not np.shares_memory(got, out)
             np.testing.assert_array_equal(got.view(np.uint64), compute_emaf(signal).values.view(np.uint64))
 
     @pytest.mark.parametrize("n", [2, 3, 16, 33])
@@ -314,11 +325,11 @@ def _loop_inputs(n, rng):
 @pytest.mark.parametrize("n", [2, 3, 16, 127, 128])
 def test_lag_products_match_the_per_lag_loop(n, rng):
     # the tau >= 0 rows: lag products, FFT and half-swap, bit for bit
-    ws = np.empty((2, 2 * n - 1, 2 * n), dtype=complex)
+    out = np.empty((2 * n - 1, 2 * n), dtype=complex)
     for signal in _loop_inputs(n, rng):
         want = _emaf_per_lag_loop(signal)[n - 1 :].view(np.uint64)
         np.testing.assert_array_equal(compute_emaf(signal).values[n - 1 :].view(np.uint64), want)
-        np.testing.assert_array_equal(compute_emaf(signal, ws).values[n - 1 :].view(np.uint64), want)
+        np.testing.assert_array_equal(compute_emaf(signal, out).values[n - 1 :].view(np.uint64), want)
 
 
 def _root_error(angle, roundings: int):
@@ -372,11 +383,11 @@ def _mirror_bound(n: int) -> float:
 @pytest.mark.parametrize("n", [2, 3, 16, 127, 128, 512])
 def test_negative_lags_are_the_mirror_of_the_positive_lags(n, rng):
     # the tau < 0 rows are _mirror_lags of the tau > 0 rows exactly, with or
-    # without a workspace.  Two references built without _mirror_lags bound
+    # without an out.  Two references built without _mirror_lags bound
     # them: at every n, cell by cell, the loop's tau > 0 rows mirrored by
     # A(nu, -tau] = e^{j 2 pi nu tau} conj(A(-nu, tau]) with the phase from
     # np.exp; where the FFT bound holds, row by row, the per-lag loop itself
-    ws = np.empty((2, 2 * n - 1, 2 * n), dtype=complex)
+    out = np.empty((2 * n - 1, 2 * n), dtype=complex)
     lags = np.arange(n - 1, 0, -1)[:, None]  # tau of the row mirrored into rows tau = -(N-1) .. -1
     columns = (2 * n - np.arange(2 * n)) % (2 * n)  # -nu; nu = -1/2, column 0, is its own mirror
     angle = 2 * np.pi * lattice(n).nus * lags  # four roundings: pi, nu and two products
@@ -389,7 +400,7 @@ def test_negative_lags_are_the_mirror_of_the_positive_lags(n, rng):
         got = compute_emaf(signal).values
         mirror = _mirror_lags(got, np.empty((n - 1, 2 * n), dtype=complex))
         np.testing.assert_array_equal(got[: n - 1].view(np.uint64), mirror.view(np.uint64))
-        np.testing.assert_array_equal(compute_emaf(signal, ws).values[n - 1 :].view(np.uint64),
+        np.testing.assert_array_equal(compute_emaf(signal, out).values[n - 1 :].view(np.uint64),
                                       got[n - 1 :].view(np.uint64))
         loop = _emaf_per_lag_loop(signal)
         source = loop[n - 1 + lags, columns]

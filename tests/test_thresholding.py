@@ -502,7 +502,7 @@ class TestKernelOracle:
                 raw = compute_emaf(x).values
                 self._check(kernel, raw, raw)
                 if kernel.half:
-                    compute_emaf(x, kernel.ws)
+                    compute_emaf(x, kernel.ws[0])
                 else:
                     np.copyto(kernel.ws[0], raw)
                 self._check(kernel, raw, kernel.ws[0])
