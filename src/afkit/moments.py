@@ -32,7 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .emaf import AmbiguityGrid, _fold, _mirror_lags, _unfold, lattice
-from .sigcore import ProcessSpec, dirichlet, white_noise_mean
+from .sigcore import DEFAULT_GRID_SIZE, ProcessSpec, _ma_band, _quad, dirichlet, ma_real_spectral_density
+from .sigcore import white_noise_mean
 
 __all__ = [
     "DEFAULT_GRID_SIZE",
@@ -54,7 +55,6 @@ __all__ = [
     "variance_from_af",
 ]
 
-DEFAULT_GRID_SIZE = 2**14
 _MIN_GRID_SIZE = 2**12
 
 
@@ -109,12 +109,6 @@ class SpectrumTable:
         re = np.interp(f, nodes, self.values.real, left=0.0, right=0.0)
         im = np.interp(f, nodes, self.values.imag, left=0.0, right=0.0)
         return re + 1j * im
-
-
-def _quad(fn, a: float, b: float, q: int = DEFAULT_GRID_SIZE):
-    """Trapezoid rule of fn over [a, b] on q+1 uniform nodes."""
-    xs = np.linspace(a, b, q + 1)
-    return np.trapezoid(fn(xs), xs)
 
 
 def l_value(m: int, nu: float) -> float:
@@ -406,16 +400,6 @@ def variance_from_af(
 # Process-specific spectra, autocorrelations and dual-time tables.
 
 
-def ma_real_spectral_density(weights, xi_var: float, f) -> np.ndarray:
-    """Two-sided spectral density of the real MA process at frequency f."""
-    w = np.asarray(weights, dtype=float)
-    f = np.asarray(f, dtype=float)
-    resp = np.zeros(f.shape, dtype=complex)
-    for i, wi in enumerate(w):
-        resp += wi * np.exp(-2j * np.pi * f * i)
-    return xi_var * np.abs(resp) ** 2
-
-
 def ma_analytic_autocorr(weights, xi_var: float, taus):
     """One-sided spectral transform 2 * int_0^{1/2} S_R(f) e^{j2 pi f tau} df.
 
@@ -423,12 +407,7 @@ def ma_analytic_autocorr(weights, xi_var: float, taus):
     at lag zero).  The autocorrelation of the analytic-signal process itself
     is twice this value.
     """
-    taus = np.atleast_1d(np.asarray(taus, dtype=int))
-
-    def integrand(f):
-        return ma_real_spectral_density(weights, xi_var, f) * np.exp(2j * np.pi * f * taus[:, None])
-
-    out = 2.0 * _quad(integrand, 0.0, 0.5)
+    out = 2.0 * _ma_band(weights, xi_var, np.atleast_1d(np.asarray(taus, dtype=int)))
     return out if out.size > 1 else complex(out[0])
 
 
@@ -446,8 +425,7 @@ def ma_dual_time_table(weights, xi_var: float, n: int, t_spread: int) -> np.ndar
     if not 1 <= t_spread <= n:
         raise ValueError(f"spread bound T = {t_spread} must lie in [1, n = {n}]")
     taus = np.arange(-(t_spread - 1), t_spread)
-    row = 2.0 * np.atleast_1d(ma_analytic_autocorr(weights, xi_var, taus))
-    return np.tile(row, (n, 1))
+    return np.tile(2.0 * np.atleast_1d(ma_analytic_autocorr(weights, xi_var, taus)), (n, 1))
 
 
 def um_modulation_spectrum(f0: float, n: int) -> SpectrumTable:

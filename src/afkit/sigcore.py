@@ -4,7 +4,8 @@ Provides the test processes used throughout the package (a linear chirp in
 analytic white noise, a moving-average process, uniformly modulated white
 noise, a time-varying MA and analytic white noise) and their registry
 PROCESSES, the discrete analytic-signal construction, and the Dirichlet
-kernel and white-noise mean that the moment formulas are built from.
+kernel, white-noise mean and MA spectral density (with _ma_band, its one
+band transform) that the moment formulas are built from.
 
 All generators are pure functions of (spec, n, seed): the same inputs give
 bit-identical output regardless of thread count.
@@ -18,6 +19,7 @@ from typing import ClassVar, Sequence, Union
 import numpy as np
 
 __all__ = [
+    "DEFAULT_GRID_SIZE",
     "DEFAULT_MA_WEIGHTS",
     "AnalyticWhiteNoise",
     "ChirpInNoise",
@@ -29,11 +31,13 @@ __all__ = [
     "analytic_signal",
     "dirichlet",
     "generate",
+    "ma_real_spectral_density",
     "white_noise_mean",
 ]
 
 # Default MA weights used by the benchmark configurations.
 DEFAULT_MA_WEIGHTS = (1.0, 0.33, 0.266, 0.2, 0.133, 0.066)
+DEFAULT_GRID_SIZE = 2**14  # quadrature intervals of every spectral integral
 
 _INT_EPS = 1e-9  # |f - round(f)| below this hits the removable singularity
 
@@ -114,6 +118,31 @@ def analytic_signal(x) -> np.ndarray:
     return np.fft.ifft(spec * h)
 
 
+def _quad(fn, a: float, b: float, q: int = DEFAULT_GRID_SIZE):
+    """Trapezoid rule of fn over [a, b] on q+1 uniform nodes."""
+    xs = np.linspace(a, b, q + 1)
+    return np.trapezoid(fn(xs), xs)
+
+
+def ma_real_spectral_density(weights, xi_var: float, f) -> np.ndarray:
+    """Two-sided spectral density of the real MA process at frequency f."""
+    w = np.asarray(weights, dtype=float)
+    f = np.asarray(f, dtype=float)
+    resp = np.zeros(f.shape, dtype=complex)
+    for i, wi in enumerate(w):
+        resp += wi * np.exp(-2j * np.pi * f * i)
+    return xi_var * np.abs(resp) ** 2
+
+
+def _ma_band(weights, xi_var: float, lags, shifts=(0.0,), a: float = 0.0, b: float = 0.5):
+    """int_a^b sum_s S_R(f - s) e^{j2 pi f tau} df over the shifts s of the
+    real MA density, at each lag tau of lags: one _quad, the lag axis down a
+    column."""
+    taus = np.asarray(lags)[:, None]
+    return _quad(lambda f: sum(ma_real_spectral_density(weights, xi_var, f - s) for s in shifts)
+                 * np.exp(2j * np.pi * f * taus), a, b)
+
+
 def _analytic_white_noise(n: int, psd: float, rng: np.random.Generator) -> np.ndarray:
     # Synthesize i.i.d. circular complex Gaussian spectrum on the positive
     # bins of a 4x oversampled grid, inverse DFT, and crop n samples.  The
@@ -140,9 +169,7 @@ def _ma_filter(xi: np.ndarray, weights) -> np.ndarray:
 # the bias-corrected lbteaf for a deterministic signal in noise, the plain
 # local lteaf for a stochastic process), `validate(n)`, `_draw(n, rng)` and
 # `reference_lines(n)`: the (tau, nu, values) of its reference surface at
-# 0 <= tau < N, which moments.naf_for_process places on the lattice.  The
-# spectral helpers are imported from moments at call time, because moments
-# imports this module.
+# 0 <= tau < N, which moments.naf_for_process places on the lattice.
 
 
 @dataclass(frozen=True)
@@ -225,12 +252,9 @@ class MovingAverage:
 
     def reference_lines(self, n: int):
         """The nu = 0 line at 0 <= tau <= L (the real process' AF support):
-        (N-tau) times the one-sided transform of moments.ma_analytic_autocorr."""
-        from .moments import ma_analytic_autocorr
-
+        (N-tau) times the one-sided transform 2 int_0^{1/2} S_R(f) e^{j2 pi f tau} df."""
         lags = np.arange(len(self.weights))
-        auto = np.atleast_1d(ma_analytic_autocorr(self.weights, self.xi_var, lags))
-        return lags, 0.0, (n - lags) * auto
+        return lags, 0.0, (n - lags) * (2.0 * _ma_band(self.weights, self.xi_var, lags))
 
 
 @dataclass(frozen=True)
@@ -281,20 +305,10 @@ class TimeVaryingMA:
     def reference_lines(self, n: int):
         """Three lag bands at nu in {0, +-2 f0} and 0 <= tau <= L, with values
         given by shifted-spectrum integrals of the real MA density."""
-        from .moments import _quad, ma_real_spectral_density
-
-        lags, f0 = np.arange(len(self.weights)), self.f0
-
-        def dens(f):
-            return ma_real_spectral_density(self.weights, 1.0, f)
-
-        def band(fn, a, b):
-            # One quadrature for every lag: the lag axis runs down a column.
-            return _quad(lambda f: fn(f) * np.exp(2j * np.pi * f * lags[:, None]), a, b)
-
-        center = band(lambda f: dens(f - f0) + dens(f + f0), 0.0, 0.5)
-        plus = -band(lambda f: dens(f + f0), 0.0, 0.5 - 2.0 * f0)
-        minus = -band(lambda f: dens(f - f0), 2.0 * f0, 0.5)
+        lags, f0, w = np.arange(len(self.weights)), self.f0, self.weights
+        center = _ma_band(w, 1.0, lags, (f0, -f0))
+        plus = -_ma_band(w, 1.0, lags, (-f0,), b=0.5 - 2.0 * f0)
+        minus = -_ma_band(w, 1.0, lags, (f0,), a=2.0 * f0)
         values = (n - lags) * np.stack([center, plus, minus])
         return lags, np.array([[0.0], [2.0 * f0], [-2.0 * f0]]), values
 

@@ -234,3 +234,27 @@ class TestGenerate:
             spec_bins = np.fft.fft(x)
             neg = np.abs(spec_bins[65:])
             assert neg.max() <= 1e-10 * np.abs(spec_bins).max()
+
+
+class TestSpectralHelpersLiveHere:
+    def test_sigcore_imports_nothing_from_moments(self):
+        import ast
+
+        import afkit.sigcore
+
+        tree = ast.parse(open(afkit.sigcore.__file__).read())
+        sources = [(node.level, node.module) for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+        sources += [(0, alias.name) for node in ast.walk(tree) if isinstance(node, ast.Import)
+                    for alias in node.names]
+        assert not [s for s in sources if s[1] and s[1].split(".")[-1] == "moments"], sources
+
+    def test_moments_reexports_the_one_definition(self):
+        import afkit
+        import afkit.moments
+        import afkit.sigcore
+
+        for name in ("DEFAULT_GRID_SIZE", "ma_real_spectral_density", "_quad"):
+            assert getattr(afkit.moments, name) is getattr(afkit.sigcore, name)
+        for module in (afkit.moments, afkit.sigcore):  # importing afkit resolved its own names
+            for name in module.__all__:
+                getattr(module, name)
