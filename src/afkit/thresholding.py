@@ -151,18 +151,20 @@ def _sigma4(power, scratch: np.ndarray | None = None, pairs=()) -> float:
 def bias_correct(grid: AmbiguityGrid, sigma2_w: float) -> AmbiguityGrid:
     """Subtract the analytic-white-noise mean surface scaled by sigma2_w.
     It is zero off the Lattice.bias rows and conjugate-symmetric, so a
-    conjugate-symmetric grid stays so exactly: its corrected tau < 0 rows are
-    the _mirror_lags of its corrected tau > 0 rows, as lbteaf's are."""
+    conjugate-symmetric grid stays so exactly: it is corrected on its rows
+    with tau >= 0 alone, from the table lbteaf's kernel reads, and its tau < 0
+    rows are the _mirror_lags of its corrected tau > 0 rows."""
     if grid.kind != "raw":
         raise ValueError("bias correction expects a raw grid")
     if sigma2_w < 0:
         raise ValueError("noise variance must be >= 0")
-    values = grid.values.copy()
-    for rows, basis in lattice(grid.n).bias():
-        values[rows] -= sigma2_w * basis
-    if _conjugate_symmetric(grid.values):
-        _mirror_lags(values, values[: grid.n - 1])
-    return AmbiguityGrid(values, grid.n, "bias_corrected")
+    n, values = grid.n, grid.values.copy()
+    first = n - 1 if _conjugate_symmetric(grid.values) else 0
+    for rows, basis in lattice(n).bias(first):
+        values[first:][rows] -= sigma2_w * basis
+    if first:
+        _mirror_lags(values, values[: n - 1])
+    return AmbiguityGrid(values, n, "bias_corrected")
 
 
 class SurvivorKernel:

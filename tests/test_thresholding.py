@@ -558,8 +558,9 @@ class TestStandardizedRule:
         assert not upper[2::2].any()
 
     def test_the_lattice_builds_the_bias_rows_it_is_asked_for(self):
-        # a bench worker's kernel builds the 1 + N/2 rows with tau >= 0 alone;
-        # bias_correct adds the 1 + N rows of the whole plane, 8.4 MB at N = 512
+        # a bench worker's kernel builds the 1 + N/2 rows with tau >= 0 alone, and
+        # bias_correct of a conjugate-symmetric grid reads that same table; only a
+        # full-plane grid adds the 1 + N rows of the whole plane, 8.4 MB at N = 512
         n = 512
         _lattice.cache_clear()
         lat = lattice(n)
@@ -567,7 +568,11 @@ class TestStandardizedRule:
         _kernel(MCConfig(process, n=n, trials=1, estimators=("emaf", "teaf", "lbteaf")))
         assert list(lat._bias) == [n - 1]
         assert sum(len(basis) for _, basis in lat.bias(n - 1)) == 1 + n // 2
-        bias_correct(AmbiguityGrid(np.zeros(lat.shape, dtype=complex), n), 0.4)
+        zero = np.zeros(lat.shape, dtype=complex)
+        bias_correct(AmbiguityGrid(zero, n), 0.4)
+        assert list(lat._bias) == [n - 1]
+        zero[0, 3] = 1.0  # a tau < 0 cell off its mirror: the grid is corrected on the whole plane
+        bias_correct(AmbiguityGrid(zero, n), 0.4)
         assert sorted(lat._bias) == [0, n - 1]
         assert sum(basis.nbytes for _, basis in lat.bias()) == (1 + n) * 2 * n * 16
 
@@ -754,6 +759,17 @@ class TestBiasCorrect:
             np.testing.assert_array_equal(
                 b.values[lag + (n - 1)], g.values[lag + (n - 1)]
             )
+
+    @pytest.mark.parametrize("n", [2, 3, 16, 33, 64, 129])
+    def test_a_symmetric_grid_is_the_whole_plane_correction_mirrored(self, rng, n):
+        # corrected on its rows with tau >= 0 from bias(n - 1), a conjugate-symmetric
+        # grid keeps the bits of a subtraction over the whole plane from bias(0), mirrored
+        g = compute_emaf(rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        want = g.values.copy()
+        for rows, basis in lattice(n).bias():
+            want[rows] -= 0.37 * basis
+        _mirror_lags(want, want[: n - 1])
+        np.testing.assert_array_equal(bias_correct(g, 0.37).values.view(np.uint64), want.view(np.uint64))
 
     def test_origin_subtracts_half_power(self):
         n = 64
