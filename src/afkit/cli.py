@@ -139,7 +139,7 @@ def _cmd_emaf(args) -> int:
     grid = compute_emaf(x)
     gridio.write_grid(args.output, grid, process=process)
     if args.db:
-        gridio.write_real_grid(args.db, to_db(grid), grid.n)
+        gridio.write_real_grid(args.db, to_db(grid), grid.n, "db")
     return 0
 
 
@@ -261,9 +261,8 @@ def _cmd_bench(args) -> int:
     if args.mse_grids:
         os.makedirs(args.mse_grids, exist_ok=True)
         for name, stats in report.per_estimator.items():
-            gridio.write_real_grid(
-                os.path.join(args.mse_grids, f"mse_{name}.csv"), stats.mse_grid, mc.n
-            )
+            path = os.path.join(args.mse_grids, f"mse_{name}.csv")
+            gridio.write_real_grid(path, stats.mse_grid, mc.n, "mse")
     return 0
 
 

@@ -44,7 +44,7 @@ __all__ = [
     "to_db",
 ]
 
-GRID_KINDS = ("raw", "standardized", "thresholded", "bias_corrected", "reference")
+GRID_KINDS = ("raw", "standardized", "thresholded", "bias_corrected", "reference", "db", "mse")
 
 DB_CLAMP_FLOOR = 1e-15  # inputs below this clamp to -300 dB
 DB_FLOOR = -300.0

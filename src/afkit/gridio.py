@@ -9,6 +9,8 @@ Grid CSV      header `# afkit-grid v3, n=<N>, kind=<kind>, cells=<count>, mirror
               EMAF: the body then holds only tau >= 0 cells and the loader
               rebuilds the rest with that same function.  v2 (no mirror=, both
               halves) and v1 (no cells=, every cell) still load.
+              Kinds are emaf.GRID_KINDS; db (afkit emaf --db) and mse (afkit
+              bench --mse-grids) are real maps, which threshold and spread reject.
 Mask CSV      header `# afkit-mask v1, n=<N>`, rows `tau,nu,indicator`.
 
 A header's version must match exactly and its fields be the version's, each once.
@@ -197,10 +199,9 @@ def load_grid(path):
     return AmbiguityGrid(values, lat.n, kind), fields.get("process")
 
 
-def write_real_grid(path, values: np.ndarray, n: int) -> None:
-    """Real-valued export (dB maps, MSE maps): grid CSV with im = 0."""
-    grid = AmbiguityGrid(np.asarray(values, dtype=float) + 0j, n, "reference")
-    write_grid(path, grid)
+def write_real_grid(path, values: np.ndarray, n: int, kind: str) -> None:
+    """Real-valued export, a dB map (kind db) or an MSE map (kind mse): grid CSV with im = 0."""
+    write_grid(path, AmbiguityGrid(np.asarray(values, dtype=float) + 0j, n, kind))
 
 
 def write_mask(path, mask: np.ndarray, n: int) -> None:

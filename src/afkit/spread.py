@@ -31,7 +31,7 @@ class SpreadReport:
 def indicator(grid: AmbiguityGrid) -> np.ndarray:
     """Boolean grid marking cells with exactly nonzero magnitude."""
     if grid.kind not in ("thresholded", "reference"):
-        raise ValueError("indicator expects a thresholded or reference grid")
+        raise ValueError(f"indicator expects a thresholded or reference grid, got kind={grid.kind}")
     return grid.values != 0
 
 

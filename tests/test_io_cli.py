@@ -324,9 +324,10 @@ class TestCsvWriterBytes:
             assert new.read_bytes() == old.read_bytes()
         assert ", mirror=1," in new.read_text().splitlines()[0]  # the EMAF, written last
         real = _special_values(rng, shape, float)
-        gridio.write_real_grid(new, real, n)
-        _oracle_grid_v2(old, AmbiguityGrid(real + 0j, n, "reference"), version="v3")
-        assert new.read_bytes() == old.read_bytes()
+        for kind in ("db", "mse"):
+            gridio.write_real_grid(new, real, n, kind)
+            _oracle_grid_v2(old, AmbiguityGrid(real + 0j, n, kind), version="v3")
+            assert new.read_bytes() == old.read_bytes()
 
     @pytest.mark.parametrize("n", [2, 3, 16, 64])
     def test_mask_matches_per_cell_writer(self, tmp_path, rng, n):
@@ -933,7 +934,25 @@ class TestCliPipeline:
         db = tmp_path / "db.csv"
         main(["gen", "--process", "noise", "--n", "32", "--seed", "2", "-o", str(sig)])
         assert main(["emaf", "-i", str(sig), "-o", str(grid), "--db", str(db)]) == 0
-        assert db.read_text().splitlines()[0].startswith("# afkit-grid v3, n=32, kind=reference, cells=")
+        assert db.read_text().splitlines()[0].startswith("# afkit-grid v3, n=32, kind=db, cells=")
+
+    def test_real_maps_are_rejected_by_spread_and_threshold(self, tmp_path, capsys):
+        # a dB or MSE map is no estimate: spread and threshold refuse it by its kind,
+        # where spread once read the map's nonzero cells as a total spread of 1.0
+        sig, db, mse = tmp_path / "sig.csv", tmp_path / "db.csv", tmp_path / "mse"
+        assert main(["gen", "--process", "um", "--n", "32", "--seed", "2", "-o", str(sig)]) == 0
+        assert main(["emaf", "-i", str(sig), "-o", str(tmp_path / "raw.csv"), "--db", str(db)]) == 0
+        assert main(["bench", "--process", "um", "--n", "32", "--trials", "2", "--estimators", "emaf",
+                     "-o", str(tmp_path / "r.json"), "--mse-grids", str(mse)]) == 0
+        capsys.readouterr()
+        for path, kind in ((db, "db"), (mse / "mse_emaf.csv", "mse")):
+            assert gridio.load_grid(path)[0].kind == kind
+            for argv in (["spread", "-i", str(path), "-o", str(tmp_path / "s.json")],
+                         ["threshold", "-i", str(path), "-o", str(tmp_path / "t.csv")]):
+                assert main(argv) == 2
+                err = capsys.readouterr().err.strip().splitlines()
+                assert len(err) == 1 and f"kind={kind}" in err[0], err
+            assert not (tmp_path / "s.json").exists() and not (tmp_path / "t.csv").exists()
 
 
 class TestCliBench:
