@@ -273,12 +273,16 @@ def compute_emaf(x, out: np.ndarray | None = None) -> AmbiguityGrid:
     column k = (q + N) mod 2N so that columns run over nu = (k-N)/(2N) in
     increasing order.  out, a complex (2N-1, 2N) array, receives the rows
     with tau >= 0 alone, its tau < 0 rows left as they were; without it a
-    new array receives every row, the tau < 0 rows by _mirror_lags.
+    new array receives every row, the tau < 0 rows by _mirror_lags.  A
+    record that is not finite, or whose lag sums (at most N max|x|^2) could
+    overflow, is rejected.
     """
     x = np.asarray(x, dtype=complex)
     if x.ndim != 1:
         raise ValueError(f"x must be a 1-D record, got shape {x.shape}")
     n, shape = x.size, lattice(x.size).shape
+    if not np.abs(x).max() <= (bound := np.sqrt(np.finfo(float).max / n)):  # NaN fails too
+        raise ValueError(f"record samples must be finite and at most {bound:.6g} in magnitude at N = {n}")
     if out is not None and (out.shape != shape or out.dtype != complex):
         raise ValueError(f"EMAF out must be a complex array of shape {shape}")
     rows = np.empty(shape, dtype=complex) if out is None else out

@@ -9,8 +9,7 @@ Grid CSV      header `# afkit-grid v3, n=<N>, kind=<kind>, cells=<count>, mirror
               EMAF: the body then holds only tau >= 0 cells and the loader
               rebuilds the rest with that same function.  v2 (no mirror=, both
               halves) and v1 (no cells=, every cell) still load.
-              Kinds are emaf.GRID_KINDS; db (afkit emaf --db) and mse (afkit
-              bench --mse-grids) are real maps, which threshold and spread reject.
+              Kinds are emaf.GRID_KINDS; db and mse are real maps, which no estimator reads.
 Mask CSV      header `# afkit-mask v1, n=<N>`, rows `tau,nu,indicator`.
 
 A header's version must match exactly and its fields be the version's, each once.

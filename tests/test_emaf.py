@@ -153,6 +153,36 @@ class TestComputeEmaf:
             compute_emaf(np.ones(shape))
         assert "\n" not in str(err.value)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf), complex(np.nan, 1.0)])
+    def test_a_record_that_is_not_finite_is_rejected_in_one_line(self, bad):
+        # a NaN sample once gave a grid with 16 of its 56 cells finite, silently
+        x = np.ones(4, dtype=complex)
+        x[2] = bad
+        with pytest.raises(ValueError, match=r"^record samples must be finite and at most ") as err:
+            compute_emaf(x)
+        assert "\n" not in str(err.value)
+
+    @pytest.mark.parametrize("n", [2, 32, 33, 512])
+    def test_a_record_whose_lag_sums_could_overflow_is_rejected(self, n, rng):
+        # every lag sum is at most N max|x|^2, so up to sqrt(max double / N) no cell overflows
+        bound = np.sqrt(np.finfo(float).max / n)
+        x = np.exp(2j * np.pi * rng.random(n))
+        assert np.isfinite(compute_emaf(0.5 * bound * x).values).all()
+        with pytest.raises(ValueError, match=r"^record samples must be finite and at most "):
+            compute_emaf(2.0 * bound * x)
+
+    def test_afkit_emaf_rejects_a_record_it_cannot_represent(self, tmp_path, capsys):
+        # finite samples near 1e160 at N = 32 once gave a grid with inf and nan cells, and exit 0
+        from afkit.cli import main
+        from afkit.gridio import write_signal
+
+        sig, out, db = tmp_path / "x.csv", tmp_path / "raw.csv", tmp_path / "db.csv"
+        write_signal(sig, np.full(32, 1e160 + 0j))
+        assert main(["emaf", "-i", str(sig), "-o", str(out), "--db", str(db)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "record samples must be finite" in err[0], err
+        assert not out.exists() and not db.exists()
+
     # below, at and just past the boundaries of the FFT's row tiles
     @pytest.mark.parametrize("n", [2, 5, 31, 32, 33, 64, 65])
     def test_out_matches_a_fresh_call(self, n, rng):
