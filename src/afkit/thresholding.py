@@ -87,40 +87,34 @@ def _median(a, scratch: np.ndarray | None = None, pairs=(), finite: bool = False
     """np.median of the cells of the blocks a and, twice each, of the blocks
     pairs (sequences of float arrays), bit for bit, without building that
     multiset: the blocks are copied in order into scratch (default: a new
-    array).  Without pairs this is one partition pivot and a max over the
-    lower half (np.median partitions on two or three).  With pairs, p cells,
-    the central ranks r1 <= r2 lie between the pair order statistics
-    lo = (r1 - cells of a) // 2 and hi = r2 // 2, found by two single-pivot
-    partitions; the pairs between them (twice) and the cells of a between
+    array).  The central ranks r1 <= r2 lie in one bracket block body whose
+    cells count m times each: the pairs (m = 2; the cells of a are the rest)
+    or, without pairs, the cells of a (m = 1; no rest).  Two single-pivot
+    partitions find body's order statistics lo = (r1 - cells of rest) // m
+    and hi = r2 // m; body[lo:hi+1], m times, and the rest cells between
     their values are sorted, and the ranks read off.  A zero or NaN result is
     np.median's of the blocks a, pairs, pairs in order, whose partition picks
-    the sign of a zero and the payload of a NaN.  With finite, a NaN or inf
+    the sign of a zero and the payload of a NaN.  With finite, a NaN or +inf
     anywhere makes the result NaN."""
     once_size, pair_size = sum(b.size for b in a), sum(b.size for b in pairs)
-    size = once_size + 2 * pair_size
+    size, m = once_size + 2 * pair_size, 2 if pair_size else 1
     part = np.empty(once_size + pair_size) if scratch is None else scratch[: once_size + pair_size]
     for block, at in zip((*a, *pairs), np.cumsum([0, *(b.size for b in (*a, *pairs))]).tolist()):
         np.copyto(part[at : at + block.size].reshape(block.shape), block)
-    once, twice = part[:once_size], part[once_size:]
+    rest, body = part[: once_size * (m - 1)], part[once_size * (m - 1) :]  # no rest without pairs
     if size:
         r1, r2 = (size - 1) // 2, size // 2
-        if not pair_size:
-            once.partition(r2)
-            top = once[r2:].max()
-            low, high = once[:r2].max() if r1 < r2 else once[r2], once[r2]
-        else:
-            lo, hi = max((r1 - once_size) // 2, 0), min(r2 // 2, pair_size - 1)
-            twice.partition(hi)
-            if lo < hi:
-                twice[:hi].partition(lo)
-            top = np.maximum(twice[hi:].max(), once.max(initial=-np.inf))
-            if not np.isnan(top):
-                floor = twice[lo] if lo else -np.inf  # cells of a below it rank below every candidate
-                ceil = twice[hi] if hi < pair_size - 1 else np.inf
-                cand = np.sort(np.concatenate([twice[lo : hi + 1], twice[lo : hi + 1],
-                                               once[(once >= floor) & (once <= ceil)]]))
-                skipped = 2 * lo + np.count_nonzero(once < floor)
-                low, high = cand[r1 - skipped], cand[r2 - skipped]
+        lo, hi = max((r1 - rest.size) // m, 0), min(r2 // m, body.size - 1)
+        body.partition(hi)
+        if lo < hi:
+            body[:hi].partition(lo)
+        top = np.maximum(body[hi:].max(), rest.max(initial=-np.inf))
+        if not np.isnan(top):
+            floor = body[lo] if lo else -np.inf  # rest cells below it rank below every candidate
+            ceil = body[hi] if hi < body.size - 1 else np.inf
+            cand = np.sort(np.concatenate([body[lo : hi + 1]] * m + [rest[(rest >= floor) & (rest <= ceil)]]))
+            skipped = m * lo + np.count_nonzero(rest < floor)
+            low, high = cand[r1 - skipped], cand[r2 - skipped]
         if not np.isfinite(top) and finite:
             return np.nan
         if not np.isnan(top) and (mid := high if r1 == r2 else (low + high) / 2) != 0:
