@@ -405,10 +405,10 @@ def ma_analytic_autocorr(weights, xi_var: float, taus):
 
     This is the analytic extension of the real autocorrelation (equal to it
     at lag zero).  The autocorrelation of the analytic-signal process itself
-    is twice this value.
+    is twice this value.  A scalar lag gives a complex, a sequence an array.
     """
     out = 2.0 * _ma_band(weights, xi_var, np.atleast_1d(np.asarray(taus, dtype=int)))
-    return out if out.size > 1 else complex(out[0])
+    return complex(out[0]) if np.ndim(taus) == 0 else out
 
 
 def ma_analytic_spectrum(weights, xi_var: float) -> SpectrumTable:
@@ -425,7 +425,7 @@ def ma_dual_time_table(weights, xi_var: float, n: int, t_spread: int) -> np.ndar
     if not 1 <= t_spread <= n:
         raise ValueError(f"spread bound T = {t_spread} must lie in [1, n = {n}]")
     taus = np.arange(-(t_spread - 1), t_spread)
-    return np.tile(2.0 * np.atleast_1d(ma_analytic_autocorr(weights, xi_var, taus)), (n, 1))
+    return np.tile(2.0 * ma_analytic_autocorr(weights, xi_var, taus), (n, 1))
 
 
 def um_modulation_spectrum(f0: float, n: int) -> SpectrumTable:

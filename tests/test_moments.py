@@ -494,6 +494,15 @@ class TestNafMa:
         one = [ma_analytic_autocorr(DEFAULT_MA_WEIGHTS, 1.0, int(t)) for t in lags]
         assert column.tobytes() == np.array(one).tobytes()
 
+    def test_autocorr_array_for_every_lag_sequence(self):
+        # a scalar lag gives a complex; a sequence of lags an array, one lag long included
+        scalar = ma_analytic_autocorr(DEFAULT_MA_WEIGHTS, 1.0, 0)
+        single, pair = (ma_analytic_autocorr(DEFAULT_MA_WEIGHTS, 1.0, lags) for lags in ([0], [0, 1]))
+        assert type(scalar) is complex and type(ma_analytic_autocorr(DEFAULT_MA_WEIGHTS, 1.0, np.int64(1))) is complex
+        assert isinstance(single, np.ndarray) and single.shape == (1,)
+        assert isinstance(pair, np.ndarray) and pair.shape == (2,)
+        assert single.tobytes() == np.array([scalar]).tobytes() == pair[:1].tobytes()
+
 
 class TestNafUm:
     def test_three_cells(self):
