@@ -182,14 +182,17 @@ def load_grid(path):
     # tau must be an integer and nu the lattice value (k - n) / (2n) exactly, as written
     if (data[:, 0] != lat.taus[m]).any() or (data[:, 1] != lat.nus[k]).any():
         raise FileFormatError("grid CSV holds a (tau, nu) pair off the lattice")
-    # with no cell twice, the rows * cols rows of a v1 file cover every cell once
-    if (np.bincount(m * cols + k, minlength=rows * cols) > 1).any():
+    key = m * cols + k
+    del m, k  # the flat cell index alone is kept, so m and k go before the values are placed
+    seen = np.zeros(rows * cols, dtype=bool)  # a cell twice marks fewer cells than rows were read,
+    seen[key] = True  # and with no cell twice the rows * cols rows of a v1 file cover every cell
+    if np.count_nonzero(seen) < count:
         raise FileFormatError("grid CSV holds a (tau, nu) cell more than once")
     mirror = fields.get("mirror", 0)
-    if mirror and (m < lat.n - 1).any():
+    if mirror and (key < (lat.n - 1) * cols).any():
         raise FileFormatError("grid CSV with mirror=1 holds a tau < 0 cell")
     values = np.zeros(lat.shape, dtype=complex)
-    values.view(np.float64).reshape(rows, cols, 2)[m, k] = data[:, 2:]  # bit for bit, -0.0 too
+    values.view(np.float64).reshape(-1, 2)[key] = data[:, 2:]  # bit for bit, -0.0 too
     if mirror:
         with np.errstate(all="ignore"):  # a product that overflows is rejected below
             lower = _mirror_lags(values, values[: lat.n - 1])
