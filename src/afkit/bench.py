@@ -154,8 +154,8 @@ def _score(half, keep, naf: NAFReference, out: np.ndarray, count: bool = True) -
         out.fill(0.0)
         kept = np.flatnonzero(keep)
         out.flat[kept] = _power(half.flat[kept])
-        on = keep.flat[cells]
-        wrote, count, v = np.concatenate((kept, cells[~on])), _fold(np.count_nonzero, keep), np.where(on, v, 0)
+        on, count = keep.flat[cells], len(kept) + np.count_nonzero(kept >= keep.shape[1])  # tau > 0 twice
+        wrote, v = np.concatenate((kept, cells[~on])), np.where(on, v, 0)
     out.flat[cells] = _power(v - naf.values)
     return wrote, count
 
