@@ -263,7 +263,7 @@ class TestCriterion5Properties:
         nus = (np.arange(2 * N) - N) / (2.0 * N)
         dense = np.zeros((2 * N - 1, 2 * N), dtype=complex)
         lags = np.arange(-(t_spread - 1), t_spread)
-        auto = 2.0 * np.atleast_1d(ma_analytic_autocorr(DEFAULT_MA_WEIGHTS, 1.0, lags))
+        auto = 2.0 * ma_analytic_autocorr(DEFAULT_MA_WEIGHTS, 1.0, lags)
         for lag, a in zip(lags, auto):
             dense[lag + (N - 1), :] = (
                 dirichlet(N - abs(lag), nus)
@@ -310,7 +310,7 @@ class TestCriterion6MomentOracles:
         cells = _interior_cells(rng, 10)
         spectrum = ma_analytic_spectrum(DEFAULT_MA_WEIGHTS, 1.0)
         lags = sorted({c[1] for c in cells})
-        auto_vals = 2.0 * np.atleast_1d(ma_analytic_autocorr(DEFAULT_MA_WEIGHTS, 1.0, lags))
+        auto_vals = 2.0 * ma_analytic_autocorr(DEFAULT_MA_WEIGHTS, 1.0, lags)
         auto = dict(zip(lags, auto_vals))
         forms = {c: prop2_moments(auto, spectrum, c[0], c[1], N) for c in cells}
         zs = _ensemble(MovingAverage(), cells, self.TRIALS, 622)

@@ -405,7 +405,7 @@ class TestVarianceFromAf:
         nus = (np.arange(2 * n) - n) / (2.0 * n)
         dense = np.zeros((2 * n - 1, 2 * n), dtype=complex)
         lags = np.arange(-(t_spread - 1), t_spread)
-        auto = 2.0 * np.atleast_1d(ma_analytic_autocorr(DEFAULT_MA_WEIGHTS, 1.0, lags))
+        auto = 2.0 * ma_analytic_autocorr(DEFAULT_MA_WEIGHTS, 1.0, lags)
         for lag, a in zip(lags, auto):
             dense[lag + (n - 1), :] = (
                 dirichlet(n - abs(lag), nus)
